@@ -6,25 +6,14 @@ fractional SGD), noise models, desk-scale experiment problems, and a CLI
 harness round out the package.
 """
 
-from .fisher import FisherBlock, GradientSample, ema_update, normalize, trace
-from .harness import (ExperimentConfig, RateFit, RunResult, rate_fit, run,
-                      seed_sweep)
-from .mathkit import eig_sym, gamma, logdet_plus, sqrt_psd
-from .noise import RngStream, StableParams, alpha_stable, gaussian
-from .optim import (DivergenceError, OptimConfig, ParamState,
-                    bounded_iterate_check, fosgd_step, sgd_step, step_size,
-                    twosed_fosgd_step)
-from .sed import (AlphaState, SedConfig, SedEstimate, adapt_alpha, d_curv,
-                  lower_2sed_accumulate, two_sed, update_dmax)
+from .harness import (ConfigError, ExperimentConfig, RateFit, RunResult,
+                      csv_bytes, load_config, run, seed_rate_fit, seed_sweep)
+from .optim import DivergenceError
 
 __all__ = [
-    "AlphaState", "DivergenceError", "ExperimentConfig", "FisherBlock",
-    "GradientSample", "OptimConfig", "ParamState", "RateFit", "RngStream",
-    "RunResult", "SedConfig", "SedEstimate", "StableParams", "adapt_alpha",
-    "alpha_stable", "bounded_iterate_check", "d_curv", "eig_sym", "ema_update",
-    "fosgd_step", "gamma", "gaussian", "logdet_plus", "lower_2sed_accumulate",
-    "normalize", "rate_fit", "run", "seed_sweep", "sgd_step", "sqrt_psd",
-    "step_size", "trace", "two_sed", "twosed_fosgd_step", "update_dmax",
+    "ConfigError", "DivergenceError", "ExperimentConfig", "RateFit",
+    "RunResult", "csv_bytes", "load_config", "run", "seed_rate_fit",
+    "seed_sweep",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@
     sedfosgd sweep   --config cfg --seeds N [--override k=v]...
     sedfosgd ratefit --config cfg [--seeds N] [--override k=v]...
 
-Exit codes: 0 success, 1 validation error, 2 divergence.
+Exit codes: 0 success; 1 validation error or failed eigensolve
+(NumericalError); 2 divergence of the optimizer or of the simulated data
+(GenerationError).
 """
 
 import argparse
@@ -13,7 +15,9 @@ from dataclasses import replace
 
 from . import harness
 from .harness import ConfigError
+from .mathkit import NumericalError
 from .optim import DivergenceError
+from .problems import GenerationError
 
 
 def _add_common(parser):
@@ -67,23 +71,14 @@ def main(argv=None):
                 print(f"{key}: mean={stats['mean']:.6g} "
                       f"median={stats['median']:.6g} iqr={stats['iqr']:.6g}")
         else:
-            series = None
-            for i in range(args.seeds):
-                sub = replace(config, seed=harness.derive_seed(config.seed, i), out=None)
-                result = harness.run(sub)
-                gap_col = result.header.index(
-                    "gap" if "gap" in result.header else "loss")
-                gaps = [row[gap_col] for row in result.rows]
-                series = gaps if series is None else [a + b for a, b in zip(series, gaps)]
-            series = [x / args.seeds for x in series]
-            fit = harness.rate_fit(harness.running_min(series))
+            fit = harness.seed_rate_fit(config, args.seeds)
             print(f"slope = {fit.slope}")
             print(f"intercept = {fit.intercept}")
             print(f"r_squared = {fit.r_squared}")
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
+    except (DivergenceError, GenerationError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,20 +13,6 @@ DIAGONAL_THRESHOLD = 512
 
 
 @dataclass(frozen=True)
-class GradientSample:
-    layer_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"gradient must be a vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("gradient entries must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class FisherBlock:
     """EMA Fisher estimate for one layer.
 
@@ -59,15 +45,12 @@ class FisherBlock:
         return cls(layer_index=layer_index, mode=mode, matrix=matrix, decay=decay)
 
 
-def ema_update(block, g):
-    """Fold one gradient into the EMA: (1-gamma) * old + gamma * g (x) g."""
-    if g.layer_index != block.layer_index:
+def ema_update(block, v):
+    """Fold one gradient vector into the EMA: (1-gamma) * old + gamma * v (x) v."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (block.dim,):
         raise ValueError(
-            f"layer mismatch: block {block.layer_index}, gradient {g.layer_index}")
-    v = g.values
-    if v.shape[0] != block.dim:
-        raise ValueError(
-            f"dimension mismatch: block {block.dim}, gradient {v.shape[0]}")
+            f"dimension mismatch: block {block.dim}, gradient {v.shape}")
     gamma = block.decay
     if block.mode == "full":
         matrix = (1.0 - gamma) * block.matrix + gamma * np.outer(v, v)

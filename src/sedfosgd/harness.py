@@ -15,7 +15,7 @@ from . import optim as optim_mod
 from . import problems as problems_mod
 from .noise import RngStream, StableParams, _mix
 from .optim import DivergenceError, OptimConfig, ParamState
-from .sed import AlphaState, SedConfig, SedEstimate
+from .sed import SedConfig, SedEstimate
 
 
 class ConfigError(ValueError):
@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"noise must be gaussian or stable, got {self.noise!r}")
         if not 0.0 <= self.mlp_holdout < 1.0:
             raise ConfigError(f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}")
+        if self.mlp_batch < 1:
+            raise ConfigError(f"mlp_batch must be >= 1, got {self.mlp_batch}")
+        if self.fixed_alpha is not None and not 0.0 < self.fixed_alpha <= 1.0:
+            raise ConfigError(f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}")
         try:
             self.sed_config()
             self.optim_config()
@@ -252,6 +256,10 @@ class _MlpDriver:
         inputs = data.inputs[:n][order]
         labels = data.labels[:n][order]
         n_hold = int(round(config.mlp_holdout * n))
+        if not 0 < n_hold < n:
+            raise ConfigError(
+                f"mlp_holdout={config.mlp_holdout} splits {n} examples into {n_hold} "
+                f"holdout and {n - n_hold} training; both must be non-empty")
         self.holdout = problems_mod.LabeledBatch(inputs[:n_hold], labels[:n_hold])
         self.train = problems_mod.LabeledBatch(inputs[n_hold:], labels[n_hold:])
         classes = int(data.labels.max()) + 1
@@ -260,7 +268,6 @@ class _MlpDriver:
         self.batch_size = config.mlp_batch
         self.n_layers = self.spec.n_layers
         self.init_layers = problems_mod.mlp_init_layers(self.spec, rng)
-        self._last_batch = None
 
     def loss_grad(self, layers, t):
         n_train = len(self.train)
@@ -275,14 +282,10 @@ class _MlpDriver:
         return ["batch_accuracy"]
 
     def metrics(self, layers):
-        if self._last_batch is None or len(self._last_batch) == 0:
-            return [0.0]
         pred = problems_mod.mlp_predict(self.spec, layers, self._last_batch.inputs)
         return [float(np.mean(pred == self._last_batch.labels))]
 
     def holdout_accuracy(self, layers):
-        if len(self.holdout) == 0:
-            return 0.0
         pred = problems_mod.mlp_predict(self.spec, layers, self.holdout.inputs)
         return float(np.mean(pred == self.holdout.labels))
 
@@ -339,7 +342,11 @@ def run(config):
     state = ParamState.init(driver.init_layers)
     blocks = optim_mod.make_fisher_blocks(state, config.fisher_decay)
     sed = SedEstimate.empty(state.n_layers)
-    alpha = AlphaState(per_layer_alpha=np.full(state.n_layers, 1.0))
+    # the optimizers differ only in their exponents: 1 for sgd, a fixed one
+    # for fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
+    ones = np.ones(state.n_layers)
+    fixed = config.alpha0 if config.fixed_alpha is None else config.fixed_alpha
+    constant = ones if config.optimizer == "sgd" else np.full(state.n_layers, fixed)
 
     header = trace_header(driver)
     rows = []
@@ -359,42 +366,29 @@ def run(config):
                 raise DivergenceError(
                     f"non-finite loss or gradient at step {t}", step_index=t)
             if t == 1:
-                # classical first step at the base rate
-                mu = ocfg.mu0
-                state = optim_mod.sgd_step(state, grads, mu)
-                alpha_used = np.full(state.n_layers, 1.0)
+                # classical first step at the base rate, before any Fisher update
+                mu, alphas = ocfg.mu0, ones
             else:
-                # every optimizer logs the same Fisher/dimension diagnostics;
-                # only the exponent rule differs
+                # every optimizer logs the same Fisher/dimension diagnostics
                 sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, scfg)
                 mu = optim_mod.step_size(state.t, ocfg.mu0)
-                if config.optimizer == "sgd":
-                    state = optim_mod.sgd_step(state, grads, mu)
-                    alpha_used = np.full(state.n_layers, 1.0)
-                elif config.optimizer == "fosgd":
-                    fixed = (config.fixed_alpha if config.fixed_alpha is not None
-                             else config.alpha0)
-                    alpha = AlphaState(per_layer_alpha=np.full(state.n_layers, fixed))
-                    state = optim_mod.fosgd_step(state, grads, mu, alpha, ocfg)
-                    alpha_used = alpha.per_layer_alpha
-                else:
-                    state = optim_mod.fosgd_step(state, grads, mu, adaptive, ocfg)
-                    alpha_used = adaptive.per_layer_alpha
+                alphas = (adaptive.per_layer_alpha if config.optimizer == "2sedfosgd"
+                          else constant)
+            state = optim_mod.step(state, grads, mu, alphas, ocfg)
 
             min_loss = min(min_loss, loss)
             deltas = state.deltas()
             row = [float(t), mu, loss]
             for j in range(state.n_layers):
-                row += [float(alpha_used[j]), float(sed.per_layer[j]), deltas[j]]
+                row += [float(alphas[j]), float(sed.per_layer[j]), deltas[j]]
             row.append(float(sed.d_max_running))
             row += [float(m) for m in driver.metrics(state.layers)]
             rows.append(row)
             if writer:
                 writer.write_row(row)
-    except DivergenceError:
+    finally:
         if writer:
             writer.close()
-        raise
 
     summary = {
         "iterations": float(config.iterations),
@@ -407,7 +401,6 @@ def run(config):
         summary["holdout_accuracy"] = driver.holdout_accuracy(state.layers)
 
     if writer:
-        writer.close()
         _write_summary(config.out + ".summary", summary)
     return RunResult(config=config, header=header, rows=rows,
                      final_layers=list(state.layers), summary=summary)
@@ -511,3 +504,17 @@ def seed_sweep(config, n_seeds):
                               "iqr": float(q3 - q1)}
     return SweepResult(seeds=seeds, summaries=summaries,
                        failures=failures, aggregate=aggregate)
+
+
+def seed_rate_fit(config, n_seeds):
+    """Rate fit of the running minimum of the gap (or loss) series, averaged
+    over `n_seeds` derived seeds."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    series = None
+    for i in range(n_seeds):
+        result = run(replace(config, seed=derive_seed(config.seed, i), out=None))
+        col = result.header.index("gap" if "gap" in result.header else "loss")
+        gaps = [row[col] for row in result.rows]
+        series = gaps if series is None else [a + b for a, b in zip(series, gaps)]
+    return rate_fit(running_min([x / n_seeds for x in series]))

@@ -68,6 +68,14 @@ def _fro(m):
     return float(np.linalg.norm(m, "fro"))
 
 
+def _eigh(m):
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}",
+                             residual=_fro(m)) from exc
+
+
 def eig_sym(m):
     """Full eigendecomposition of a symmetric matrix.
 
@@ -75,11 +83,7 @@ def eig_sym(m):
     to the clamp band, tiny negative eigenvalues are snapped to zero.
     """
     m = _as_symmetric(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}",
-                             residual=_fro(m)) from exc
+    w, v = _eigh(m)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
@@ -104,14 +108,19 @@ def sqrt_psd(m):
 
 
 def logdet_plus(m, s):
-    """log det(I + s * m^{1/2}) for PSD m and s >= 0.
+    """log det(I + s * m^{1/2}) for PSD m and s >= 0; a 1-D m is a diagonal.
 
-    Evaluated through the spectrum as sum_i log(1 + s * sqrt(lambda_i)),
-    which is exact for the PSD square root and always non-negative.
+    Evaluated through the spectrum as sum_i log(1 + s * sqrt(lambda_i)) over
+    the eigenvalues in non-increasing order, which is exact for the PSD
+    square root and always non-negative.
     """
     if s < 0 or not np.isfinite(s):
         raise ValueError(f"scale must be finite and >= 0, got {s}")
-    m = _as_symmetric(m)
-    w = eig_sym(m).eigenvalues
-    w = np.maximum(w, 0.0)
-    return float(np.sum(np.log1p(s * np.sqrt(w))))
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 1:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("diagonal entries must be finite")
+        w = m
+    else:
+        w = _eigh(_as_symmetric(m))[0][::-1]
+    return float(np.sum(np.log1p(s * np.sqrt(np.maximum(w, 0.0)))))

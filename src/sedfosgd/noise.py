@@ -69,6 +69,15 @@ class StableParams:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
 
+def _open_uniform(rng):
+    """One draw from (0, 1): the stream's rare 1.0 is redrawn, so every other
+    draw, and the sequence after it, is unchanged."""
+    u = rng.uniform()
+    while u == 1.0:
+        u = rng.uniform()
+    return u
+
+
 def alpha_stable(rng, p):
     """One stable draw by the Chambers-Mallows-Stuck construction.
 
@@ -77,8 +86,8 @@ def alpha_stable(rng, p):
     """
     a = p.alpha_tail
     b = p.skew
-    u = math.pi * (rng.uniform() - 0.5)  # uniform on (-pi/2, pi/2]
-    w = -math.log(rng.uniform())         # Exp(1)
+    u = math.pi * (_open_uniform(rng) - 0.5)  # uniform on (-pi/2, pi/2)
+    w = -math.log(_open_uniform(rng))         # Exp(1), never 0
 
     if a == 1.0:
         half_pi = math.pi / 2.0

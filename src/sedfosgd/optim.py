@@ -1,14 +1,14 @@
-"""Optimizer family: SGD, fixed-exponent fractional SGD, and the
-dimension-adaptive variant.
+"""One fractional update for the whole optimizer family.
 
-The fractional update scales the gradient of layer j by
+The step scales the gradient of layer j by
 
     (|theta_t - theta_{t-1}| + delta)^(1 - alpha_j) / Gamma(2 - alpha_j)
 
-elementwise (or with the layer delta norm in "layer-norm" mode). At
-alpha_j = 1 the factor is exactly 1 and the update is plain SGD. The
-adaptive variant recomputes alpha_j each step from the per-layer effective
-dimension of the EMA Fisher blocks.
+elementwise (or with the layer delta norm in "layer-norm" mode). The
+optimizers differ only in the exponents they pass: alpha_j = 1 makes the
+factor exactly 1 and the update plain SGD (bitwise), a constant alpha_j is
+fixed-exponent fractional SGD, and the adaptive variant recomputes alpha_j
+each step from the per-layer effective dimension of the EMA Fisher blocks.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fisher as fisher_mod
 from . import sed as sed_mod
-from .mathkit import gamma
-from .sed import AlphaState, SedConfig, SedEstimate
+from .mathkit import gamma, logdet_plus
+from .sed import SedConfig, SedEstimate
 
 
 class DivergenceError(RuntimeError):
@@ -109,44 +109,20 @@ def _accept(state, new_layers):
                       t=state.t + 1)
 
 
-def sgd_step(state, grads, mu):
-    grads = [np.asarray(g, dtype=float) for g in grads]
+def step(state, grads, mu, alphas, cfg):
+    """theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g
+    per layer, with `alphas` holding one exponent per layer."""
     _check_shapes(state, grads)
-    for j, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"non-finite gradient in layer {j} at step {state.t}",
-                step_index=state.t)
-    new_layers = [th - mu * g for th, g in zip(state.layers, grads)]
-    return _accept(state, new_layers)
-
-
-def fractional_factor(delta_prev, alpha, cfg):
-    """The (|Delta| + delta)^(1-alpha) scaling for one layer."""
-    if cfg.scaling_mode == "elementwise":
-        base = np.abs(delta_prev) + cfg.delta
-    else:
-        base = np.linalg.norm(delta_prev) + cfg.delta
-    return base ** (1.0 - alpha)
-
-
-def fosgd_step(state, grads, mu, alpha, cfg):
-    """One fractional step with fixed per-layer exponents."""
-    if state.t < 1:
+    if state.t < 1 and np.any(np.asarray(alphas) != 1.0):
         raise ValueError("fractional steps require one classical step first")
-    grads = [np.asarray(g, dtype=float) for g in grads]
-    _check_shapes(state, grads)
     new_layers = []
-    for j, (th, prev, g) in enumerate(zip(state.layers, state.prev_layers, grads)):
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"non-finite gradient in layer {j} at step {state.t}",
-                step_index=state.t)
-        a = float(alpha.per_layer_alpha[j])
-        if not 0.0 < a <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {a} for layer {j}")
-        factor = fractional_factor(th - prev, a, cfg)
-        new_layers.append(th - (mu / gamma(2.0 - a)) * (factor * g))
+    for th, prev, g, a in zip(state.layers, state.prev_layers, grads, alphas):
+        a = float(a)
+        if cfg.scaling_mode == "elementwise":
+            base = np.abs(th - prev) + cfg.delta
+        else:
+            base = np.linalg.norm(th - prev) + cfg.delta
+        new_layers.append(th - (mu / gamma(2.0 - a)) * (base ** (1.0 - a) * g))
     return _accept(state, new_layers)
 
 
@@ -159,45 +135,28 @@ def make_fisher_blocks(state, decay, mode=None):
 def observe_fisher_sed(grads, fisher_blocks, sed, scfg):
     """Fold gradients into the EMA blocks and refresh the dimension state.
 
-    The block list is updated in place (single-owner state). Returns the new
-    SedEstimate (running max folded in) and the exponents it implies.
+    The block list is updated in place (single-owner state). Each block gets
+    one spectral solve, whose log-det yields both its effective dimension and
+    its lower cumulative increment. Returns the new SedEstimate (running max
+    folded in) and the exponents it implies.
     """
-    for j, g in enumerate(grads):
-        fisher_blocks[j] = fisher_mod.ema_update(
-            fisher_blocks[j], fisher_mod.GradientSample(j, np.asarray(g, dtype=float)))
-
-    n_layers = len(fisher_blocks)
-    per_layer = np.empty(n_layers)
-    lower = np.empty(n_layers)
+    per_layer = np.empty(len(fisher_blocks))
+    lower = np.empty(len(fisher_blocks))
     acc = 0.0
-    for j, block in enumerate(fisher_blocks):
-        d_j = block.dim
+    for j, g in enumerate(grads):
+        block = fisher_blocks[j] = fisher_mod.ema_update(fisher_blocks[j], g)
         if scfg.use_normalized_fisher:
-            mat = fisher_mod.normalize(block, d_j)
+            mat = fisher_mod.normalize(block, block.dim)
         else:
             mat = block.matrix
-        per_layer[j] = sed_mod.two_sed(mat, d_j, scfg)
-        acc = sed_mod.lower_2sed_accumulate(acc, mat, scfg)
-        lower[j] = acc
+        logdet = logdet_plus(mat, scfg.curvature_scale)
+        per_layer[j] = sed_mod.two_sed(logdet, block.dim, scfg)
+        acc = lower[j] = sed_mod.lower_2sed_accumulate(acc, logdet, scfg)
 
     sed = SedEstimate(per_layer=per_layer, lower_cumulative=lower,
                       d_max_running=sed.d_max_running)
     sed = sed_mod.update_dmax(sed)
     return sed, sed_mod.adapt_alpha(sed, scfg)
-
-
-def twosed_fosgd_step(state, grads, fisher_blocks, sed, cfg):
-    """One full adaptive step.
-
-    Order per iteration: fold gradients into the EMA blocks, recompute the
-    per-layer effective dimensions and the running maximum, derive the
-    exponents, then take the fractional step at mu0/sqrt(t)."""
-    grads = [np.asarray(g, dtype=float) for g in grads]
-    _check_shapes(state, grads)
-    sed, alpha = observe_fisher_sed(grads, fisher_blocks, sed, cfg.sed_cfg)
-    mu = step_size(state.t, cfg.mu0)
-    new_state = fosgd_step(state, grads, mu, alpha, cfg)
-    return new_state, sed, alpha
 
 
 def delta_radius(cfg, grad_bound, alpha_max=None):

@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mathkit import logdet_plus
-
 
 @dataclass(frozen=True)
 class SedConfig:
@@ -64,37 +62,28 @@ class AlphaState:
     per_layer_alpha: np.ndarray
 
 
-def _spectrum_logdet(fisher, s):
-    """log det(I + s * F^{1/2}); diagonal blocks pass a 1-D vector."""
-    fisher = np.asarray(fisher, dtype=float)
-    if fisher.ndim == 1:
-        v = np.maximum(fisher, 0.0)
-        return float(np.sum(np.log1p(s * np.sqrt(v))))
-    return logdet_plus(fisher, s)
+def d_curv(logdet, cfg):
+    """Curvature dimension of one layer from its block's
+    logdet_plus(F, cfg.curvature_scale); zero for a zero block."""
+    return logdet / abs(np.log(cfg.curvature_scale))
 
 
-def d_curv(normalized_fisher, cfg):
-    """Curvature dimension of one layer; zero for a zero Fisher block."""
-    s = cfg.curvature_scale
-    return _spectrum_logdet(normalized_fisher, s) / abs(np.log(s))
-
-
-def two_sed(normalized_fisher, d_nominal, cfg):
+def two_sed(logdet, d_nominal, cfg):
     if d_nominal < 1:
         raise ValueError(f"d_nominal must be >= 1, got {d_nominal}")
-    return cfg.zeta * d_nominal + (1.0 - cfg.zeta) * d_curv(normalized_fisher, cfg)
+    return cfg.zeta * d_nominal + (1.0 - cfg.zeta) * d_curv(logdet, cfg)
 
 
-def lower_2sed_accumulate(prev, layer_fisher, cfg):
+def lower_2sed_accumulate(prev, logdet, cfg):
     """One layer of the cumulative variant: prev plus this layer's increment.
 
     The integral over earlier layers' parameters is replaced by plug-in
-    evaluation at the current EMA block.
+    evaluation at the current EMA block; `logdet` is the same spectral value
+    that `d_curv` takes, so one solve per block serves both.
     """
     if prev < 0:
         raise ValueError(f"prev must be >= 0, got {prev}")
-    s = cfg.curvature_scale
-    inc = (1.0 - cfg.zeta) * _spectrum_logdet(layer_fisher, s) / abs(np.log(cfg.epsilon))
+    inc = (1.0 - cfg.zeta) * logdet / abs(np.log(cfg.epsilon))
     return prev + inc
 
 

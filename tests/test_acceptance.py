@@ -12,7 +12,7 @@ from scipy import stats
 from sedfosgd import optim
 from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
-from sedfosgd.mathkit import sqrt_psd
+from sedfosgd.mathkit import logdet_plus, sqrt_psd
 from sedfosgd.noise import RngStream, StableParams, alpha_stable
 from sedfosgd.problems import (LabeledBatch, MlpSpec, Regressor, ar_loss_grad,
                                mlp_init_layers, mlp_loss_grad,
@@ -171,8 +171,8 @@ def test_criterion_07_curvature_form_equivalence():
             sign, logdet = np.linalg.slogdet(np.eye(dim) + s * sqrt_psd(m))
             assert sign > 0
             dense = logdet / abs(math.log(s))
-            assert d_curv(m, cfg) == pytest.approx(dense,
-                                                   abs=1e-9 * max(1.0, dense))
+            assert d_curv(logdet_plus(m, s), cfg) == pytest.approx(
+                dense, abs=1e-9 * max(1.0, dense))
 
 
 def _central_diff(f, x, h=1e-6):

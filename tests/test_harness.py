@@ -3,15 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedfosgd import cli
 from sedfosgd.harness import (ConfigError, ExperimentConfig, csv_bytes,
                               derive_seed, load_config, parse_config_text,
                               parse_overrides, rate_fit, run, running_min,
-                              seed_sweep)
+                              seed_rate_fit, seed_sweep)
+from sedfosgd.mathkit import NumericalError
+from sedfosgd.optim import DivergenceError
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
+
+
+def _failing_eigh(m):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 class TestConfigParsing:
@@ -97,7 +105,6 @@ class TestRun:
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
                                iterations=400, seed=1, mu0=1e150,
                                quad_noise_std=1.0)
-        from sedfosgd.optim import DivergenceError
         with pytest.raises(DivergenceError) as err:
             run(cfg)
         assert err.value.step_index is not None
@@ -107,9 +114,20 @@ class TestRun:
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
                                iterations=400, seed=1, mu0=1e150,
                                quad_noise_std=1.0, out=path)
-        from sedfosgd.optim import DivergenceError
         with pytest.raises(DivergenceError):
             run(cfg)
+        assert not os.path.exists(path + ".summary")
+
+    def test_trace_closed_on_any_error(self, tmp_path, monkeypatch):
+        # the first step needs no spectral solve, so its row is written
+        # before the failing eigensolve; the file must be flushed and closed
+        monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+        path = str(tmp_path / "t.csv")
+        # holding the traceback keeps the run's frame, and so its writer, alive
+        with pytest.raises(NumericalError) as info:
+            run(replace(AR_CFG, out=path))
+        with open(path, "rb") as fh:
+            assert fh.read().count(b"\n") == 2
         assert not os.path.exists(path + ".summary")
 
     def test_mlp_run(self, synthetic_idx):
@@ -164,6 +182,15 @@ class TestSeedSweep:
         assert sweep.failures == 3
         assert sweep.summaries == []
 
+    def test_seed_rate_fit_single_seed_matches_run(self):
+        cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
+                               iterations=100, seed=3, mu0=0.3)
+        result = run(cfg)
+        gaps = [row[result.header.index("gap")] for row in result.rows]
+        assert seed_rate_fit(cfg, 1) == rate_fit(running_min(gaps))
+        with pytest.raises(ValueError):
+            seed_rate_fit(cfg, 0)
+
     def test_derive_seed_identity_at_zero(self):
         assert derive_seed(42, 0) == 42
         assert derive_seed(42, 1) != 42
@@ -214,3 +241,91 @@ class TestCli:
             "mu0 = 0.3\nquad_noise_std = 5\ngrad_clip = 10\n")
         assert cli.main(["ratefit", "--config", cfg, "--seeds", "2"]) == 0
         assert "slope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides", [
+        ["fixed_alpha=1.5"],
+        ["fixed_alpha=0"],
+        ["mlp_batch=0"],
+        ["mlp_batch=-3"],
+        ["mlp_limit=2", "mlp_holdout=0.9"],
+        ["mlp_holdout=0"],
+    ])
+    def test_invalid_config_exits_before_trace(self, tmp_path, capsys,
+                                               synthetic_idx, overrides):
+        ip, lp = synthetic_idx
+        cfg = self._write_cfg(
+            tmp_path,
+            "problem = mlp\noptimizer = fosgd\niterations = 5\n"
+            f"mlp_images = {ip}\nmlp_labels = {lp}\nmlp_limit = 50\n")
+        out = str(tmp_path / "trace.csv")
+        argv = ["run", "--config", cfg, "--out", out]
+        for pair in overrides:
+            argv += ["--override", pair]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_generation_blowup_exit_code(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path,
+            "problem = ar\noptimizer = sgd\niterations = 6000\nar_coeffs = 1.2\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+        cfg = self._write_cfg(tmp_path,
+                              "problem = ar\noptimizer = 2sedfosgd\niterations = 5\n")
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _outcome(config):
+    """CSV bytes of a run, or the step a diverged run stopped at."""
+    try:
+        return csv_bytes(run(config))
+    except DivergenceError as exc:
+        return ("diverged", exc.step_index)
+
+
+@st.composite
+def small_configs(draw):
+    common = dict(
+        iterations=draw(st.integers(2, 40)),
+        seed=draw(st.integers(0, 2**32)),
+        mu0=draw(st.floats(1e-3, 0.5)),
+        scaling_mode=draw(st.sampled_from(["elementwise", "layer-norm"])),
+        normalize_fisher=draw(st.booleans()),
+        grad_clip=draw(st.one_of(st.none(), st.floats(0.1, 20.0))),
+    )
+    if draw(st.booleans()):
+        cfg = ExperimentConfig(problem="ar", optimizer="sgd", **common)
+    else:
+        dim = draw(st.integers(1, 6))
+        diag = draw(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim))
+        cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
+                               quad_diag=tuple(diag),
+                               quad_noise_std=draw(st.floats(0.0, 5.0)), **common)
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    return cfg, alpha
+
+
+class TestReductionProperty:
+    """Criterion 1 over the config space: beta = 0 is fosgd at alpha0, and
+    fosgd at alpha = 1 is sgd, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs())
+    def test_reductions_are_bytewise(self, drawn):
+        cfg, alpha = drawn
+        adaptive = _outcome(replace(cfg, optimizer="2sedfosgd", beta=0.0,
+                                    alpha0=alpha))
+        fixed = _outcome(replace(cfg, optimizer="fosgd", fixed_alpha=alpha))
+        assert adaptive == fixed
+        classical = _outcome(replace(cfg, optimizer="fosgd", fixed_alpha=1.0))
+        assert classical == _outcome(cfg)

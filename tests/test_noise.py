@@ -90,3 +90,36 @@ class TestAlphaStable:
                 lambda x: _symmetric_stable_cdf(x, alpha, scale) - q, -10.0, 10.0)
             got = np.quantile(draws, q)
             assert got == pytest.approx(expected, abs=0.02)
+
+
+class _Stub:
+    """A stream that replays fixed uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self):
+        return self.values.pop(0)
+
+
+class TestStableBoundary:
+    # uniform() can return exactly 1.0, which would make the exponential
+    # draw w = 0 (division by zero, or log(0) at tail 1) or put u on pi/2
+    @pytest.mark.parametrize("tail,skew", [(1.8, 0.0), (1.0, 0.0), (1.0, -1.0)])
+    def test_unit_draw_is_redrawn(self, tail, skew):
+        p = StableParams(alpha_tail=tail, skew=skew, scale=0.5)
+        expected = alpha_stable(_Stub([0.3, 0.6]), p)
+        assert math.isfinite(expected)
+        assert alpha_stable(_Stub([0.3, 1.0, 0.6]), p) == expected
+        assert alpha_stable(_Stub([1.0, 0.3, 0.6]), p) == expected
+
+    def test_two_draws_per_sample(self):
+        # without a 1.0 the sampler consumes exactly its two uniforms, so the
+        # stream after it is unchanged
+        rng, ref = RngStream(11), RngStream(11)
+        p = StableParams(alpha_tail=1.5, scale=0.5)
+        for _ in range(1000):
+            alpha_stable(rng, p)
+            ref.uniform()
+            ref.uniform()
+        assert rng.next_u64() == ref.next_u64()

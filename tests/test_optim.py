@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sedfosgd.fisher import FisherBlock
+from sedfosgd.harness import ConfigError, ExperimentConfig
 from sedfosgd.mathkit import gamma
 from sedfosgd.noise import RngStream
 from sedfosgd.optim import (DivergenceError, OptimConfig, ParamState,
                             bounded_iterate_check, clip_gradients, delta_radius,
-                            fosgd_step, make_fisher_blocks, sgd_step, step_size,
-                            twosed_fosgd_step)
+                            make_fisher_blocks, observe_fisher_sed, step,
+                            step_size)
 from sedfosgd.problems import ArModel, GaussianNoise, ar_generate, ar_loss_grad
-from sedfosgd.sed import AlphaState, SedConfig, SedEstimate
+from sedfosgd.sed import SedConfig, SedEstimate
 
 
 def cfg(**kw):
@@ -19,8 +19,15 @@ def cfg(**kw):
     return OptimConfig(mu0=kw.pop("mu0", 0.1), sed_cfg=SedConfig(**sed_kw), **kw)
 
 
-def alphas(state, value):
-    return AlphaState(per_layer_alpha=np.full(state.n_layers, value))
+def sgd_step(state, grads, mu):
+    return step(state, grads, mu, np.ones(state.n_layers), cfg())
+
+
+def adaptive_step(state, grads, blocks, sed, c):
+    """What the harness does for 2sedfosgd: observe, then step at the new exponents."""
+    sed, alpha = observe_fisher_sed(grads, blocks, sed, c.sed_cfg)
+    state = step(state, grads, step_size(state.t, c.mu0), alpha.per_layer_alpha, c)
+    return state, sed, alpha
 
 
 class TestStepSize:
@@ -61,6 +68,8 @@ class TestSgdStep:
         assert np.allclose(state.layers[0], 0.9 ** 100 * np.ones(2), rtol=1e-10)
 
     def test_nonfinite_gradient_rejected(self):
+        # the step does not re-check gradients; the non-finite parameters it
+        # would produce are rejected on acceptance
         state = ParamState.init([np.zeros(2)])
         with pytest.raises(DivergenceError):
             sgd_step(state, [np.array([np.inf, 0.0])], 0.1)
@@ -78,16 +87,16 @@ class TestFosgdStep:
         g = rng.standard_normal(5)
         state = ParamState(layers=(theta,), prev_layers=(prev,), t=3)
         mu = 0.0173
-        frac = fosgd_step(state, [g], mu, alphas(state, 1.0), cfg())
-        plain = sgd_step(state, [g], mu)
-        assert np.array_equal(frac.layers[0], plain.layers[0])
+        for mode in ("elementwise", "layer-norm"):
+            frac = step(state, [g], mu, [1.0], cfg(scaling_mode=mode))
+            assert np.array_equal(frac.layers[0], theta - mu * g)
 
     def test_stationary_scaling_factor(self):
         # theta == prev: factor is delta^(1-alpha) / Gamma(2-alpha) exactly
         delta = 1e-6
         state = self._warm_state([1.0, 2.0], [1.0, 2.0])
         g = np.array([1.0, -2.0])
-        out = fosgd_step(state, [g], 1.0, alphas(state, 0.5), cfg(delta=delta))
+        out = step(state, [g], 1.0, [0.5], cfg(delta=delta))
         factor = delta ** 0.5 / gamma(1.5)
         assert np.allclose(out.layers[0], state.layers[0] - factor * g, rtol=1e-12)
         assert factor == pytest.approx(1e-3 / 0.8862269254527580, rel=1e-10)
@@ -97,33 +106,35 @@ class TestFosgdStep:
         small = self._warm_state([1.0], [0.9])
         big = self._warm_state([1.0], [0.0])
         c = cfg()
-        out_small = fosgd_step(small, [g], 0.1, alphas(small, 0.5), c)
-        out_big = fosgd_step(big, [g], 0.1, alphas(big, 0.5), c)
+        out_small = step(small, [g], 0.1, [0.5], c)
+        out_big = step(big, [g], 0.1, [0.5], c)
         assert abs(out_big.layers[0][0] - big.layers[0][0]) > \
                abs(out_small.layers[0][0] - small.layers[0][0])
 
     def test_stall_freedom(self):
         state = self._warm_state([1.0], [1.0])
-        out = fosgd_step(state, [np.array([2.0])], 0.1, alphas(state, 0.7), cfg())
+        out = step(state, [np.array([2.0])], 0.1, [0.7], cfg())
         assert out.layers[0][0] != state.layers[0][0]
 
     def test_layer_norm_mode(self):
         state = self._warm_state([1.0, 1.0], [0.0, 0.5])
         c = cfg(scaling_mode="layer-norm", delta=1e-6)
         g = np.array([1.0, 1.0])
-        out = fosgd_step(state, [g], 1.0, alphas(state, 0.5), c)
+        out = step(state, [g], 1.0, [0.5], c)
         factor = (np.linalg.norm([1.0, 0.5]) + 1e-6) ** 0.5 / gamma(1.5)
         assert np.allclose(out.layers[0], state.layers[0] - factor * g, rtol=1e-12)
 
     def test_requires_warm_start(self):
         state = ParamState.init([np.zeros(2)])
         with pytest.raises(ValueError):
-            fosgd_step(state, [np.zeros(2)], 0.1, alphas(state, 0.9), cfg())
+            step(state, [np.zeros(2)], 0.1, [0.9], cfg())
 
     def test_alpha_out_of_range_rejected(self):
-        state = self._warm_state([1.0], [0.0])
-        with pytest.raises(ValueError):
-            fosgd_step(state, [np.ones(1)], 0.1, alphas(state, 1.5), cfg())
+        # the exponent range is checked once, when the config is built
+        for bad in (1.5, 0.0, -0.2):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(problem="ar", optimizer="fosgd", iterations=10,
+                                 fixed_alpha=bad)
 
 
 def ar_regressors(seed=7, n=300):
@@ -145,10 +156,10 @@ class TestTwoSedFosgdStep:
         sed = SedEstimate.empty(1)
         for t in range(1, 30):
             _, g = ar_loss_grad(sa.layers[0], regs[t])
-            sa, sed, _ = twosed_fosgd_step(sa, [g], blocks, sed, c)
+            sa, sed, _ = adaptive_step(sa, [g], blocks, sed, c)
             _, g2 = ar_loss_grad(sb.layers[0], regs[t])
             assert np.array_equal(g, g2)
-            sb = fosgd_step(sb, [g2], step_size(sb.t, c.mu0), alphas(sb, 0.98), c)
+            sb = step(sb, [g2], step_size(sb.t, c.mu0), [0.98], c)
             assert np.array_equal(sa.layers[0], sb.layers[0])
 
     def test_constant_dimension_pins_alpha(self):
@@ -161,7 +172,7 @@ class TestTwoSedFosgdStep:
         blocks = make_fisher_blocks(state, 0.1)
         sed = SedEstimate.empty(1)
         for _ in range(5):
-            state, sed, alpha = twosed_fosgd_step(state, [g], blocks, sed, c)
+            state, sed, alpha = adaptive_step(state, [g], blocks, sed, c)
             # roundoff in the eigen-decomposition of the rescaled EMA block
             # perturbs the ratio at the 1e-9 level
             assert alpha.per_layer_alpha[0] == pytest.approx(0.7, abs=1e-6)
@@ -203,7 +214,7 @@ class TestTwoSedFosgdStep:
         sed = SedEstimate.empty(1)
         for t in range(1, 6):
             _, g = ar_loss_grad(state.layers[0], regs[t])
-            state, sed, _ = twosed_fosgd_step(state, [g], blocks, sed, c)
+            state, sed, _ = adaptive_step(state, [g], blocks, sed, c)
             assert np.abs(state.layers[0] - ref_traj[t - 1]).max() <= 1e-12
 
 
@@ -223,7 +234,7 @@ class TestFactorBounds:
             _, g = ar_loss_grad(state.layers[0], regs[t])
             delta_prev = np.abs(state.layers[0] - state.prev_layers[0])
             mu = step_size(state.t, c.mu0)
-            state, sed, alpha = twosed_fosgd_step(state, [g], blocks, sed, c)
+            state, sed, alpha = adaptive_step(state, [g], blocks, sed, c)
             a = float(alpha.per_layer_alpha[0])
             denom = gamma(2.0 - a)
             assert 0.88 <= denom <= 1.0
@@ -267,7 +278,7 @@ class TestBoundedIterates:
         traj = [state]
         for t in range(1, 200):
             _, g = ar_loss_grad(state.layers[0], regs[t])
-            state, sed, _ = twosed_fosgd_step(
+            state, sed, _ = adaptive_step(
                 state, clip_gradients([g], 10.0), blocks, sed, c)
             traj.append(state)
         assert bounded_iterate_check(traj, c, grad_bound=10.0)

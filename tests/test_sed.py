@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from sedfosgd.fisher import FisherBlock, GradientSample, ema_update, normalize
-from sedfosgd.mathkit import sqrt_psd
+from sedfosgd.fisher import FisherBlock, ema_update, normalize
+from sedfosgd.mathkit import logdet_plus, sqrt_psd
 from sedfosgd.sed import (SedConfig, SedEstimate, adapt_alpha, d_curv,
                           lower_2sed_accumulate, two_sed, update_dmax)
 
 CFG = SedConfig(zeta=0.7, epsilon=0.01)
+
+
+def ld(m, cfg=CFG):
+    """The one spectral solve per block that the dimension functions take."""
+    return logdet_plus(m, cfg.curvature_scale)
 
 
 class TestConfig:
@@ -29,30 +34,31 @@ class TestConfig:
 
 class TestDCurv:
     def test_zero_matrix(self):
-        assert d_curv(np.zeros((3, 3)), CFG) == 0.0
+        assert d_curv(ld(np.zeros((3, 3))), CFG) == 0.0
 
     def test_identity_closed_form(self):
         s = 0.01 ** (-0.3)
         expected = 4 * math.log(1 + s) / abs(math.log(s))
-        assert d_curv(np.eye(4), CFG) == pytest.approx(expected, rel=1e-12)
+        assert d_curv(ld(np.eye(4)), CFG) == pytest.approx(expected, rel=1e-12)
 
     def test_single_eigenvalue_closed_form(self):
         lam = 2.7
         s = CFG.curvature_scale
         expected = math.log(1 + s * math.sqrt(lam)) / abs(math.log(s))
-        got = d_curv(np.diag([lam, 0.0, 0.0, 0.0]), CFG)
+        got = d_curv(ld(np.diag([lam, 0.0, 0.0, 0.0])), CFG)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_diagonal_vector_input(self):
         v = np.array([2.7, 0.0, 0.0, 0.0])
-        assert d_curv(v, CFG) == pytest.approx(d_curv(np.diag(v), CFG), rel=1e-12)
+        assert d_curv(ld(v), CFG) == pytest.approx(d_curv(ld(np.diag(v)), CFG),
+                                                   rel=1e-12)
 
     def test_eigenvalue_domination_monotone(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             lo = rng.uniform(0, 3, size=5)
             hi = lo + rng.uniform(0, 2, size=5)
-            assert d_curv(np.diag(hi), CFG) >= d_curv(np.diag(lo), CFG)
+            assert d_curv(ld(np.diag(hi)), CFG) >= d_curv(ld(np.diag(lo)), CFG)
 
     def test_eigenvalue_form_matches_dense_logdet(self):
         # equivalence of the spectral sum and the dense determinant route
@@ -65,20 +71,20 @@ class TestDCurv:
             sign, logdet = np.linalg.slogdet(np.eye(dim) + s * sqrt_psd(m))
             assert sign > 0
             dense = logdet / abs(math.log(s))
-            assert d_curv(m, CFG) == pytest.approx(dense, abs=1e-9 * max(1.0, dense))
+            assert d_curv(ld(m), CFG) == pytest.approx(dense, abs=1e-9 * max(1.0, dense))
 
 
 class TestTwoSed:
     def test_zero_fisher(self):
-        assert two_sed(np.zeros((10, 10)), 10, CFG) == pytest.approx(7.0, rel=1e-12)
+        assert two_sed(ld(np.zeros((10, 10))), 10, CFG) == pytest.approx(7.0, rel=1e-12)
 
     def test_zeta_to_one_limit(self):
         cfg = SedConfig(zeta=1 - 1e-9, epsilon=0.01)
-        assert two_sed(np.zeros((4, 4)), 4, cfg) == pytest.approx(4.0, abs=1e-6)
+        assert two_sed(ld(np.zeros((4, 4)), cfg), 4, cfg) == pytest.approx(4.0, abs=1e-6)
 
     def test_composition_with_d_curv(self):
-        expected = 0.7 * 4 + 0.3 * d_curv(np.eye(4), CFG)
-        assert two_sed(np.eye(4), 4, CFG) == pytest.approx(expected, rel=1e-12)
+        expected = 0.7 * 4 + 0.3 * d_curv(ld(np.eye(4)), CFG)
+        assert two_sed(ld(np.eye(4)), 4, CFG) == pytest.approx(expected, rel=1e-12)
 
     def test_bound_under_gradient_norm_cap(self):
         # EMA stream with ||g|| <= cap keeps the (raw-Fisher) value below the
@@ -92,30 +98,30 @@ class TestTwoSed:
         for _ in range(200):
             g = rng.standard_normal(d)
             g *= min(1.0, cap / np.linalg.norm(g))
-            block = ema_update(block, GradientSample(0, g))
-            assert two_sed(block.matrix, d, CFG) <= ceiling + 1e-9
+            block = ema_update(block, g)
+            assert two_sed(ld(block.matrix), d, CFG) <= ceiling + 1e-9
 
 
 class TestLower2Sed:
     def test_zero_fisher_zero_prev(self):
-        assert lower_2sed_accumulate(0.0, np.zeros((3, 3)), CFG) == 0.0
+        assert lower_2sed_accumulate(0.0, ld(np.zeros((3, 3))), CFG) == 0.0
 
     def test_single_layer_closed_form(self):
         s = CFG.curvature_scale
         expected = 0.3 * 2 * math.log(1 + s) / math.log(100.0)
-        got = lower_2sed_accumulate(0.0, np.eye(2), CFG)
+        got = lower_2sed_accumulate(0.0, ld(np.eye(2)), CFG)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_three_identical_layers_linear(self):
-        inc = lower_2sed_accumulate(0.0, np.eye(2), CFG)
+        inc = lower_2sed_accumulate(0.0, ld(np.eye(2)), CFG)
         acc = 0.0
         for _ in range(3):
-            acc = lower_2sed_accumulate(acc, np.eye(2), CFG)
+            acc = lower_2sed_accumulate(acc, ld(np.eye(2)), CFG)
         assert acc == pytest.approx(3 * inc, rel=1e-12)
 
     def test_negative_prev_rejected(self):
         with pytest.raises(ValueError):
-            lower_2sed_accumulate(-1.0, np.eye(2), CFG)
+            lower_2sed_accumulate(-1.0, ld(np.eye(2)), CFG)
 
 
 class TestUpdateDmax:
@@ -200,6 +206,6 @@ class TestNormalizedPipeline:
         block = FisherBlock.zeros(0, 2, decay=0.1)
         values = []
         for _ in range(5):
-            block = ema_update(block, GradientSample(0, g))
-            values.append(two_sed(normalize(block, 2), 2, CFG))
+            block = ema_update(block, g)
+            values.append(two_sed(ld(normalize(block, 2)), 2, CFG))
         assert np.allclose(values, values[0], rtol=1e-12)
