@@ -67,6 +67,8 @@ def main(argv=None):
         elif args.command == "sweep":
             sweep = harness.seed_sweep(config, args.seeds)
             print(f"seeds = {len(sweep.seeds)}  failures = {sweep.failures}")
+            for failure in sweep.failed:
+                print(f"failed: {failure}")
             for key, stats in sweep.aggregate.items():
                 print(f"{key}: mean={stats['mean']:.6g} "
                       f"median={stats['median']:.6g} iqr={stats['iqr']:.6g}")

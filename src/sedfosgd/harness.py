@@ -13,8 +13,9 @@ import numpy as np
 
 from . import optim as optim_mod
 from . import problems as problems_mod
-from .noise import RngStream, StableParams, _mix
+from .noise import RngStream, StableParams, _mix, gaussian
 from .optim import DivergenceError, OptimConfig, ParamState
+from .problems import GenerationError
 from .sed import SedConfig, SedEstimate
 
 
@@ -231,7 +232,6 @@ class _QuadraticDriver:
         return f, [noisy]
 
     def rng_gauss(self):
-        from .noise import gaussian
         return gaussian(self.rng, 0.0, self.noise_std)
 
     def metric_names(self):
@@ -474,26 +474,44 @@ def derive_seed(base_seed, index):
     return (int(base_seed) ^ _mix(index)) & ((1 << 64) - 1)
 
 
+@dataclass(frozen=True)
+class SweepFailure:
+    """One seed whose run diverged at a step or whose data blew up at a sample."""
+    seed: int
+    kind: str  # "step" | "sample"
+    index: int
+    message: str
+
+    def __str__(self):
+        return f"seed={self.seed} {self.kind}={self.index} {self.message}"
+
+
 @dataclass
 class SweepResult:
     seeds: list
     summaries: list     # one summary dict per successful run
-    failures: int
+    failed: list        # one SweepFailure per failed run
     aggregate: dict     # per-metric mean/median/iqr
+
+    @property
+    def failures(self):
+        return len(self.failed)
 
 
 def seed_sweep(config, n_seeds):
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    seeds, summaries, failures = [], [], 0
+    seeds, summaries, failed = [], [], []
     for i in range(n_seeds):
         seed = derive_seed(config.seed, i)
         seeds.append(seed)
         sub = replace(config, seed=seed, out=None)
         try:
             summaries.append(run(sub).summary)
-        except DivergenceError:
-            failures += 1
+        except DivergenceError as exc:
+            failed.append(SweepFailure(seed, "step", exc.step_index, str(exc)))
+        except GenerationError as exc:
+            failed.append(SweepFailure(seed, "sample", exc.sample_index, str(exc)))
     aggregate = {}
     if summaries:
         keys = summaries[0].keys()
@@ -503,7 +521,7 @@ def seed_sweep(config, n_seeds):
             aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
                               "iqr": float(q3 - q1)}
     return SweepResult(seeds=seeds, summaries=summaries,
-                       failures=failures, aggregate=aggregate)
+                       failed=failed, aggregate=aggregate)
 
 
 def seed_rate_fit(config, n_seeds):

@@ -68,9 +68,9 @@ def _fro(m):
     return float(np.linalg.norm(m, "fro"))
 
 
-def _eigh(m):
+def _solve(solver, m):
     try:
-        return np.linalg.eigh(m)
+        return solver(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}",
                              residual=_fro(m)) from exc
@@ -83,7 +83,7 @@ def eig_sym(m):
     to the clamp band, tiny negative eigenvalues are snapped to zero.
     """
     m = _as_symmetric(m)
-    w, v = _eigh(m)
+    w, v = _solve(np.linalg.eigh, m)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
@@ -112,7 +112,8 @@ def logdet_plus(m, s):
 
     Evaluated through the spectrum as sum_i log(1 + s * sqrt(lambda_i)) over
     the eigenvalues in non-increasing order, which is exact for the PSD
-    square root and always non-negative.
+    square root and always non-negative. Zero eigenvalues add log1p(0) = 0,
+    so any PSD matrix with the same nonzero spectrum gives the same value.
     """
     if s < 0 or not np.isfinite(s):
         raise ValueError(f"scale must be finite and >= 0, got {s}")
@@ -122,5 +123,5 @@ def logdet_plus(m, s):
             raise ValueError("diagonal entries must be finite")
         w = m
     else:
-        w = _eigh(_as_symmetric(m))[0][::-1]
+        w = _solve(np.linalg.eigvalsh, _as_symmetric(m))[::-1]
     return float(np.sum(np.log1p(s * np.sqrt(np.maximum(w, 0.0)))))

@@ -136,8 +136,9 @@ def observe_fisher_sed(grads, fisher_blocks, sed, scfg):
     """Fold gradients into the EMA blocks and refresh the dimension state.
 
     The block list is updated in place (single-owner state). Each block gets
-    one spectral solve, whose log-det yields both its effective dimension and
-    its lower cumulative increment. Returns the new SedEstimate (running max
+    one spectral solve, on its k x k gradient Gram while it holds k < d
+    folds, whose log-det yields both its effective dimension and its lower
+    cumulative increment. Returns the new SedEstimate (running max
     folded in) and the exponents it implies.
     """
     per_layer = np.empty(len(fisher_blocks))
@@ -145,10 +146,7 @@ def observe_fisher_sed(grads, fisher_blocks, sed, scfg):
     acc = 0.0
     for j, g in enumerate(grads):
         block = fisher_blocks[j] = fisher_mod.ema_update(fisher_blocks[j], g)
-        if scfg.use_normalized_fisher:
-            mat = fisher_mod.normalize(block, block.dim)
-        else:
-            mat = block.matrix
+        mat = fisher_mod.spectral_operand(block, scfg.use_normalized_fisher)
         logdet = logdet_plus(mat, scfg.curvature_scale)
         per_layer[j] = sed_mod.two_sed(logdet, block.dim, scfg)
         acc = lower[j] = sed_mod.lower_2sed_accumulate(acc, logdet, scfg)

@@ -14,7 +14,11 @@ from . import noise as noise_mod
 
 
 class GenerationError(RuntimeError):
-    """AR simulation produced a non-finite sample."""
+    """AR simulation produced a non-finite sample; carries its index."""
+
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
 
 
 class IdxFormatError(ValueError):
@@ -92,7 +96,8 @@ def ar_generate(model, rng, initial=None):
                 acc += a[i - 1] * past(k, i)
             y[k] = acc + model.noise.sample(rng)
             if not np.isfinite(y[k]):
-                raise GenerationError(f"non-finite output at index {k}")
+                raise GenerationError(f"non-finite output at index {k}",
+                                      sample_index=k)
     out = []
     for k in range(p + 1, model.horizon + 1):
         phi = np.array([y[k - i] for i in range(1, p + 1)])

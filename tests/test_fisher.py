@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedfosgd.fisher import FisherBlock, ema_update, normalize, trace
+from sedfosgd.fisher import (FisherBlock, ema_update, normalize,
+                             spectral_operand, trace)
 from sedfosgd.mathkit import eig_sym, logdet_plus
+from sedfosgd.sed import SedConfig
+
+SCALE = SedConfig().curvature_scale
 
 
 def fixed_stream(n, dim, seed=0):
@@ -145,3 +151,90 @@ class TestNormalize:
         block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1,
                             weight_mass=1.0)
         assert np.allclose(normalize(block, 2), [0.5, 1.5])
+
+
+def _ema_weights(decay, n):
+    """EMA weights of n folds from zero, oldest first."""
+    return decay * (1 - decay) ** np.arange(n - 1, -1, -1)
+
+
+def _solve_tolerance(op, reference, s):
+    """First-order bound on |logdet_plus(op, s) - sum log1p(s * reference)|.
+
+    A backward-stable symmetric solve moves each eigenvalue by at most
+    delta = n eps ||op||, so its square root moves by at most
+    min(sqrt(delta), delta / root); `reference` holds the exact roots.
+    """
+    n = op.shape[0]
+    delta = 4 * n * np.finfo(float).eps * max(np.linalg.norm(op), 1e-300)
+    roots = np.zeros(n)
+    roots[:min(n, reference.size)] = np.sort(reference)[::-1][:n]
+    with np.errstate(divide="ignore"):
+        per_root = np.minimum(np.sqrt(delta), delta / roots)
+    return s * float(np.sum(per_root))
+
+
+class TestRankLimitedFactor:
+    def test_factor_dropped_at_dim_folds(self):
+        block = FisherBlock.zeros(0, 5, decay=0.2)
+        for k, g in enumerate(fixed_stream(8, 5, seed=8), start=1):
+            block = ema_update(block, g)
+            if k < 5:
+                assert block.rows.shape == (k, 5)
+                assert block.gram.shape == (k, k)
+                assert spectral_operand(block, True).shape == (k, k)
+            else:
+                assert block.rows is None and block.gram is None
+                assert spectral_operand(block, False) is block.matrix
+
+    def test_diagonal_blocks_carry_no_factor(self):
+        for block in (FisherBlock.zeros(0, 5, decay=0.2, mode="diagonal"),
+                      FisherBlock.zeros(0, 600, decay=0.2)):
+            assert block.rows is None and block.gram is None
+            for g in fixed_stream(3, block.dim, seed=9):
+                block = ema_update(block, g)
+                assert block.rows is None and block.gram is None
+                assert spectral_operand(block, False) is block.matrix
+
+    @pytest.mark.parametrize("k", [1, 5, 49])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_exact_low_rank_spectrum(self, k, normalized):
+        # F = Q diag(lam) Q^T with orthonormal Q, built by k folds of
+        # g_i = sqrt(lam_i / w_i) q_i
+        dim, decay = 330, 0.1
+        rng = np.random.default_rng(k)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+        lam = rng.uniform(0.5, 5.0, size=k)
+        w = _ema_weights(decay, k)
+        block = FisherBlock.zeros(0, dim, decay=decay)
+        for i in range(k):
+            block = ema_update(block, np.sqrt(lam[i] / w[i]) * q[:, i])
+        if normalized:
+            lam = lam * dim / lam.sum()
+        expected = float(np.sum(np.log1p(SCALE * np.sqrt(lam))))
+        op = spectral_operand(block, normalized)
+        assert op.shape == (k, k)
+        assert logdet_plus(op, SCALE) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 40), extra=st.integers(1, 3),
+           decay=st.floats(0.05, 1.0), normalized=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logdet_matches_singular_values(self, dim, extra, decay,
+                                            normalized, seed):
+        # across the switch to the dense block, the solve follows
+        # sum log1p(s * sigma_i) over the singular values of W^{1/2} G
+        grads = np.random.default_rng(seed).standard_normal((dim + extra, dim))
+        block = FisherBlock.zeros(0, dim, decay=decay, mode="full")
+        for n in range(1, dim + extra + 1):
+            block = ema_update(block, grads[n - 1])
+            weighted = np.sqrt(_ema_weights(decay, n))[:, None] * grads[:n]
+            sigma = np.linalg.svd(weighted, compute_uv=False)
+            if normalized:
+                sigma = sigma * np.sqrt(dim / trace(block))
+            expected = float(np.sum(np.log1p(SCALE * sigma)))
+            op = spectral_operand(block, normalized)
+            assert op.shape == ((n, n) if n < dim else (dim, dim))
+            got = logdet_plus(op, SCALE)
+            tol = _solve_tolerance(op, sigma, SCALE) + 1e-12 * expected
+            assert abs(got - expected) <= tol, (n, got, expected, tol)

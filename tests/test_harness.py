@@ -18,8 +18,13 @@ AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
 
 
-def _failing_eigh(m):
+def _failing_solver(m):
     raise np.linalg.LinAlgError("did not converge")
+
+
+def _break_eigensolvers(monkeypatch):
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _failing_solver)
 
 
 class TestConfigParsing:
@@ -121,7 +126,7 @@ class TestRun:
     def test_trace_closed_on_any_error(self, tmp_path, monkeypatch):
         # the first step needs no spectral solve, so its row is written
         # before the failing eigensolve; the file must be flushed and closed
-        monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+        _break_eigensolvers(monkeypatch)
         path = str(tmp_path / "t.csv")
         # holding the traceback keeps the run's frame, and so its writer, alive
         with pytest.raises(NumericalError) as info:
@@ -181,6 +186,23 @@ class TestSeedSweep:
         sweep = seed_sweep(cfg, 3)
         assert sweep.failures == 3
         assert sweep.summaries == []
+        assert [f.seed for f in sweep.failed] == sweep.seeds
+        for failure in sweep.failed:
+            assert failure.kind == "step" and failure.index >= 1
+            assert f"at step {failure.index}" in failure.message
+
+    def test_generation_failure_is_one_seed_failure(self):
+        # a blown-up AR simulation fails its seed instead of the whole sweep
+        ok = replace(AR_CFG, optimizer="sgd", iterations=50)
+        blown = ExperimentConfig(problem="ar", optimizer="sgd", iterations=6000,
+                                 ar_coeffs=(1.2,))
+        assert seed_sweep(ok, 2).failures == 0
+        sweep = seed_sweep(blown, 3)
+        assert sweep.failures == 3 and sweep.summaries == []
+        assert [f.seed for f in sweep.failed] == sweep.seeds
+        for failure in sweep.failed:
+            assert failure.kind == "sample"
+            assert failure.message == f"non-finite output at index {failure.index}"
 
     def test_seed_rate_fit_single_seed_matches_run(self):
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
@@ -234,6 +256,17 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--seeds", "3"]) == 0
         assert "median" in capsys.readouterr().out
 
+    def test_sweep_reports_each_failed_seed(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path,
+            "problem = ar\noptimizer = sgd\niterations = 6000\nar_coeffs = 1.2\n")
+        assert cli.main(["sweep", "--config", cfg, "--seeds", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "seeds = 3  failures = 3"
+        failed = [line for line in lines if line.startswith("failed: ")]
+        assert len(failed) == 3
+        assert failed[0].startswith("failed: seed=0 sample=")
+
     def test_ratefit_subcommand(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path,
@@ -277,7 +310,7 @@ class TestCli:
         assert not os.path.exists(out)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+        _break_eigensolvers(monkeypatch)
         cfg = self._write_cfg(tmp_path,
                               "problem = ar\noptimizer = 2sedfosgd\niterations = 5\n")
         assert cli.main(["run", "--config", cfg]) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from sedfosgd.fisher import FisherBlock, ema_update, normalize
 from sedfosgd.mathkit import logdet_plus, sqrt_psd
+from sedfosgd.optim import observe_fisher_sed
 from sedfosgd.sed import (SedConfig, SedEstimate, adapt_alpha, d_curv,
                           lower_2sed_accumulate, two_sed, update_dmax)
 
@@ -209,3 +210,22 @@ class TestNormalizedPipeline:
             block = ema_update(block, g)
             values.append(two_sed(ld(normalize(block, 2)), 2, CFG))
         assert np.allclose(values, values[0], rtol=1e-12)
+
+    def test_rank_limited_block_solves_its_gram(self, monkeypatch):
+        # while a 330-dim block holds k < 330 gradients, the one solve per
+        # step is k x k
+        solver = np.linalg.eigvalsh
+        shapes = []
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return solver(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        blocks = [FisherBlock.zeros(0, 330, decay=0.1)]
+        sed = SedEstimate.empty(1)
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            sed, _ = observe_fisher_sed([rng.standard_normal(330)], blocks, sed, CFG)
+        assert shapes == [(k, k) for k in range(1, 7)]
+        assert blocks[0].gram.shape == (6, 6)
