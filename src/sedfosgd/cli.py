@@ -77,6 +77,8 @@ def main(argv=None):
             print(f"slope = {fit.slope}")
             print(f"intercept = {fit.intercept}")
             print(f"r_squared = {fit.r_squared}")
+            print(f"fit_window = {fit.window_start} {fit.window_start + fit.points - 1}")
+            print(f"fit_points = {fit.points}")
     except (ConfigError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import optim as optim_mod
 from . import problems as problems_mod
-from .noise import RngStream, StableParams, _mix, gaussian
+from .noise import RngStream, StableParams, _mix, gaussians
 from .optim import DivergenceError, OptimConfig, ParamState
 from .problems import GenerationError
 from .sed import SedConfig, SedEstimate
@@ -68,6 +68,11 @@ class ExperimentConfig:
     mlp_limit: int = 0  # 0 means use every example
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.problem not in _PROBLEMS:
             raise ConfigError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
         if self.optimizer not in _OPTIMIZERS:
@@ -83,6 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"mlp_batch must be >= 1, got {self.mlp_batch}")
         if self.fixed_alpha is not None and not 0.0 < self.fixed_alpha <= 1.0:
             raise ConfigError(f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}")
+        for name in ("noise_std", "quad_noise_std"):
+            std = getattr(self, name)
+            if std < 0:
+                raise ConfigError(f"{name} must be >= 0, got {std}")
         try:
             self.sed_config()
             self.optim_config()
@@ -212,7 +221,12 @@ class _ArDriver:
 
 
 class _QuadraticDriver:
-    """Convex quadratic with additive Gaussian gradient noise."""
+    """Convex quadratic with additive Gaussian gradient noise.
+
+    The noise is drawn a block of rows at a time (about 2048 numbers) from the
+    run's stream, which feeds nothing else, so each step's noise row is the
+    same as if it were drawn one number at a time.
+    """
 
     def __init__(self, config, rng):
         diag = np.asarray(config.quad_diag, dtype=float)
@@ -222,17 +236,22 @@ class _QuadraticDriver:
         self.b = np.zeros(diag.size)
         self.noise_std = config.quad_noise_std
         self.rng = rng
+        self._noise_rows = np.empty((0, diag.size))
+        self._next_row = 0
         self.n_layers = 1
         self.init_layers = [np.ones(diag.size)]
         self.f_star = 0.0  # b = 0, minimum at the origin
 
     def loss_grad(self, layers, t):
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
-        noisy = g + np.array([self.rng_gauss() for _ in range(g.size)])
+        if self._next_row == len(self._noise_rows):
+            rows = max(1, 2048 // g.size)
+            self._noise_rows = gaussians(self.rng, rows * g.size, 0.0,
+                                         self.noise_std).reshape(rows, g.size)
+            self._next_row = 0
+        noisy = g + self._noise_rows[self._next_row]
+        self._next_row += 1
         return f, [noisy]
-
-    def rng_gauss(self):
-        return gaussian(self.rng, 0.0, self.noise_std)
 
     def metric_names(self):
         return ["gap"]
@@ -292,11 +311,12 @@ class _MlpDriver:
 
 def _shuffled_indices(n, rng):
     """Deterministic Fisher-Yates permutation driven by the run's stream."""
-    order = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
+    order = list(range(n))
+    draws = rng.next_u64s(max(n - 1, 0)).tolist()
+    for i, z in zip(range(n - 1, 0, -1), draws):
+        j = z % (i + 1)
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=np.intp)
 
 
 _DRIVERS = {"ar": _ArDriver, "quadratic": _QuadraticDriver, "mlp": _MlpDriver}
@@ -354,38 +374,40 @@ def run(config):
     writer = _TraceWriter(config.out, header) if config.out else None
 
     try:
-        for t in range(1, config.iterations + 1):
-            loss, grads = driver.loss_grad(state.layers, t)
-            grads = optim_mod.clip_gradients(grads, ocfg.grad_clip)
-            # catch blow-ups before the Fisher outer product can overflow
-            with np.errstate(over="ignore"):
+        # an overflow or invalid operation leaves inf or nan instead of a
+        # warning; the checks below report it as a divergence at its step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, config.iterations + 1):
+                loss, grads = driver.loss_grad(state.layers, t)
+                grads = optim_mod.clip_gradients(grads, ocfg.grad_clip)
+                # catch blow-ups before the Fisher outer product can overflow
                 blown = not math.isfinite(loss) or any(
                     not np.all(np.isfinite(g)) or float(g @ g) == math.inf
                     for g in grads)
-            if blown:
-                raise DivergenceError(
-                    f"non-finite loss or gradient at step {t}", step_index=t)
-            if t == 1:
-                # classical first step at the base rate, before any Fisher update
-                mu, alphas = ocfg.mu0, ones
-            else:
-                # every optimizer logs the same Fisher/dimension diagnostics
-                sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, scfg)
-                mu = optim_mod.step_size(state.t, ocfg.mu0)
-                alphas = (adaptive.per_layer_alpha if config.optimizer == "2sedfosgd"
-                          else constant)
-            state = optim_mod.step(state, grads, mu, alphas, ocfg)
+                if blown:
+                    raise DivergenceError(
+                        f"non-finite loss or gradient at step {t}", step_index=t)
+                if t == 1:
+                    # classical first step at the base rate, before any Fisher update
+                    mu, alphas = ocfg.mu0, ones
+                else:
+                    # every optimizer logs the same Fisher/dimension diagnostics
+                    sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, scfg)
+                    mu = optim_mod.step_size(state.t, ocfg.mu0)
+                    alphas = (adaptive.per_layer_alpha if config.optimizer == "2sedfosgd"
+                              else constant)
+                state = optim_mod.step(state, grads, mu, alphas, ocfg)
 
-            min_loss = min(min_loss, loss)
-            deltas = state.deltas()
-            row = [float(t), mu, loss]
-            for j in range(state.n_layers):
-                row += [float(alphas[j]), float(sed.per_layer[j]), deltas[j]]
-            row.append(float(sed.d_max_running))
-            row += [float(m) for m in driver.metrics(state.layers)]
-            rows.append(row)
-            if writer:
-                writer.write_row(row)
+                min_loss = min(min_loss, loss)
+                deltas = state.deltas()
+                row = [float(t), mu, loss]
+                for j in range(state.n_layers):
+                    row += [float(alphas[j]), float(sed.per_layer[j]), deltas[j]]
+                row.append(float(sed.d_max_running))
+                row += [float(m) for m in driver.metrics(state.layers)]
+                rows.append(row)
+                if writer:
+                    writer.write_row(row)
     finally:
         if writer:
             writer.close()
@@ -444,6 +466,8 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
+    window_start: int  # first t of the fit window [window_start, T]
+    points: int        # number of (t, gap) points fitted, T - window_start + 1
 
 
 def running_min(series):
@@ -466,7 +490,7 @@ def rate_fit(running_min_gaps):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid ** 2)) / ss_tot)
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=min(1.0, r2))
+                   r_squared=min(1.0, r2), window_start=lo, points=x.size)
 
 
 def derive_seed(base_seed, index):

@@ -4,10 +4,17 @@ A counter-based splitmix64 stream gives bitwise-identical sequences across
 platforms, which the determinism requirements depend on. On top of it sit a
 Box-Muller Gaussian and a Chambers-Mallows-Stuck alpha-stable sampler
 (1-parameterization).
+
+The block draws (`next_u64s`, `uniforms`, `gaussians`) return the same bits as
+the matching number of scalar calls. They use numpy only for wrapping uint64
+arithmetic and IEEE-exact float operations (`*`, `+`, `sqrt`); `log` and `cos`
+go through `math`, because numpy's SIMD versions may round differently.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -18,6 +25,18 @@ def _mix(z):
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_block(z):
+    """`_mix` over a uint64 array, in place (multiplications wrap mod 2^64)."""
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(factor)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class RngStream:
@@ -34,6 +53,27 @@ class RngStream:
         """One draw from (0, 1]."""
         return ((self.next_u64() >> 11) + 1) * _INV_2_53
 
+    def next_u64s(self, n):
+        """The next `n` outputs as a uint64 array, equal to `n` `next_u64()`
+        calls, which leaves the state where those calls would."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return _mix_block(z)
+
+    def uniforms(self, n):
+        """The next `n` draws from (0, 1] as a float64 array, equal to `n`
+        `uniform()` calls."""
+        z = self.next_u64s(n)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        u = z.astype(np.float64)  # exact: every value is at most 2^53
+        u *= _INV_2_53
+        return u
+
     def spawn(self, index):
         """Independent stream for parallel run `index` (seed XOR index hash)."""
         return RngStream(self._state ^ _mix(int(index) & _MASK64))
@@ -49,6 +89,25 @@ def gaussian(rng, mean=0.0, std=1.0):
     if std == 0.0:
         return mean
     return mean + std * z
+
+
+def gaussians(rng, n, mean=0.0, std=1.0):
+    """`n` N(mean, std^2) draws as a float64 array, equal to `n` `gaussian`
+    calls (2n uniforms consumed, taken as (u1, u2) pairs in stream order)."""
+    if std < 0:
+        raise ValueError(f"std must be >= 0, got {std}")
+    u = rng.uniforms(2 * n)
+    if std == 0.0:
+        return np.full(n, mean, dtype=np.float64)
+    radius = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, n)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u[1::2]
+    angle *= 2.0 * math.pi
+    z = radius * np.fromiter(map(math.cos, angle.tolist()), np.float64, n)
+    z *= std
+    z += mean
+    return z
 
 
 @dataclass(frozen=True)

@@ -186,9 +186,10 @@ def mlp_init_layers(spec, rng):
     layers = []
     for i in range(spec.n_layers):
         n_in, n_out = spec.widths[i], spec.widths[i + 1]
-        w = np.empty(n_in * n_out)
-        for k in range(w.size):
-            w[k] = (2.0 * rng.uniform() - 1.0) * spec.init_scale
+        w = rng.uniforms(n_in * n_out)
+        w *= 2.0
+        w -= 1.0
+        w *= spec.init_scale
         layers.append(np.concatenate([w, np.zeros(n_out)]))
     return layers
 

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import os
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedfosgd import cli
-from sedfosgd.harness import (ConfigError, ExperimentConfig, csv_bytes,
-                              derive_seed, load_config, parse_config_text,
-                              parse_overrides, rate_fit, run, running_min,
-                              seed_rate_fit, seed_sweep)
+from sedfosgd.harness import (ConfigError, ExperimentConfig, _QuadraticDriver,
+                              _shuffled_indices, csv_bytes, derive_seed,
+                              load_config, parse_config_text, parse_overrides,
+                              rate_fit, run, running_min, seed_rate_fit,
+                              seed_sweep)
 from sedfosgd.mathkit import NumericalError
+from sedfosgd.noise import RngStream, gaussian
 from sedfosgd.optim import DivergenceError
+from sedfosgd.problems import quadratic_loss_grad
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
@@ -145,6 +152,38 @@ class TestRun:
         assert "batch_accuracy" in result.header
 
 
+class TestStreamConsumers:
+    """Block draws in the drivers against test-local scalar loops."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 1000])
+    def test_shuffled_indices_equal_scalar_fisher_yates(self, n):
+        ref = RngStream(2**63 + 5)
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.next_u64() % (i + 1)
+            order[i], order[j] = order[j], order[i]
+        rng = RngStream(2**63 + 5)
+        assert _shuffled_indices(n, rng).tolist() == order
+        assert rng.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("dim,steps", [(3, 1400), (1000, 5), (4096, 3)])
+    def test_quadratic_noise_equals_scalar_draws(self, dim, steps):
+        # 682, 2 and 1 noise rows per block: the steps cross block boundaries
+        diag = tuple(float(k % 7) for k in range(dim))
+        cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
+                               iterations=steps, quad_diag=diag,
+                               quad_noise_std=2.5)
+        driver = _QuadraticDriver(cfg, RngStream(9))
+        ref = RngStream(9)
+        theta = np.linspace(-1.0, 1.0, dim)
+        for t in range(1, steps + 1):
+            f, (g,) = driver.loss_grad([theta], t)
+            f_ref, g_ref = quadratic_loss_grad(theta, driver.a_mat, driver.b)
+            noise = np.array([gaussian(ref, 0.0, 2.5) for _ in range(dim)])
+            assert f == f_ref
+            assert g.tobytes() == (g_ref + noise).tobytes()
+
+
 class TestRateFit:
     def test_exact_inverse_sqrt(self):
         t = np.arange(1, 501)
@@ -273,7 +312,12 @@ class TestCli:
             "problem = quadratic\noptimizer = 2sedfosgd\niterations = 200\n"
             "mu0 = 0.3\nquad_noise_std = 5\ngrad_clip = 10\n")
         assert cli.main(["ratefit", "--config", cfg, "--seeds", "2"]) == 0
-        assert "slope" in capsys.readouterr().out
+        fit = dict(line.split(" = ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        assert "slope" in fit
+        # the fit covers t in [T/10, T] of the 200-step series
+        assert fit["fit_window"] == "20 200"
+        assert fit["fit_points"] == "181"
 
     @pytest.mark.parametrize("overrides", [
         ["fixed_alpha=1.5"],
@@ -290,6 +334,31 @@ class TestCli:
             tmp_path,
             "problem = mlp\noptimizer = fosgd\niterations = 5\n"
             f"mlp_images = {ip}\nmlp_labels = {lp}\nmlp_limit = 50\n")
+        out = str(tmp_path / "trace.csv")
+        argv = ["run", "--config", cfg, "--out", out]
+        for pair in overrides:
+            argv += ["--override", pair]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("problem,overrides", [
+        ("quadratic", ["quad_noise_std=-1"]),
+        ("quadratic", ["quad_noise_std=nan"]),
+        ("quadratic", ["quad_diag=1,nan"]),
+        ("quadratic", ["mu0=inf"]),
+        ("ar", ["ar_coeffs=nan,0.1"]),
+        ("ar", ["noise=stable", "stable_location=inf"]),
+        ("ar", ["noise_std=-0.5"]),
+        ("ar", ["grad_clip=nan"]),
+    ])
+    def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
+                                              overrides):
+        # non-finite values and a negative noise std are config errors, not
+        # divergences, and leave no trace file behind
+        cfg = self._write_cfg(
+            tmp_path, f"problem = {problem}\noptimizer = 2sedfosgd\niterations = 5\n")
         out = str(tmp_path / "trace.csv")
         argv = ["run", "--config", cfg, "--out", out]
         for pair in overrides:
@@ -362,3 +431,77 @@ class TestReductionProperty:
         assert adaptive == fixed
         classical = _outcome(replace(cfg, optimizer="fosgd", fixed_alpha=1.0))
         assert classical == _outcome(cfg)
+
+
+_SPECIAL = [0.0, -1.0, float("nan"), float("inf")]
+# a valid range for each float key; each draw takes it or one of _SPECIAL
+_FLOAT_RANGES = {
+    "mu0": (1e-3, 20.0), "delta": (1e-8, 1e-2), "alpha0": (0.05, 1.0),
+    "beta": (0.0, 0.1), "zeta": (2.0 / 3.0, 0.99), "epsilon": (1e-4, 0.5),
+    "alpha_min": (1e-3, 0.05), "fixed_alpha": (0.05, 1.0),
+    "fisher_decay": (0.01, 1.0), "grad_clip": (0.1, 20.0),
+    "noise_std": (0.0, 2.0), "stable_tail": (0.5, 2.0),
+    "stable_skew": (-1.0, 1.0), "stable_scale": (0.1, 2.0),
+    "stable_location": (-1.0, 1.0), "quad_noise_std": (0.0, 5.0),
+}
+
+
+@st.composite
+def _float_value(draw, lo, hi):
+    # one draw in eight is special, so close to half of the configs run (exit 0)
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_SPECIAL))
+    return draw(st.floats(lo, hi))
+
+
+@st.composite
+def cli_configs(draw):
+    """Override lists over AR and quadratic configs, valid or not."""
+    problem = draw(st.sampled_from(["ar", "quadratic"]))
+    pairs = [f"problem={problem}",
+             f"optimizer={draw(st.sampled_from(['sgd', 'fosgd', '2sedfosgd']))}",
+             f"iterations={draw(st.integers(1, 30))}",
+             f"noise={draw(st.sampled_from(['gaussian', 'stable']))}"]
+    for key, (lo, hi) in _FLOAT_RANGES.items():
+        if draw(st.booleans()):
+            pairs.append(f"{key}={draw(_float_value(lo, hi))!r}")
+    key, lo, hi = (("ar_coeffs", -0.9, 0.9) if problem == "ar"
+                   else ("quad_diag", 0.0, 10.0))
+    if draw(st.booleans()):
+        values = draw(st.lists(_float_value(lo, hi), min_size=1, max_size=4))
+        pairs.append(f"{key}={','.join(repr(v) for v in values)}")
+    return pairs
+
+
+class TestFailureContract:
+    """Every config ends in exit 0, in exit 1 with one `error:` line and no
+    trace file, or in exit 2 with one `diverged:` line naming a step or a
+    sample index; nothing else escapes `cli.main`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cli_configs())
+    def test_every_config_ends_in_a_known_exit(self, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "base.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("problem = ar\noptimizer = sgd\niterations = 1\n")
+            out = os.path.join(tmp, "trace.csv")
+            argv = ["run", "--config", cfg, "--out", out]
+            for pair in pairs:
+                argv += ["--override", pair]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            err = stderr.getvalue()
+            if code == 0:
+                assert err == ""
+                assert os.path.exists(out) and os.path.exists(out + ".summary")
+            elif code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert not os.path.exists(out)
+            else:
+                assert code == 2
+                assert err.startswith("diverged: ") and err.count("\n") == 1, err
+                assert re.search(r"\b(step|index) \d+", err), err
+                assert not os.path.exists(out + ".summary")

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
-from sedfosgd.noise import RngStream, StableParams, alpha_stable, gaussian
+from sedfosgd.noise import (RngStream, StableParams, alpha_stable, gaussian,
+                            gaussians)
+
+# seeds at 0, at the top of the range and past 2^63, where the state and the
+# counter arithmetic wrap
+WRAP_SEEDS = [0, 2**64 - 1, 2**63 + 5]
 
 
 class TestRngStream:
@@ -24,6 +31,64 @@ class TestRngStream:
         child = rng.spawn(1)
         assert [rng.next_u64() for _ in range(100)] != \
                [child.next_u64() for _ in range(100)]
+
+
+class TestBlockStream:
+    """The block draws against the scalar stream, which is the reference."""
+
+    def test_reference_vector(self):
+        # splitmix64 outputs for seed 1234567, pinned so that the scalar and
+        # block streams cannot drift together
+        expected = [6457827717110365317, 3203168211198807973,
+                    9817491932198370423, 4593380528125082431,
+                    16408922859458223821]
+        scalar = RngStream(1234567)
+        assert [scalar.next_u64() for _ in range(5)] == expected
+        assert RngStream(1234567).next_u64s(5).tolist() == expected
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_next_u64s_equals_scalar_calls(self, seed, n):
+        block, scalar = RngStream(seed), RngStream(seed)
+        z = block.next_u64s(n)
+        assert z.dtype == np.uint64 and z.shape == (n,)
+        assert z.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert block._state == scalar._state
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_uniforms_equal_scalar_calls(self, seed, n):
+        block, scalar = RngStream(seed), RngStream(seed)
+        u = block.uniforms(n)
+        assert u.dtype == np.float64 and u.shape == (n,)
+        assert u.tolist() == [scalar.uniform() for _ in range(n)]
+        assert block._state == scalar._state
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RngStream(0).next_u64s(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300),
+           mean=st.floats(-1e6, 1e6), std=st.floats(0.0, 1e6))
+    def test_gaussians_equal_scalar_calls(self, seed, n, mean, std):
+        block, scalar = RngStream(seed), RngStream(seed)
+        got = gaussians(block, n, mean, std)
+        want = np.array([gaussian(scalar, mean, std) for _ in range(n)],
+                        dtype=np.float64)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert block.uniform() == scalar.uniform()
+
+    def test_zero_std_is_exact_after_2n_draws(self):
+        rng, ref = RngStream(3), RngStream(3)
+        got = gaussians(rng, 7, 3.25, 0.0)
+        assert got.tolist() == [3.25] * 7
+        ref.uniforms(14)
+        assert rng.next_u64() == ref.next_u64()
+
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError):
+            gaussians(RngStream(0), 4, 0.0, -1.0)
 
 
 class TestGaussian:

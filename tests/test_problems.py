@@ -129,6 +129,20 @@ class TestQuadratic:
 
 
 class TestMlp:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_init_equals_scalar_draws(self, seed):
+        spec = MlpSpec(widths=(7, 5, 3), init_scale=0.3)
+        ref = RngStream(seed)
+        expected = []
+        for n_in, n_out in zip(spec.widths[:-1], spec.widths[1:]):
+            w = [(2.0 * ref.uniform() - 1.0) * spec.init_scale
+                 for _ in range(n_in * n_out)]
+            expected.append(np.array(w + [0.0] * n_out))
+        rng = RngStream(seed)
+        layers = mlp_init_layers(spec, rng)
+        assert [v.tobytes() for v in layers] == [v.tobytes() for v in expected]
+        assert rng.next_u64() == ref.next_u64()
+
     def test_uniform_loss_at_zero_weights(self):
         spec = MlpSpec(widths=(4, 6, 5))
         layers = [np.zeros(d) for d in spec.layer_dims()]
