@@ -42,8 +42,10 @@ class FisherBlock:
 
     @classmethod
     def zeros(cls, layer_index, dim, decay, mode=None):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
+        """Zero block; `mode` defaults to diagonal above DIAGONAL_THRESHOLD.
+
+        The run's `ExperimentConfig` checks that `decay` is in (0, 1].
+        """
         if mode is None:
             mode = "diagonal" if dim > DIAGONAL_THRESHOLD else "full"
         if mode == "full":
@@ -57,11 +59,17 @@ class FisherBlock:
 
 
 def ema_update(block, v):
-    """Fold one gradient vector into the EMA: (1-gamma) * old + gamma * v (x) v."""
+    """Fold one gradient vector into the EMA: (1-gamma) * old + gamma * v (x) v.
+
+    This is the one check of the Fisher input: a finite gradient keeps the
+    block finite and exactly symmetric, which the spectral solve relies on.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (block.dim,):
         raise ValueError(
             f"dimension mismatch: block {block.dim}, gradient {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("gradient entries must be finite")
     gamma = block.decay
     rows = gram = None
     if block.mode == "full":
@@ -99,18 +107,15 @@ def trace(block):
 _TRACE_FLOOR = 1e-12
 
 
-def _trace_scale(block, nominal_dim):
-    """nominal_dim / trace, or 0 for a block whose trace is at the floor."""
-    if nominal_dim != block.dim:
-        raise ValueError(
-            f"nominal_dim {nominal_dim} does not match block dim {block.dim}")
+def _trace_scale(block):
+    """dim / trace, or 0 for a block whose trace is at the floor."""
     tr = trace(block)
-    return 0.0 if tr <= _TRACE_FLOOR else nominal_dim / tr
+    return 0.0 if tr <= _TRACE_FLOOR else block.dim / tr
 
 
-def normalize(block, nominal_dim):
-    """Rescale so the trace equals the nominal dimension; zero block maps to zero."""
-    scale = _trace_scale(block, nominal_dim)
+def normalize(block):
+    """Rescale so the trace equals the dimension; zero block maps to zero."""
+    scale = _trace_scale(block)
     if scale == 0.0:
         return np.zeros_like(block.matrix)
     return scale * block.matrix
@@ -121,8 +126,8 @@ def spectral_operand(block, normalized):
 
     That is the k x k weighted gradient Gram while the block holds its
     rank-limited factor, else the block itself (a vector in diagonal mode).
-    With `normalized`, the spectrum is that of `normalize(block, block.dim)`.
+    With `normalized`, the spectrum is that of `normalize(block)`.
     """
     if block.gram is None:
-        return normalize(block, block.dim) if normalized else block.matrix
-    return _trace_scale(block, block.dim) * block.gram if normalized else block.gram
+        return normalize(block) if normalized else block.matrix
+    return _trace_scale(block) * block.gram if normalized else block.gram

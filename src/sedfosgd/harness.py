@@ -7,16 +7,16 @@ run is fully determined by its config, including the CSV bytes it writes.
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import optim as optim_mod
 from . import problems as problems_mod
 from .noise import RngStream, StableParams, _mix, gaussians
-from .optim import DivergenceError, OptimConfig, ParamState
+from .optim import DivergenceError, ParamState
 from .problems import GenerationError
-from .sed import SedConfig, SedEstimate
+from .sed import SedEstimate
 
 
 class ConfigError(ValueError):
@@ -73,89 +73,87 @@ class ExperimentConfig:
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.problem not in _PROBLEMS:
-            raise ConfigError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ConfigError(
-                f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.noise not in ("gaussian", "stable"):
-            raise ConfigError(f"noise must be gaussian or stable, got {self.noise!r}")
-        if not 0.0 <= self.mlp_holdout < 1.0:
-            raise ConfigError(f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}")
-        if self.mlp_batch < 1:
-            raise ConfigError(f"mlp_batch must be >= 1, got {self.mlp_batch}")
-        if self.fixed_alpha is not None and not 0.0 < self.fixed_alpha <= 1.0:
-            raise ConfigError(f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}")
-        for name in ("noise_std", "quad_noise_std"):
-            std = getattr(self, name)
-            if std < 0:
-                raise ConfigError(f"{name} must be >= 0, got {std}")
-        try:
-            self.sed_config()
-            self.optim_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def sed_config(self):
-        return SedConfig(zeta=self.zeta, epsilon=self.epsilon,
-                         alpha0=self.alpha0, beta=self.beta,
-                         alpha_min=self.alpha_min,
-                         use_normalized_fisher=self.normalize_fisher)
-
-    def optim_config(self):
-        return OptimConfig(mu0=self.mu0, delta=self.delta,
-                           sed_cfg=self.sed_config(),
-                           fisher_decay=self.fisher_decay,
-                           scaling_mode=self.scaling_mode,
-                           grad_clip=self.grad_clip)
-
-
-_TUPLE_KEYS = {"ar_coeffs", "quad_diag"}
-_BOOL_KEYS = {"normalize_fisher"}
-_INT_KEYS = {"iterations", "seed", "mlp_hidden", "mlp_batch", "mlp_limit"}
-_STR_KEYS = {"problem", "optimizer", "out", "scaling_mode", "noise",
-             "mlp_images", "mlp_labels"}
-_OPTIONAL_FLOAT_KEYS = {"fixed_alpha", "grad_clip"}
+        # (holds, message) in the order the checks are reported
+        checks = (
+            (self.problem in _PROBLEMS,
+             f"problem must be one of {_PROBLEMS}, got {self.problem!r}"),
+            (self.optimizer in _OPTIMIZERS,
+             f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}"),
+            (self.iterations >= 1, f"iterations must be >= 1, got {self.iterations}"),
+            (self.noise in ("gaussian", "stable"),
+             f"noise must be gaussian or stable, got {self.noise!r}"),
+            (0.0 <= self.mlp_holdout < 1.0,
+             f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}"),
+            (self.mlp_batch >= 1, f"mlp_batch must be >= 1, got {self.mlp_batch}"),
+            (self.fixed_alpha is None or 0.0 < self.fixed_alpha <= 1.0,
+             f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}"),
+            (self.noise_std >= 0, f"noise_std must be >= 0, got {self.noise_std}"),
+            (self.quad_noise_std >= 0,
+             f"quad_noise_std must be >= 0, got {self.quad_noise_std}"),
+            (2.0 / 3.0 <= self.zeta < 1.0, f"zeta must be in [2/3, 1), got {self.zeta}"),
+            (0.0 < self.epsilon < 1.0, f"epsilon must be in (0, 1), got {self.epsilon}"),
+            (0.0 < self.alpha0 <= 1.0, f"alpha0 must be in (0, 1], got {self.alpha0}"),
+            (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
+            (0.0 < self.alpha_min <= self.alpha0,
+             f"alpha_min must be in (0, alpha0], got {self.alpha_min}"),
+            (self.mu0 > 0, f"mu0 must be > 0, got {self.mu0}"),
+            (self.delta > 0, f"delta must be > 0, got {self.delta}"),
+            (self.scaling_mode in ("elementwise", "layer-norm"),
+             f"unknown scaling_mode {self.scaling_mode!r}"),
+            (self.grad_clip is None or self.grad_clip > 0,
+             f"grad_clip must be > 0, got {self.grad_clip}"),
+            (0.0 < self.fisher_decay <= 1.0,
+             f"fisher_decay must be in (0, 1], got {self.fisher_decay}"),
+            (len(self.quad_diag) >= 1 and min(self.quad_diag) >= 0,
+             f"quad_diag must be non-negative, got {self.quad_diag}"),
+            (self.mlp_limit >= 0,
+             f"mlp_limit must be >= 0 (0 uses every example), got {self.mlp_limit}"),
+            (self.problem != "mlp" or bool(self.mlp_images and self.mlp_labels),
+             "mlp problem requires mlp_images and mlp_labels paths"),
+        )
+        for holds, message in checks:
+            if not holds:
+                raise ConfigError(message)
 
 
-def _coerce(key, raw):
-    if key in _STR_KEYS:
-        return raw
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _TUPLE_KEYS:
-        try:
-            return tuple(float(x) for x in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated reals, got {raw!r}") from exc
-    if key in _OPTIONAL_FLOAT_KEYS and raw.lower() == "none":
-        return None
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def _typed_pair(text, where):
+    """Split `key = value` and type the value by the key's field annotation:
+    `int`, `float`, `str`, `bool` or `tuple` (of floats); a `float` key whose
+    default is None also takes `none`."""
+    key, sep, raw = (part.strip() for part in text.partition("="))
+    if not sep:
+        raise ConfigError(f"{where}: expected key = value, got {text!r}")
+    f = _FIELDS.get(key)
+    if f is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if f.type is str:
+        return key, raw
+    if f.type is float and f.default is None and raw.lower() == "none":
+        return key, None
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: could not parse {raw!r}") from exc
+        if f.type is bool:
+            return key, _BOOLS[raw.lower()]
+        if f.type is tuple:
+            return key, tuple(float(x) for x in raw.split(","))
+        return key, f.type(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(
+            f"{key}: could not parse {raw!r} as {f.type.__name__}") from exc
 
 
 def parse_config_text(text):
-    """Parse `key = value` lines into a raw key/value dict."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse `key = value` lines into a typed key/value dict."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        if stripped:
+            key, value = _typed_pair(stripped, f"line {lineno}")
+            out[key] = value
     return out
 
 
@@ -173,16 +171,7 @@ def load_config(path, overrides=None):
 
 
 def parse_overrides(pairs):
-    known = {f.name for f in fields(ExperimentConfig)}
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"override must be key=value, got {pair!r}")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"unknown override key {key!r}")
-        out[key] = _coerce(key, raw)
-    return out
+    return dict(_typed_pair(pair, "override") for pair in pairs or ())
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +219,6 @@ class _QuadraticDriver:
 
     def __init__(self, config, rng):
         diag = np.asarray(config.quad_diag, dtype=float)
-        if diag.size < 1 or np.any(diag < 0):
-            raise ConfigError(f"quad_diag must be non-negative, got {config.quad_diag}")
         self.a_mat = np.diag(diag)
         self.b = np.zeros(diag.size)
         self.noise_std = config.quad_noise_std
@@ -265,8 +252,6 @@ class _MlpDriver:
     """Mini-batch classification over an IDX image/label pair."""
 
     def __init__(self, config, rng):
-        if not config.mlp_images or not config.mlp_labels:
-            raise ConfigError("mlp problem requires mlp_images and mlp_labels paths")
         data = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
         n = len(data)
         if config.mlp_limit and config.mlp_limit < n:
@@ -356,8 +341,6 @@ def run(config):
     """
     rng = RngStream(config.seed)
     driver = _DRIVERS[config.problem](config, rng)
-    ocfg = config.optim_config()
-    scfg = ocfg.sed_cfg
 
     state = ParamState.init(driver.init_layers)
     blocks = optim_mod.make_fisher_blocks(state, config.fisher_decay)
@@ -379,7 +362,7 @@ def run(config):
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, config.iterations + 1):
                 loss, grads = driver.loss_grad(state.layers, t)
-                grads = optim_mod.clip_gradients(grads, ocfg.grad_clip)
+                grads = optim_mod.clip_gradients(grads, config.grad_clip)
                 # catch blow-ups before the Fisher outer product can overflow
                 blown = not math.isfinite(loss) or any(
                     not np.all(np.isfinite(g)) or float(g @ g) == math.inf
@@ -389,14 +372,14 @@ def run(config):
                         f"non-finite loss or gradient at step {t}", step_index=t)
                 if t == 1:
                     # classical first step at the base rate, before any Fisher update
-                    mu, alphas = ocfg.mu0, ones
+                    mu, alphas = config.mu0, ones
                 else:
                     # every optimizer logs the same Fisher/dimension diagnostics
-                    sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, scfg)
-                    mu = optim_mod.step_size(state.t, ocfg.mu0)
+                    sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, config)
+                    mu = optim_mod.step_size(state.t, config.mu0)
                     alphas = (adaptive.per_layer_alpha if config.optimizer == "2sedfosgd"
                               else constant)
-                state = optim_mod.step(state, grads, mu, alphas, ocfg)
+                state = optim_mod.step(state, grads, mu, alphas, config)
 
                 min_loss = min(min_loss, loss)
                 deltas = state.deltas()

@@ -114,14 +114,12 @@ def logdet_plus(m, s):
     the eigenvalues in non-increasing order, which is exact for the PSD
     square root and always non-negative. Zero eigenvalues add log1p(0) = 0,
     so any PSD matrix with the same nonzero spectrum gives the same value.
+
+    `m` is taken as finite and exactly symmetric, as every EMA Fisher block
+    and its Gram are by construction; it is not checked again here.
     """
     if s < 0 or not np.isfinite(s):
         raise ValueError(f"scale must be finite and >= 0, got {s}")
     m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        if not np.all(np.isfinite(m)):
-            raise ValueError("diagonal entries must be finite")
-        w = m
-    else:
-        w = _solve(np.linalg.eigvalsh, _as_symmetric(m))[::-1]
+    w = m if m.ndim == 1 else _solve(np.linalg.eigvalsh, m)[::-1]
     return float(np.sum(np.log1p(s * np.sqrt(np.maximum(w, 0.0)))))

@@ -9,16 +9,18 @@ optimizers differ only in the exponents they pass: alpha_j = 1 makes the
 factor exactly 1 and the update plain SGD (bitwise), a constant alpha_j is
 fixed-exponent fractional SGD, and the adaptive variant recomputes alpha_j
 each step from the per-layer effective dimension of the EMA Fisher blocks.
+
+`cfg` is the run's `ExperimentConfig`, which checks every range it holds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher as fisher_mod
 from . import sed as sed_mod
 from .mathkit import gamma, logdet_plus
-from .sed import SedConfig, SedEstimate
+from .sed import SedEstimate
 
 
 class DivergenceError(RuntimeError):
@@ -46,28 +48,25 @@ class ParamState:
 
     def deltas(self):
         """Per-layer norm of the last accepted step."""
-        return [float(np.linalg.norm(c - p))
+        return [float(_norm([c - p]))
                 for c, p in zip(self.layers, self.prev_layers)]
 
 
-@dataclass(frozen=True)
-class OptimConfig:
-    mu0: float
-    delta: float = 1e-6
-    sed_cfg: SedConfig = field(default_factory=SedConfig)
-    fisher_decay: float = 0.1
-    scaling_mode: str = "elementwise"  # or "layer-norm"
-    grad_clip: float = None
+def _norm(arrays):
+    """Euclidean norm over all entries of `arrays`.
 
-    def __post_init__(self):
-        if not self.mu0 > 0:
-            raise ValueError(f"mu0 must be > 0, got {self.mu0}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.scaling_mode not in ("elementwise", "layer-norm"):
-            raise ValueError(f"unknown scaling_mode {self.scaling_mode!r}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
+    When the sum of squares overflows although every entry is finite, the
+    norm is taken of the arrays divided by their largest magnitude and
+    scaled back, so a finite vector above about 1e154 keeps a finite norm.
+    The plain sum warns of the overflow unless numpy's errstate ignores it,
+    as it does in the run loop.
+    """
+    total = np.sqrt(sum(float(np.dot(v, v)) for v in arrays))
+    if total == np.inf and all(np.all(np.isfinite(v)) for v in arrays):
+        scale = max(float(np.max(np.abs(v))) for v in arrays)
+        total = scale * np.sqrt(sum(float(np.dot(v / scale, v / scale))
+                                    for v in arrays))
+    return total
 
 
 def step_size(t, mu0):
@@ -81,7 +80,7 @@ def clip_gradients(grads, bound):
     """Scale the whole gradient so its global norm is at most `bound`."""
     if bound is None:
         return grads
-    total = np.sqrt(sum(float(np.dot(g, g)) for g in grads))
+    total = _norm(grads)
     if total <= bound:
         return grads
     factor = bound / total
@@ -121,18 +120,18 @@ def step(state, grads, mu, alphas, cfg):
         if cfg.scaling_mode == "elementwise":
             base = np.abs(th - prev) + cfg.delta
         else:
-            base = np.linalg.norm(th - prev) + cfg.delta
+            base = _norm([th - prev]) + cfg.delta
         new_layers.append(th - (mu / gamma(2.0 - a)) * (base ** (1.0 - a) * g))
     return _accept(state, new_layers)
 
 
-def make_fisher_blocks(state, decay, mode=None):
+def make_fisher_blocks(state, decay):
     """Fresh zero EMA blocks matching the layer shapes of `state`."""
-    return [fisher_mod.FisherBlock.zeros(j, th.shape[0], decay, mode=mode)
+    return [fisher_mod.FisherBlock.zeros(j, th.shape[0], decay)
             for j, th in enumerate(state.layers)]
 
 
-def observe_fisher_sed(grads, fisher_blocks, sed, scfg):
+def observe_fisher_sed(grads, fisher_blocks, sed, cfg):
     """Fold gradients into the EMA blocks and refresh the dimension state.
 
     The block list is updated in place (single-owner state). Each block gets
@@ -146,15 +145,15 @@ def observe_fisher_sed(grads, fisher_blocks, sed, scfg):
     acc = 0.0
     for j, g in enumerate(grads):
         block = fisher_blocks[j] = fisher_mod.ema_update(fisher_blocks[j], g)
-        mat = fisher_mod.spectral_operand(block, scfg.use_normalized_fisher)
-        logdet = logdet_plus(mat, scfg.curvature_scale)
-        per_layer[j] = sed_mod.two_sed(logdet, block.dim, scfg)
-        acc = lower[j] = sed_mod.lower_2sed_accumulate(acc, logdet, scfg)
+        mat = fisher_mod.spectral_operand(block, cfg.normalize_fisher)
+        logdet = logdet_plus(mat, sed_mod.curvature_scale(cfg))
+        per_layer[j] = sed_mod.two_sed(logdet, block.dim, cfg)
+        acc = lower[j] = sed_mod.lower_2sed_accumulate(acc, logdet, cfg)
 
     sed = SedEstimate(per_layer=per_layer, lower_cumulative=lower,
                       d_max_running=sed.d_max_running)
     sed = sed_mod.update_dmax(sed)
-    return sed, sed_mod.adapt_alpha(sed, scfg)
+    return sed, sed_mod.adapt_alpha(sed, cfg)
 
 
 def delta_radius(cfg, grad_bound, alpha_max=None):
@@ -164,7 +163,7 @@ def delta_radius(cfg, grad_bound, alpha_max=None):
     classical step, whose scaling factor is exactly 1.
     """
     if alpha_max is None:
-        alpha_max = cfg.sed_cfg.alpha0
+        alpha_max = cfg.alpha0
     r = cfg.mu0 * grad_bound
     for _ in range(100):
         c_delta = max(1.0, (cfg.delta + r) ** (1.0 - alpha_max))

@@ -139,16 +139,13 @@ def quadratic_loss_grad(theta, a_mat, b):
 
 @dataclass(frozen=True)
 class MlpSpec:
-    widths: tuple          # (input, hidden..., classes)
-    activation: str = "relu"
+    widths: tuple          # (input, hidden..., classes); ReLU between layers
     init_scale: float = 0.05
 
     def __post_init__(self):
         w = tuple(int(x) for x in self.widths)
         if len(w) < 2 or any(x < 1 for x in w):
             raise ValueError(f"need at least two positive widths, got {w}")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "widths", w)
 
     @property
@@ -220,7 +217,7 @@ def mlp_loss_grad(spec, layers, batch):
         z = h @ w + b
         pre.append(z)
         if i < spec.n_layers - 1:
-            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+            h = np.maximum(z, 0.0)
             acts.append(h)
 
     logits = pre[-1]
@@ -242,11 +239,7 @@ def mlp_loss_grad(spec, layers, batch):
         gb = delta.sum(axis=0)
         grads[i] = np.concatenate([gw.ravel(), gb])
         if i > 0:
-            upstream = delta @ w.T
-            if spec.activation == "relu":
-                delta = upstream * (pre[i - 1] > 0.0)
-            else:
-                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
+            delta = (delta @ w.T) * (pre[i - 1] > 0.0)
     return loss, grads
 
 
@@ -255,10 +248,7 @@ def mlp_predict(spec, layers, inputs):
     for i in range(spec.n_layers):
         w, b = _unpack(spec, layers[i], i)
         z = h @ w + b
-        if i < spec.n_layers - 1:
-            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-        else:
-            h = z
+        h = np.maximum(z, 0.0) if i < spec.n_layers - 1 else z
     return np.argmax(h, axis=1)
 
 

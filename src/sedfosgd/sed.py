@@ -9,6 +9,9 @@ a curvature term read off the Fisher spectrum:
 The running maximum over layers and iterations normalizes the per-layer
 value into [0, 1], which then lowers the fractional exponent from its base:
 alpha_j = alpha0 - beta * d_zeta_j / d_max, clamped to [alpha_min, alpha0].
+
+The functions read zeta, epsilon, alpha0, beta and alpha_min from `cfg`, the
+run's `ExperimentConfig`, which checks their ranges.
 """
 
 from dataclasses import dataclass, replace
@@ -16,32 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SedConfig:
-    zeta: float = 0.7
-    epsilon: float = 0.01
-    alpha0: float = 0.98
-    beta: float = 0.01
-    alpha_min: float = 0.05
-    use_normalized_fisher: bool = True
-
-    def __post_init__(self):
-        if not 2.0 / 3.0 <= self.zeta < 1.0:
-            raise ValueError(f"zeta must be in [2/3, 1), got {self.zeta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.alpha0 <= 1.0:
-            raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 < self.alpha_min <= self.alpha0:
-            raise ValueError(
-                f"alpha_min must be in (0, alpha0], got {self.alpha_min}")
-
-    @property
-    def curvature_scale(self):
-        """eps^(zeta-1) > 1 since eps < 1 and zeta < 1."""
-        return self.epsilon ** (self.zeta - 1.0)
+def curvature_scale(cfg):
+    """eps^(zeta-1) > 1 since eps < 1 and zeta < 1."""
+    return cfg.epsilon ** (cfg.zeta - 1.0)
 
 
 @dataclass(frozen=True)
@@ -64,8 +44,8 @@ class AlphaState:
 
 def d_curv(logdet, cfg):
     """Curvature dimension of one layer from its block's
-    logdet_plus(F, cfg.curvature_scale); zero for a zero block."""
-    return logdet / abs(np.log(cfg.curvature_scale))
+    logdet_plus(F, curvature_scale(cfg)); zero for a zero block."""
+    return logdet / abs(np.log(curvature_scale(cfg)))
 
 
 def two_sed(logdet, d_nominal, cfg):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sedfosgd import optim
+from sedfosgd import optim, sed
 from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
 from sedfosgd.mathkit import logdet_plus, sqrt_psd
@@ -17,7 +17,6 @@ from sedfosgd.noise import RngStream, StableParams, alpha_stable
 from sedfosgd.problems import (LabeledBatch, MlpSpec, Regressor, ar_loss_grad,
                                mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad)
-from sedfosgd.sed import SedConfig, d_curv
 
 
 _CAPSYS = None
@@ -134,11 +133,10 @@ def test_criterion_05_sed_bound_under_clipping():
         cfg = replace(AR_BASE, iterations=500, grad_clip=g_clip,
                       normalize_fisher=False)
         result = run(cfg)
-        scfg = cfg.sed_config()
         d_j = len(cfg.ar_coeffs)
-        s = scfg.curvature_scale
-        ceiling = (scfg.zeta * d_j
-                   + (1 - scfg.zeta) * d_j * math.log(1 + s * g_clip)
+        s = sed.curvature_scale(cfg)
+        ceiling = (cfg.zeta * d_j
+                   + (1 - cfg.zeta) * d_j * math.log(1 + s * g_clip)
                    / abs(math.log(s)))
         col = result.header.index("dzeta_l0")
         values = np.array([row[col] for row in result.rows])
@@ -150,9 +148,7 @@ def test_criterion_06_bounded_iterates():
         g_clip = 3.0
         cfg = replace(AR_BASE, iterations=500, grad_clip=g_clip)
         result = run(cfg)
-        ocfg = cfg.optim_config()
-        radius = optim.delta_radius(ocfg, g_clip,
-                                    alpha_max=ocfg.sed_cfg.alpha_min)
+        radius = optim.delta_radius(cfg, g_clip, alpha_max=cfg.alpha_min)
         col = result.header.index("delta_norm_l0")
         deltas = np.array([row[col] for row in result.rows])
         assert np.all(deltas <= radius * (1 + 1e-12)), (
@@ -161,8 +157,8 @@ def test_criterion_06_bounded_iterates():
 
 def test_criterion_07_curvature_form_equivalence():
     with _Budget(7, "spectral and dense curvature dimensions agree", 5.0):
-        cfg = SedConfig(zeta=0.7, epsilon=0.01)
-        s = cfg.curvature_scale
+        cfg = replace(AR_BASE, zeta=0.7, epsilon=0.01)
+        s = sed.curvature_scale(cfg)
         rng = np.random.default_rng(13)
         for _ in range(100):
             dim = int(rng.integers(1, 17))
@@ -171,7 +167,7 @@ def test_criterion_07_curvature_form_equivalence():
             sign, logdet = np.linalg.slogdet(np.eye(dim) + s * sqrt_psd(m))
             assert sign > 0
             dense = logdet / abs(math.log(s))
-            assert d_curv(logdet_plus(m, s), cfg) == pytest.approx(
+            assert sed.d_curv(logdet_plus(m, s), cfg) == pytest.approx(
                 dense, abs=1e-9 * max(1.0, dense))
 
 

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from sedfosgd.fisher import (FisherBlock, ema_update, normalize,
                              spectral_operand, trace)
+from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import eig_sym, logdet_plus
-from sedfosgd.sed import SedConfig
+from sedfosgd.sed import curvature_scale
 
-SCALE = SedConfig().curvature_scale
+SCALE = curvature_scale(ExperimentConfig(problem="ar", optimizer="2sedfosgd",
+                                         iterations=1))
 
 
 def fixed_stream(n, dim, seed=0):
@@ -59,13 +61,14 @@ class TestEmaUpdate:
             ema_update(block, np.zeros((3, 1)))
 
     def test_rejects_nonfinite_gradient(self):
-        # the run loop stops non-finite gradients before the EMA; a block
-        # built from one anyway is refused by the spectral solve, full or diagonal
+        # the run loop stops non-finite gradients before the EMA; one that
+        # reaches it anyway is refused there, full or diagonal, so the
+        # spectral solve never sees a non-finite block
         for mode in ("full", "diagonal"):
-            block = ema_update(FisherBlock.zeros(0, 2, decay=0.1, mode=mode),
-                               np.array([1.0, np.nan]))
-            with pytest.raises(ValueError):
-                logdet_plus(block.matrix, 1.0)
+            block = FisherBlock.zeros(0, 2, decay=0.1, mode=mode)
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    ema_update(block, np.array([1.0, bad]))
 
     def test_diagonal_equals_diag_of_full(self):
         grads = fixed_stream(30, 5, seed=2)
@@ -131,26 +134,26 @@ class TestTrace:
 class TestNormalize:
     def test_identity_fixed_point(self):
         block = FisherBlock(0, "full", np.eye(3), decay=0.1, weight_mass=1.0)
-        assert np.allclose(normalize(block, 3), np.eye(3))
+        assert np.allclose(normalize(block), np.eye(3))
 
     def test_zero_block_maps_to_zero(self):
         block = FisherBlock.zeros(0, 4, decay=0.1)
-        assert np.all(normalize(block, 4) == 0.0)
+        assert np.all(normalize(block) == 0.0)
 
     def test_rescales_trace(self):
         block = FisherBlock(0, "full", np.diag([1.0, 3.0]), decay=0.1, weight_mass=1.0)
-        assert np.allclose(normalize(block, 2), np.diag([0.5, 1.5]))
+        assert np.allclose(normalize(block), np.diag([0.5, 1.5]))
 
     def test_output_trace_equals_nominal(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
         block = FisherBlock(0, "full", a @ a.T, decay=0.1, weight_mass=1.0)
-        assert np.trace(normalize(block, 5)) == pytest.approx(5.0, abs=1e-10)
+        assert np.trace(normalize(block)) == pytest.approx(5.0, abs=1e-10)
 
     def test_diagonal_mode(self):
         block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1,
                             weight_mass=1.0)
-        assert np.allclose(normalize(block, 2), [0.5, 1.5])
+        assert np.allclose(normalize(block), [0.5, 1.5])
 
 
 def _ema_weights(decay, n):

@@ -1,16 +1,18 @@
 import contextlib
+import csv
 import io
+import math
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedfosgd import cli
+from sedfosgd import cli, harness
 from sedfosgd.harness import (ConfigError, ExperimentConfig, _QuadraticDriver,
                               _shuffled_indices, csv_bytes, derive_seed,
                               load_config, parse_config_text, parse_overrides,
@@ -80,6 +82,32 @@ class TestConfigParsing:
         cfg = load_config(str(path), {"seed": 3})
         assert cfg.optimizer == "fosgd"
         assert cfg.seed == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_key_round_trips_as_text(self, data):
+        assert set(_FIELD_VALUES) == set(_FIELDS)
+        values = {name: data.draw(_FIELD_VALUES[name], label=name)
+                  for name in _FIELD_VALUES}
+        if values["problem"] == "mlp":
+            values["mlp_images"] = values["mlp_images"] or "images.idx"
+            values["mlp_labels"] = values["mlp_labels"] or "labels.idx"
+        expected = ExperimentConfig(**values)
+        lines = [f"{name} = {data.draw(_as_text(value))}"
+                 for name, value in values.items() if value is not None
+                 or _FIELDS[name].type is float]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            parsed = [load_config(path)]
+        parsed.append(ExperimentConfig(**parse_overrides(
+            [line.replace(" = ", "=", 1) for line in lines])))
+        for cfg in parsed:
+            for name, value in values.items():
+                got = getattr(cfg, name)
+                assert type(got) is type(value) and got == value, (name, got, value)
+            assert cfg == expected
 
 
 class TestRun:
@@ -352,11 +380,14 @@ class TestCli:
         ("ar", ["noise=stable", "stable_location=inf"]),
         ("ar", ["noise_std=-0.5"]),
         ("ar", ["grad_clip=nan"]),
+        ("ar", ["mlp_limit=-5"]),
+        ("ar", ["fisher_decay=0"]),
+        ("quadratic", ["quad_diag=1,-2"]),
     ])
     def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
                                               overrides):
-        # non-finite values and a negative noise std are config errors, not
-        # divergences, and leave no trace file behind
+        # non-finite values and out-of-range ones are config errors, not
+        # divergences, name the key and leave no trace file behind
         cfg = self._write_cfg(
             tmp_path, f"problem = {problem}\noptimizer = 2sedfosgd\niterations = 5\n")
         out = str(tmp_path / "trace.csv")
@@ -366,7 +397,47 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert overrides[-1].split("=")[0] in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["sweep", "ratefit"])
+    def test_config_error_stops_before_first_seed(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        def no_run(config):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(harness, "run", no_run)
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 5\n")
+        for bad in ("quad_diag=1,-2", "fisher_decay=2", "mlp_limit=-1",
+                    "problem=mlp"):
+            argv = [command, "--config", cfg, "--seeds", "3", "--override", bad]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_clip_of_a_gradient_whose_squares_overflow(self, tmp_path, capsys):
+        # |g|^2 overflows although g is finite; the clipped step is still
+        # mu0 * grad_clip long instead of zero
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 20\n"
+            "quad_diag = 1e200,1\ngrad_clip = 10\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["delta_norm_l0"]) == pytest.approx(0.1, rel=1e-12)
+        assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
+
+    def test_huge_finite_step_has_a_finite_delta_norm(self, tmp_path, capsys):
+        # the steps grow past 1e154 before the run diverges at step 10
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = fosgd\nfixed_alpha = 0.05\n"
+            "mu0 = 0.28\niterations = 16\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        with open(out, encoding="utf-8") as fh:
+            deltas = [float(row["delta_norm_l0"]) for row in csv.DictReader(fh)]
+        assert len(deltas) == 9 and max(deltas) > 1e154
+        assert all(math.isfinite(d) for d in deltas)
 
     def test_generation_blowup_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(
@@ -433,6 +504,55 @@ class TestReductionProperty:
         assert classical == _outcome(cfg)
 
 
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_NAMES = st.text(alphabet="abcxyz019_./-=", min_size=1, max_size=12)
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def _reals(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=4).map(tuple)
+
+
+# one strategy of valid values per ExperimentConfig field; free-text keys
+# also draw the literal text `none`, which stays a string
+_FIELD_VALUES = {
+    "problem": st.sampled_from(["ar", "quadratic", "mlp"]),
+    "optimizer": st.sampled_from(["sgd", "fosgd", "2sedfosgd"]),
+    "iterations": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+    "out": _optional(st.one_of(st.just("none"), _NAMES)),
+    "fixed_alpha": _optional(st.floats(0.05, 1.0)),
+    "grad_clip": _optional(st.floats(0.1, 20.0)),
+    "scaling_mode": st.sampled_from(["elementwise", "layer-norm"]),
+    "normalize_fisher": st.booleans(),
+    "noise": st.sampled_from(["gaussian", "stable"]),
+    "ar_coeffs": _reals(-0.9, 0.9),
+    "quad_diag": _reals(0.0, 10.0),
+    "mlp_images": _optional(st.one_of(st.just("none"), _NAMES)),
+    "mlp_labels": _optional(st.one_of(st.just("none"), _NAMES)),
+    "mlp_hidden": st.integers(1, 512),
+    "mlp_batch": st.integers(1, 512),
+    "mlp_holdout": st.floats(0.0, 0.99),
+    "mlp_limit": st.integers(0, 10**6),
+}
+
+
+@st.composite
+def _as_text(draw, value):
+    """One way of writing `value` as the text of a `key = value` line."""
+    if value is None:
+        return draw(st.sampled_from(["none", "None", "NONE"]))
+    if isinstance(value, bool):
+        spellings = ["true", "True", "1", "yes"] if value else ["false", "FALSE", "0", "no"]
+        return draw(st.sampled_from(spellings))
+    if isinstance(value, tuple):
+        return draw(st.sampled_from([",", ", "])).join(repr(x) for x in value)
+    return value if isinstance(value, str) else repr(value)
+
+
 _SPECIAL = [0.0, -1.0, float("nan"), float("inf")]
 # a valid range for each float key; each draw takes it or one of _SPECIAL
 _FLOAT_RANGES = {
@@ -444,6 +564,8 @@ _FLOAT_RANGES = {
     "stable_skew": (-1.0, 1.0), "stable_scale": (0.1, 2.0),
     "stable_location": (-1.0, 1.0), "quad_noise_std": (0.0, 5.0),
 }
+_FIELD_VALUES.update({key: st.floats(*bounds) for key, bounds in _FLOAT_RANGES.items()
+                      if key not in _FIELD_VALUES})
 
 
 @st.composite

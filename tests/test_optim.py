@@ -6,17 +6,17 @@ import pytest
 from sedfosgd.harness import ConfigError, ExperimentConfig
 from sedfosgd.mathkit import gamma
 from sedfosgd.noise import RngStream
-from sedfosgd.optim import (DivergenceError, OptimConfig, ParamState,
+from sedfosgd.optim import (DivergenceError, ParamState,
                             bounded_iterate_check, clip_gradients, delta_radius,
                             make_fisher_blocks, observe_fisher_sed, step,
                             step_size)
 from sedfosgd.problems import ArModel, GaussianNoise, ar_generate, ar_loss_grad
-from sedfosgd.sed import SedConfig, SedEstimate
+from sedfosgd.sed import SedEstimate
 
 
 def cfg(**kw):
-    sed_kw = {k: kw.pop(k) for k in ("alpha0", "beta", "alpha_min") if k in kw}
-    return OptimConfig(mu0=kw.pop("mu0", 0.1), sed_cfg=SedConfig(**sed_kw), **kw)
+    return ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=1,
+                            mu0=kw.pop("mu0", 0.1), **kw)
 
 
 def sgd_step(state, grads, mu):
@@ -25,7 +25,7 @@ def sgd_step(state, grads, mu):
 
 def adaptive_step(state, grads, blocks, sed, c):
     """What the harness does for 2sedfosgd: observe, then step at the new exponents."""
-    sed, alpha = observe_fisher_sed(grads, blocks, sed, c.sed_cfg)
+    sed, alpha = observe_fisher_sed(grads, blocks, sed, c)
     state = step(state, grads, step_size(state.t, c.mu0), alpha.per_layer_alpha, c)
     return state, sed, alpha
 
@@ -123,6 +123,17 @@ class TestFosgdStep:
         out = step(state, [g], 1.0, [0.5], c)
         factor = (np.linalg.norm([1.0, 0.5]) + 1e-6) ** 0.5 / gamma(1.5)
         assert np.allclose(out.layers[0], state.layers[0] - factor * g, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_layer_norm_of_a_huge_finite_step(self):
+        # |theta - prev|^2 overflows although the step is finite; the norm
+        # (5e200) and the step it scales stay finite
+        state = self._warm_state([0.0, 0.0], [-3e200, -4e200])
+        assert state.deltas() == [pytest.approx(5e200, rel=1e-12)]
+        g = np.array([1.0, -1.0])
+        out = step(state, [g], 1.0, [0.5], cfg(scaling_mode="layer-norm"))
+        factor = (5e200 + 1e-6) ** 0.5 / gamma(1.5)
+        assert np.allclose(out.layers[0], -factor * g, rtol=1e-12)
 
     def test_requires_warm_start(self):
         state = ParamState.init([np.zeros(2)])
@@ -229,7 +240,7 @@ class TestFactorBounds:
         state = sgd_step(state, [g], c.mu0)
         blocks = make_fisher_blocks(state, 0.1)
         sed = SedEstimate.empty(1)
-        alpha_min, alpha0 = c.sed_cfg.alpha_min, c.sed_cfg.alpha0
+        alpha_min, alpha0 = c.alpha_min, c.alpha0
         for t in range(1, 200):
             _, g = ar_loss_grad(state.layers[0], regs[t])
             delta_prev = np.abs(state.layers[0] - state.prev_layers[0])
@@ -292,3 +303,12 @@ class TestClip:
     def test_scales_to_bound(self):
         out = clip_gradients([np.array([3.0, 4.0])], 1.0)
         assert np.linalg.norm(out[0]) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_global_norm_of_overflowing_squares(self):
+        # |g|^2 overflows to inf although g is finite; bound / inf would zero it
+        g = [np.array([1e200, 1.0]), np.array([-1e200])]
+        out = clip_gradients(g, 10.0)
+        assert out[0][0] == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
+        assert out[1][0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
+

@@ -4,33 +4,39 @@ import numpy as np
 import pytest
 
 from sedfosgd.fisher import FisherBlock, ema_update, normalize
+from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import logdet_plus, sqrt_psd
 from sedfosgd.optim import observe_fisher_sed
-from sedfosgd.sed import (SedConfig, SedEstimate, adapt_alpha, d_curv,
+from sedfosgd.sed import (SedEstimate, adapt_alpha, curvature_scale, d_curv,
                           lower_2sed_accumulate, two_sed, update_dmax)
 
-CFG = SedConfig(zeta=0.7, epsilon=0.01)
+
+def config(**kw):
+    return ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=1, **kw)
+
+
+CFG = config(zeta=0.7, epsilon=0.01)
 
 
 def ld(m, cfg=CFG):
     """The one spectral solve per block that the dimension functions take."""
-    return logdet_plus(m, cfg.curvature_scale)
+    return logdet_plus(m, curvature_scale(cfg))
 
 
 class TestConfig:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            SedConfig(zeta=0.5)
+            config(zeta=0.5)
         with pytest.raises(ValueError):
-            SedConfig(epsilon=1.0)
+            config(epsilon=1.0)
         with pytest.raises(ValueError):
-            SedConfig(alpha0=1.2)
+            config(alpha0=1.2)
         with pytest.raises(ValueError):
-            SedConfig(alpha_min=0.0)
+            config(alpha_min=0.0)
 
     def test_curvature_scale_above_one(self):
-        assert CFG.curvature_scale == pytest.approx(0.01 ** (-0.3), rel=1e-12)
-        assert CFG.curvature_scale > 1.0
+        assert curvature_scale(CFG) == pytest.approx(0.01 ** (-0.3), rel=1e-12)
+        assert curvature_scale(CFG) > 1.0
 
 
 class TestDCurv:
@@ -44,7 +50,7 @@ class TestDCurv:
 
     def test_single_eigenvalue_closed_form(self):
         lam = 2.7
-        s = CFG.curvature_scale
+        s = curvature_scale(CFG)
         expected = math.log(1 + s * math.sqrt(lam)) / abs(math.log(s))
         got = d_curv(ld(np.diag([lam, 0.0, 0.0, 0.0])), CFG)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -64,7 +70,7 @@ class TestDCurv:
     def test_eigenvalue_form_matches_dense_logdet(self):
         # equivalence of the spectral sum and the dense determinant route
         rng = np.random.default_rng(1)
-        s = CFG.curvature_scale
+        s = curvature_scale(CFG)
         for _ in range(20):
             dim = int(rng.integers(1, 17))
             a = rng.standard_normal((dim, dim))
@@ -80,7 +86,7 @@ class TestTwoSed:
         assert two_sed(ld(np.zeros((10, 10))), 10, CFG) == pytest.approx(7.0, rel=1e-12)
 
     def test_zeta_to_one_limit(self):
-        cfg = SedConfig(zeta=1 - 1e-9, epsilon=0.01)
+        cfg = config(zeta=1 - 1e-9, epsilon=0.01)
         assert two_sed(ld(np.zeros((4, 4)), cfg), 4, cfg) == pytest.approx(4.0, abs=1e-6)
 
     def test_composition_with_d_curv(self):
@@ -92,7 +98,7 @@ class TestTwoSed:
         # closed-form ceiling at every iteration
         cap = 3.0
         d = 4
-        s = CFG.curvature_scale
+        s = curvature_scale(CFG)
         ceiling = CFG.zeta * d + (1 - CFG.zeta) * d * math.log(1 + s * cap) / abs(math.log(s))
         rng = np.random.default_rng(2)
         block = FisherBlock.zeros(0, d, decay=0.1)
@@ -108,7 +114,7 @@ class TestLower2Sed:
         assert lower_2sed_accumulate(0.0, ld(np.zeros((3, 3))), CFG) == 0.0
 
     def test_single_layer_closed_form(self):
-        s = CFG.curvature_scale
+        s = curvature_scale(CFG)
         expected = 0.3 * 2 * math.log(1 + s) / math.log(100.0)
         got = lower_2sed_accumulate(0.0, ld(np.eye(2)), CFG)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -156,42 +162,42 @@ class TestAdaptAlpha:
                            d_max_running=d_max)
 
     def test_ratio_one_gives_base_minus_beta(self):
-        cfg = SedConfig(alpha0=0.9, beta=0.2)
+        cfg = config(alpha0=0.9, beta=0.2)
         alpha = adapt_alpha(self._sed([5.0], 5.0), cfg)
         assert alpha.per_layer_alpha[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_ratio_zero_gives_base(self):
-        cfg = SedConfig(alpha0=0.9, beta=0.2)
+        cfg = config(alpha0=0.9, beta=0.2)
         assert adapt_alpha(self._sed([0.0], 5.0), cfg).per_layer_alpha[0] == 0.9
 
     def test_half_ratio_arithmetic(self):
-        cfg = SedConfig(alpha0=0.98, beta=0.01)
+        cfg = config(alpha0=0.98, beta=0.01)
         alpha = adapt_alpha(self._sed([2.0], 4.0), cfg)
         assert alpha.per_layer_alpha[0] == pytest.approx(0.975, rel=1e-12)
 
     def test_no_observation_gives_base(self):
-        cfg = SedConfig(alpha0=0.98, beta=0.01)
+        cfg = config(alpha0=0.98, beta=0.01)
         alpha = adapt_alpha(self._sed([0.0, 0.0], 0.0), cfg)
         assert np.all(alpha.per_layer_alpha == 0.98)
 
     def test_clamped_to_floor(self):
-        cfg = SedConfig(alpha0=0.5, beta=10.0, alpha_min=0.05)
+        cfg = config(alpha0=0.5, beta=10.0, alpha_min=0.05)
         assert adapt_alpha(self._sed([5.0], 5.0), cfg).per_layer_alpha[0] == 0.05
 
     def test_scale_invariance(self):
-        cfg = SedConfig(alpha0=0.98, beta=0.01)
+        cfg = config(alpha0=0.98, beta=0.01)
         a1 = adapt_alpha(self._sed([2.0, 3.0], 4.0), cfg).per_layer_alpha
         a2 = adapt_alpha(self._sed([20.0, 30.0], 40.0), cfg).per_layer_alpha
         assert np.allclose(a1, a2, rtol=1e-12)
 
     def test_monotone_in_dimension(self):
-        cfg = SedConfig(alpha0=0.98, beta=0.01)
+        cfg = config(alpha0=0.98, beta=0.01)
         values = [adapt_alpha(self._sed([v], 10.0), cfg).per_layer_alpha[0]
                   for v in (0.0, 2.0, 5.0, 10.0)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_within_bounds(self):
-        cfg = SedConfig(alpha0=0.98, beta=0.5, alpha_min=0.1)
+        cfg = config(alpha0=0.98, beta=0.5, alpha_min=0.1)
         rng = np.random.default_rng(3)
         for _ in range(50):
             per = rng.uniform(0, 10, size=3)
@@ -208,7 +214,7 @@ class TestNormalizedPipeline:
         values = []
         for _ in range(5):
             block = ema_update(block, g)
-            values.append(two_sed(ld(normalize(block, 2)), 2, CFG))
+            values.append(two_sed(ld(normalize(block)), 2, CFG))
         assert np.allclose(values, values[0], rtol=1e-12)
 
     def test_rank_limited_block_solves_its_gram(self, monkeypatch):
