@@ -4,9 +4,9 @@
     sedfosgd sweep   --config cfg --seeds N [--override k=v]...
     sedfosgd ratefit --config cfg [--seeds N] [--override k=v]...
 
-Exit codes: 0 success; 1 validation error or failed eigensolve
-(NumericalError); 2 divergence of the optimizer or of the simulated data
-(GenerationError).
+Exit codes: 0 success; 1 validation error, file error (OSError) or failed
+eigensolve (NumericalError); 2 divergence of the optimizer or of the
+simulated data (GenerationError).
 """
 
 import argparse
@@ -79,7 +79,7 @@ def main(argv=None):
             print(f"r_squared = {fit.r_squared}")
             print(f"fit_window = {fit.window_start} {fit.window_start + fit.points - 1}")
             print(f"fit_points = {fit.points}")
-    except (ConfigError, ValueError, NumericalError) as exc:
+    except (ConfigError, ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergenceError, GenerationError) as exc:

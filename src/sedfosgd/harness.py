@@ -85,11 +85,17 @@ class ExperimentConfig:
             (0.0 <= self.mlp_holdout < 1.0,
              f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}"),
             (self.mlp_batch >= 1, f"mlp_batch must be >= 1, got {self.mlp_batch}"),
+            (self.mlp_hidden >= 1, f"mlp_hidden must be >= 1, got {self.mlp_hidden}"),
             (self.fixed_alpha is None or 0.0 < self.fixed_alpha <= 1.0,
              f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}"),
             (self.noise_std >= 0, f"noise_std must be >= 0, got {self.noise_std}"),
             (self.quad_noise_std >= 0,
              f"quad_noise_std must be >= 0, got {self.quad_noise_std}"),
+            (0.0 < self.stable_tail <= 2.0,
+             f"stable_tail must be in (0, 2], got {self.stable_tail}"),
+            (-1.0 <= self.stable_skew <= 1.0,
+             f"stable_skew must be in [-1, 1], got {self.stable_skew}"),
+            (self.stable_scale > 0, f"stable_scale must be > 0, got {self.stable_scale}"),
             (2.0 / 3.0 <= self.zeta < 1.0, f"zeta must be in [2/3, 1), got {self.zeta}"),
             (0.0 < self.epsilon < 1.0, f"epsilon must be in (0, 1), got {self.epsilon}"),
             (0.0 < self.alpha0 <= 1.0, f"alpha0 must be in (0, 1], got {self.alpha0}"),
@@ -377,8 +383,7 @@ def run(config):
                     # every optimizer logs the same Fisher/dimension diagnostics
                     sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, config)
                     mu = optim_mod.step_size(state.t, config.mu0)
-                    alphas = (adaptive.per_layer_alpha if config.optimizer == "2sedfosgd"
-                              else constant)
+                    alphas = adaptive if config.optimizer == "2sedfosgd" else constant
                 state = optim_mod.step(state, grads, mu, alphas, config)
 
                 min_loss = min(min_loss, loss)
@@ -457,11 +462,14 @@ def running_min(series):
     return np.minimum.accumulate(np.asarray(series, dtype=float))
 
 
+_MIN_FIT_POINTS = 50
+
+
 def rate_fit(running_min_gaps):
     """Least-squares slope of log(gap) vs log(t) over the tail window [T/10, T]."""
     series = np.asarray(running_min_gaps, dtype=float)
-    if series.size < 50:
-        raise ValueError(f"need at least 50 points, got {series.size}")
+    if series.size < _MIN_FIT_POINTS:
+        raise ValueError(f"need at least {_MIN_FIT_POINTS} points, got {series.size}")
     if np.any(series <= 0):
         raise ValueError("series must be strictly positive")
     t = np.arange(1, series.size + 1)
@@ -536,6 +544,9 @@ def seed_rate_fit(config, n_seeds):
     over `n_seeds` derived seeds."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if config.iterations < _MIN_FIT_POINTS:
+        raise ConfigError(f"iterations must be >= {_MIN_FIT_POINTS} for a rate "
+                          f"fit, got {config.iterations}")
     series = None
     for i in range(n_seeds):
         result = run(replace(config, seed=derive_seed(config.seed, i), out=None))

@@ -74,10 +74,6 @@ class RngStream:
         u *= _INV_2_53
         return u
 
-    def spawn(self, index):
-        """Independent stream for parallel run `index` (seed XOR index hash)."""
-        return RngStream(self._state ^ _mix(int(index) & _MASK64))
-
 
 def gaussian(rng, mean=0.0, std=1.0):
     """One N(mean, std^2) draw via Box-Muller (two uniforms consumed)."""

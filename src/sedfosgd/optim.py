@@ -13,13 +13,14 @@ each step from the per-layer effective dimension of the EMA Fisher blocks.
 `cfg` is the run's `ExperimentConfig`, which checks every range it holds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher as fisher_mod
 from . import sed as sed_mod
-from .mathkit import gamma, logdet_plus
+from .mathkit import logdet_plus
 from .sed import SedEstimate
 
 
@@ -121,7 +122,7 @@ def step(state, grads, mu, alphas, cfg):
             base = np.abs(th - prev) + cfg.delta
         else:
             base = _norm([th - prev]) + cfg.delta
-        new_layers.append(th - (mu / gamma(2.0 - a)) * (base ** (1.0 - a) * g))
+        new_layers.append(th - (mu / math.gamma(2.0 - a)) * (base ** (1.0 - a) * g))
     return _accept(state, new_layers)
 
 
@@ -136,22 +137,17 @@ def observe_fisher_sed(grads, fisher_blocks, sed, cfg):
 
     The block list is updated in place (single-owner state). Each block gets
     one spectral solve, on its k x k gradient Gram while it holds k < d
-    folds, whose log-det yields both its effective dimension and its lower
-    cumulative increment. Returns the new SedEstimate (running max
-    folded in) and the exponents it implies.
+    folds, whose log-det yields its effective dimension. Returns the new
+    SedEstimate (running max folded in) and the exponent array it implies.
     """
     per_layer = np.empty(len(fisher_blocks))
-    lower = np.empty(len(fisher_blocks))
-    acc = 0.0
     for j, g in enumerate(grads):
         block = fisher_blocks[j] = fisher_mod.ema_update(fisher_blocks[j], g)
         mat = fisher_mod.spectral_operand(block, cfg.normalize_fisher)
         logdet = logdet_plus(mat, sed_mod.curvature_scale(cfg))
         per_layer[j] = sed_mod.two_sed(logdet, block.dim, cfg)
-        acc = lower[j] = sed_mod.lower_2sed_accumulate(acc, logdet, cfg)
 
-    sed = SedEstimate(per_layer=per_layer, lower_cumulative=lower,
-                      d_max_running=sed.d_max_running)
+    sed = SedEstimate(per_layer=per_layer, d_max_running=sed.d_max_running)
     sed = sed_mod.update_dmax(sed)
     return sed, sed_mod.adapt_alpha(sed, cfg)
 
@@ -174,13 +170,3 @@ def delta_radius(cfg, grad_bound, alpha_max=None):
         r = r_next
     return r
 
-
-def bounded_iterate_check(trajectory, cfg, grad_bound):
-    """True iff every consecutive-iterate layer norm stays within the
-    fixed-point radius implied by the clip bound."""
-    bound = delta_radius(cfg, grad_bound) * (1.0 + 1e-12)
-    for state in trajectory:
-        for d in state.deltas():
-            if d > bound:
-                return False
-    return True

@@ -152,11 +152,6 @@ class MlpSpec:
     def n_layers(self):
         return len(self.widths) - 1
 
-    def layer_dims(self):
-        """Flat parameter count per layer: weights plus biases."""
-        return [self.widths[i] * self.widths[i + 1] + self.widths[i + 1]
-                for i in range(self.n_layers)]
-
 
 @dataclass(frozen=True)
 class LabeledBatch:

@@ -26,20 +26,12 @@ def curvature_scale(cfg):
 
 @dataclass(frozen=True)
 class SedEstimate:
-    per_layer: np.ndarray        # d_zeta per layer at the current iteration
-    lower_cumulative: np.ndarray  # layer-wise cumulative increments
+    per_layer: np.ndarray  # d_zeta per layer at the current iteration
     d_max_running: float = 0.0
 
     @classmethod
     def empty(cls, n_layers):
-        return cls(per_layer=np.zeros(n_layers),
-                   lower_cumulative=np.zeros(n_layers),
-                   d_max_running=0.0)
-
-
-@dataclass(frozen=True)
-class AlphaState:
-    per_layer_alpha: np.ndarray
+        return cls(per_layer=np.zeros(n_layers))
 
 
 def d_curv(logdet, cfg):
@@ -54,19 +46,6 @@ def two_sed(logdet, d_nominal, cfg):
     return cfg.zeta * d_nominal + (1.0 - cfg.zeta) * d_curv(logdet, cfg)
 
 
-def lower_2sed_accumulate(prev, logdet, cfg):
-    """One layer of the cumulative variant: prev plus this layer's increment.
-
-    The integral over earlier layers' parameters is replaced by plug-in
-    evaluation at the current EMA block; `logdet` is the same spectral value
-    that `d_curv` takes, so one solve per block serves both.
-    """
-    if prev < 0:
-        raise ValueError(f"prev must be >= 0, got {prev}")
-    inc = (1.0 - cfg.zeta) * logdet / abs(np.log(cfg.epsilon))
-    return prev + inc
-
-
 def update_dmax(sed):
     """Fold the current per-layer values into the running maximum."""
     if sed.per_layer.size:
@@ -77,14 +56,12 @@ def update_dmax(sed):
 
 
 def adapt_alpha(sed, cfg):
-    """Map effective dimensions to per-layer fractional exponents.
+    """Map effective dimensions to the array of per-layer fractional exponents.
 
     Before any observation (d_max == 0) every layer keeps the base exponent,
     matching the classical first step of the optimizer.
     """
     if sed.d_max_running <= 0.0:
-        alphas = np.full(sed.per_layer.shape, cfg.alpha0)
-    else:
-        alphas = cfg.alpha0 - cfg.beta * sed.per_layer / sed.d_max_running
-        alphas = np.clip(alphas, cfg.alpha_min, cfg.alpha0)
-    return AlphaState(per_layer_alpha=alphas)
+        return np.full(sed.per_layer.shape, cfg.alpha0)
+    alphas = cfg.alpha0 - cfg.beta * sed.per_layer / sed.d_max_running
+    return np.clip(alphas, cfg.alpha_min, cfg.alpha0)

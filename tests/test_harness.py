@@ -383,6 +383,10 @@ class TestCli:
         ("ar", ["mlp_limit=-5"]),
         ("ar", ["fisher_decay=0"]),
         ("quadratic", ["quad_diag=1,-2"]),
+        ("ar", ["mlp_hidden=0"]),
+        ("ar", ["stable_tail=3"]),
+        ("ar", ["stable_skew=1.5"]),
+        ("ar", ["stable_scale=0"]),
     ])
     def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
                                               overrides):
@@ -408,11 +412,36 @@ class TestCli:
         monkeypatch.setattr(harness, "run", no_run)
         cfg = self._write_cfg(
             tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 5\n")
-        for bad in ("quad_diag=1,-2", "fisher_decay=2", "mlp_limit=-1",
-                    "problem=mlp"):
+        bads = ["quad_diag=1,-2", "fisher_decay=2", "mlp_limit=-1", "problem=mlp"]
+        if command == "ratefit":
+            # a rate fit needs 50 points; it fails before the first seed runs
+            bads.append("iterations=49")
+        for bad in bads:
             argv = [command, "--config", cfg, "--seeds", "3", "--override", bad]
             assert cli.main(argv) == 1
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and bad.split("=")[0] in err
+
+    @pytest.mark.parametrize("case", ["missing_config", "out_is_a_directory",
+                                      "missing_mlp_images"])
+    def test_file_error_exits_one(self, tmp_path, capsys, synthetic_idx, case):
+        _, labels = synthetic_idx
+        cfg = self._write_cfg(
+            tmp_path, "problem = ar\noptimizer = sgd\niterations = 5\n")
+        out = str(tmp_path / "trace.csv")
+        if case == "missing_config":
+            cfg = str(tmp_path / "missing.cfg")
+        elif case == "out_is_a_directory":
+            os.mkdir(out)
+        else:
+            cfg = self._write_cfg(
+                tmp_path, "problem = mlp\noptimizer = sgd\niterations = 5\n"
+                f"mlp_images = {tmp_path / 'missing.idx'}\nmlp_labels = {labels}\n")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.isfile(out) and not os.path.exists(out + ".summary")
 
     def test_clip_of_a_gradient_whose_squares_overflow(self, tmp_path, capsys):
         # |g|^2 overflows although g is finite; the clipped step is still
@@ -566,6 +595,8 @@ _FLOAT_RANGES = {
 }
 _FIELD_VALUES.update({key: st.floats(*bounds) for key, bounds in _FLOAT_RANGES.items()
                       if key not in _FIELD_VALUES})
+# the failure contract draws these keys a little past their valid ranges too
+_WIDER_RANGES = {"stable_tail": (0.5, 2.2), "stable_skew": (-1.1, 1.1)}
 
 
 @st.composite
@@ -584,9 +615,12 @@ def cli_configs(draw):
              f"optimizer={draw(st.sampled_from(['sgd', 'fosgd', '2sedfosgd']))}",
              f"iterations={draw(st.integers(1, 30))}",
              f"noise={draw(st.sampled_from(['gaussian', 'stable']))}"]
-    for key, (lo, hi) in _FLOAT_RANGES.items():
+    for key, bounds in _FLOAT_RANGES.items():
         if draw(st.booleans()):
+            lo, hi = _WIDER_RANGES.get(key, bounds)
             pairs.append(f"{key}={draw(_float_value(lo, hi))!r}")
+    if draw(st.booleans()):
+        pairs.append(f"mlp_hidden={draw(st.integers(0, 8))}")
     key, lo, hi = (("ar_coeffs", -0.9, 0.9) if problem == "ar"
                    else ("quad_diag", 0.0, 10.0))
     if draw(st.booleans()):

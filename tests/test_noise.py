@@ -26,12 +26,6 @@ class TestRngStream:
         xs = [rng.uniform() for _ in range(10_000)]
         assert all(0.0 < x <= 1.0 for x in xs)
 
-    def test_spawn_differs_from_parent(self):
-        rng = RngStream(7)
-        child = rng.spawn(1)
-        assert [rng.next_u64() for _ in range(100)] != \
-               [child.next_u64() for _ in range(100)]
-
 
 class TestBlockStream:
     """The block draws against the scalar stream, which is the reference."""

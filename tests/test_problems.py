@@ -145,7 +145,7 @@ class TestMlp:
 
     def test_uniform_loss_at_zero_weights(self):
         spec = MlpSpec(widths=(4, 6, 5))
-        layers = [np.zeros(d) for d in spec.layer_dims()]
+        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
         batch = LabeledBatch(np.random.default_rng(0).uniform(0, 1, (7, 4)),
                              np.arange(7) % 5)
         loss, _ = mlp_loss_grad(spec, layers, batch)
@@ -154,7 +154,7 @@ class TestMlp:
     def test_large_margin_loss_vanishes(self):
         # direct softmax evaluation: margin 20 puts the loss below 1e-3
         spec = MlpSpec(widths=(2, 3))
-        layers = [np.zeros(spec.layer_dims()[0])]
+        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
         # weights map x = (1, 0) to logits (20, 0, 0)
         layers[0][0] = 20.0
         batch = LabeledBatch(np.array([[1.0, 0.0]]), np.array([0]))
@@ -180,7 +180,7 @@ class TestMlp:
 
     def test_shape_mismatch(self):
         spec = MlpSpec(widths=(4, 3))
-        layers = [np.zeros(spec.layer_dims()[0])]
+        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
         batch = LabeledBatch(np.zeros((2, 5)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             mlp_loss_grad(spec, layers, batch)
