@@ -18,21 +18,20 @@ import numpy as np
 DIAGONAL_THRESHOLD = 512
 
 
-@dataclass(frozen=True)
+@dataclass
 class FisherBlock:
-    """EMA Fisher estimate for one layer.
+    """EMA Fisher estimate for one layer, folded in place by `ema_update`.
 
     `matrix` is a (d, d) array in full mode or a length-d vector of diagonal
-    entries in diagonal mode. `weight_mass` tracks 1 - (1-decay)^t.
-    `rows` (k, d) and `gram` (k, k) hold the rank-limited factor of a full
-    block built from zero by k < d folds; they are None otherwise.
+    entries in diagonal mode. `rows` (k, d) and `gram` (k, k) hold the
+    rank-limited factor of a full block built from zero by k < d folds; they
+    are None otherwise.
     """
 
     layer_index: int
     mode: str  # "full" | "diagonal"
     matrix: np.ndarray
     decay: float
-    weight_mass: float = 0.0
     rows: np.ndarray = None
     gram: np.ndarray = None
 
@@ -59,7 +58,8 @@ class FisherBlock:
 
 
 def ema_update(block, v):
-    """Fold one gradient vector into the EMA: (1-gamma) * old + gamma * v (x) v.
+    """Fold one gradient vector into the EMA in place:
+    (1-gamma) * old + gamma * v (x) v.
 
     This is the one check of the Fisher input: a finite gradient keeps the
     block finite and exactly symmetric, which the spectral solve relies on.
@@ -71,17 +71,15 @@ def ema_update(block, v):
     if not np.all(np.isfinite(v)):
         raise ValueError("gradient entries must be finite")
     gamma = block.decay
-    rows = gram = None
+    block.matrix *= 1.0 - gamma
     if block.mode == "full":
-        matrix = (1.0 - gamma) * block.matrix + gamma * np.outer(v, v)
+        block.matrix += gamma * np.outer(v, v)
         if block.rows is not None and block.rows.shape[0] + 1 < block.dim:
-            rows, gram = _extend_factor(block.rows, block.gram, v, gamma)
+            block.rows, block.gram = _extend_factor(block.rows, block.gram, v, gamma)
+        else:
+            block.rows = block.gram = None
     else:
-        matrix = (1.0 - gamma) * block.matrix + gamma * v * v
-    mass = (1.0 - gamma) * block.weight_mass + gamma
-    return FisherBlock(layer_index=block.layer_index, mode=block.mode,
-                       matrix=matrix, decay=gamma, weight_mass=mass,
-                       rows=rows, gram=gram)
+        block.matrix += gamma * v * v
 
 
 def _extend_factor(rows, gram, v, gamma):

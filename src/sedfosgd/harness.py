@@ -8,15 +8,17 @@ run is fully determined by its config, including the CSV bytes it writes.
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
+from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
-from .noise import RngStream, StableParams, _mix, gaussians
-from .optim import DivergenceError, ParamState
+from .noise import (RngStream, StableParams, _mix, alpha_stable, gaussian,
+                    gaussians)
+from .optim import DivergenceError
 from .problems import GenerationError
-from .sed import SedEstimate
 
 
 class ConfigError(ValueError):
@@ -42,7 +44,6 @@ class ExperimentConfig:
     zeta: float = 0.7
     epsilon: float = 0.01
     alpha_min: float = 0.05
-    fixed_alpha: float = None   # fosgd exponent; defaults to alpha0
     fisher_decay: float = 0.1
     scaling_mode: str = "elementwise"
     grad_clip: float = None
@@ -86,8 +87,6 @@ class ExperimentConfig:
              f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}"),
             (self.mlp_batch >= 1, f"mlp_batch must be >= 1, got {self.mlp_batch}"),
             (self.mlp_hidden >= 1, f"mlp_hidden must be >= 1, got {self.mlp_hidden}"),
-            (self.fixed_alpha is None or 0.0 < self.fixed_alpha <= 1.0,
-             f"fixed_alpha must be in (0, 1], got {self.fixed_alpha}"),
             (self.noise_std >= 0, f"noise_std must be >= 0, got {self.noise_std}"),
             (self.quad_noise_std >= 0,
              f"quad_noise_std must be >= 0, got {self.quad_noise_std}"),
@@ -110,6 +109,7 @@ class ExperimentConfig:
              f"grad_clip must be > 0, got {self.grad_clip}"),
             (0.0 < self.fisher_decay <= 1.0,
              f"fisher_decay must be in (0, 1], got {self.fisher_decay}"),
+            (len(self.ar_coeffs) >= 1, f"ar_coeffs must be non-empty, got {self.ar_coeffs}"),
             (len(self.quad_diag) >= 1 and min(self.quad_diag) >= 0,
              f"quad_diag must be non-negative, got {self.quad_diag}"),
             (self.mlp_limit >= 0,
@@ -191,20 +191,19 @@ class _ArDriver:
         self.true_coeffs = np.asarray(config.ar_coeffs, dtype=float)
         p = self.true_coeffs.size
         if config.noise == "gaussian":
-            noise = problems_mod.GaussianNoise(config.noise_std)
+            draw = partial(gaussian, rng, 0.0, config.noise_std)
         else:
-            noise = problems_mod.StableNoise(StableParams(
+            draw = partial(alpha_stable, rng, StableParams(
                 alpha_tail=config.stable_tail, skew=config.stable_skew,
                 scale=config.stable_scale, location=config.stable_location))
-        model = problems_mod.ArModel(coeffs=self.true_coeffs, noise=noise,
-                                     horizon=config.iterations + p)
-        self.regressors = problems_mod.ar_generate(model, rng)
+        self.phi, self.y = problems_mod.ar_generate(
+            self.true_coeffs, config.iterations + p, draw)
         self.n_layers = 1
         self.init_layers = [np.zeros(p)]
 
     def loss_grad(self, layers, t):
-        r = self.regressors[(t - 1) % len(self.regressors)]
-        loss, g = problems_mod.ar_loss_grad(layers[0], r)
+        k = (t - 1) % len(self.y)
+        loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[k], self.y[k])
         return loss, [g]
 
     def metric_names(self):
@@ -348,14 +347,18 @@ def run(config):
     rng = RngStream(config.seed)
     driver = _DRIVERS[config.problem](config, rng)
 
-    state = ParamState.init(driver.init_layers)
-    blocks = optim_mod.make_fisher_blocks(state, config.fisher_decay)
-    sed = SedEstimate.empty(state.n_layers)
-    # the optimizers differ only in their exponents: 1 for sgd, a fixed one
-    # for fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
-    ones = np.ones(state.n_layers)
-    fixed = config.alpha0 if config.fixed_alpha is None else config.fixed_alpha
-    constant = ones if config.optimizer == "sgd" else np.full(state.n_layers, fixed)
+    # the run state: each layer, its last step theta_t - theta_{t-1}, its
+    # EMA Fisher block, and the running maximum of the effective dimensions
+    layers = list(driver.init_layers)
+    steps = [np.zeros_like(v) for v in layers]
+    blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[0], config.fisher_decay)
+              for j, v in enumerate(layers)]
+    dzeta = np.zeros(len(layers))
+    d_max = 0.0
+    # the optimizers differ only in their exponents: 1 for sgd, alpha0 for
+    # fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
+    ones = np.ones(len(layers))
+    constant = ones if config.optimizer == "sgd" else np.full(len(layers), config.alpha0)
 
     header = trace_header(driver)
     rows = []
@@ -367,7 +370,7 @@ def run(config):
         # warning; the checks below report it as a divergence at its step
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, config.iterations + 1):
-                loss, grads = driver.loss_grad(state.layers, t)
+                loss, grads = driver.loss_grad(layers, t)
                 grads = optim_mod.clip_gradients(grads, config.grad_clip)
                 # catch blow-ups before the Fisher outer product can overflow
                 blown = not math.isfinite(loss) or any(
@@ -381,18 +384,20 @@ def run(config):
                     mu, alphas = config.mu0, ones
                 else:
                     # every optimizer logs the same Fisher/dimension diagnostics
-                    sed, adaptive = optim_mod.observe_fisher_sed(grads, blocks, sed, config)
-                    mu = optim_mod.step_size(state.t, config.mu0)
+                    dzeta, d_max, adaptive = optim_mod.observe_fisher_sed(
+                        grads, blocks, d_max, config)
+                    mu = optim_mod.step_size(t - 1, config.mu0)
                     alphas = adaptive if config.optimizer == "2sedfosgd" else constant
-                state = optim_mod.step(state, grads, mu, alphas, config)
+                layers, steps = optim_mod.step(layers, steps, grads, mu, alphas,
+                                               config, t)
 
                 min_loss = min(min_loss, loss)
-                deltas = state.deltas()
                 row = [float(t), mu, loss]
-                for j in range(state.n_layers):
-                    row += [float(alphas[j]), float(sed.per_layer[j]), deltas[j]]
-                row.append(float(sed.d_max_running))
-                row += [float(m) for m in driver.metrics(state.layers)]
+                for j, d in enumerate(steps):
+                    row += [float(alphas[j]), float(dzeta[j]),
+                            float(optim_mod.norm([d]))]
+                row.append(d_max)
+                row += [float(m) for m in driver.metrics(layers)]
                 rows.append(row)
                 if writer:
                     writer.write_row(row)
@@ -408,12 +413,12 @@ def run(config):
     for name, value in zip(driver.metric_names(), rows[-1][-len(driver.metric_names()):]):
         summary[f"final_{name}"] = float(value)
     if config.problem == "mlp":
-        summary["holdout_accuracy"] = driver.holdout_accuracy(state.layers)
+        summary["holdout_accuracy"] = driver.holdout_accuracy(layers)
 
     if writer:
         _write_summary(config.out + ".summary", summary)
     return RunResult(config=config, header=header, rows=rows,
-                     final_layers=list(state.layers), summary=summary)
+                     final_layers=layers, summary=summary)
 
 
 class _TraceWriter:
@@ -541,7 +546,8 @@ def seed_sweep(config, n_seeds):
 
 def seed_rate_fit(config, n_seeds):
     """Rate fit of the running minimum of the gap (or loss) series, averaged
-    over `n_seeds` derived seeds."""
+    over `n_seeds` derived seeds; a seed that diverges ends the fit with its
+    error, whose message starts with `seed=<seed>`."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if config.iterations < _MIN_FIT_POINTS:
@@ -549,7 +555,15 @@ def seed_rate_fit(config, n_seeds):
                           f"fit, got {config.iterations}")
     series = None
     for i in range(n_seeds):
-        result = run(replace(config, seed=derive_seed(config.seed, i), out=None))
+        seed = derive_seed(config.seed, i)
+        try:
+            result = run(replace(config, seed=seed, out=None))
+        except DivergenceError as exc:
+            raise DivergenceError(f"seed={seed} {exc}",
+                                  step_index=exc.step_index) from exc
+        except GenerationError as exc:
+            raise GenerationError(f"seed={seed} {exc}",
+                                  sample_index=exc.sample_index) from exc
         col = result.header.index("gap" if "gap" in result.header else "loss")
         gaps = [row[col] for row in result.rows]
         series = gaps if series is None else [a + b for a, b in zip(series, gaps)]

@@ -14,14 +14,12 @@ each step from the per-layer effective dimension of the EMA Fisher blocks.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher as fisher_mod
 from . import sed as sed_mod
 from .mathkit import logdet_plus
-from .sed import SedEstimate
 
 
 class DivergenceError(RuntimeError):
@@ -32,28 +30,7 @@ class DivergenceError(RuntimeError):
         self.step_index = step_index
 
 
-@dataclass(frozen=True)
-class ParamState:
-    layers: tuple          # tuple of 1-D arrays, one per layer
-    prev_layers: tuple     # previous iterate, same shapes
-    t: int = 0
-
-    @classmethod
-    def init(cls, layers):
-        layers = tuple(np.asarray(v, dtype=float) for v in layers)
-        return cls(layers=layers, prev_layers=tuple(v.copy() for v in layers), t=0)
-
-    @property
-    def n_layers(self):
-        return len(self.layers)
-
-    def deltas(self):
-        """Per-layer norm of the last accepted step."""
-        return [float(_norm([c - p]))
-                for c, p in zip(self.layers, self.prev_layers)]
-
-
-def _norm(arrays):
+def norm(arrays):
     """Euclidean norm over all entries of `arrays`.
 
     When the sum of squares overflows although every entry is finite, the
@@ -81,75 +58,69 @@ def clip_gradients(grads, bound):
     """Scale the whole gradient so its global norm is at most `bound`."""
     if bound is None:
         return grads
-    total = _norm(grads)
+    total = norm(grads)
     if total <= bound:
         return grads
     factor = bound / total
     return [factor * g for g in grads]
 
 
-def _check_shapes(state, grads):
-    if len(grads) != state.n_layers:
+def _check_shapes(layers, grads):
+    if len(grads) != len(layers):
         raise ValueError(
-            f"expected {state.n_layers} gradient layers, got {len(grads)}")
-    for j, (g, th) in enumerate(zip(grads, state.layers)):
+            f"expected {len(layers)} gradient layers, got {len(grads)}")
+    for j, (g, th) in enumerate(zip(grads, layers)):
         if np.shape(g) != th.shape:
             raise ValueError(
                 f"layer {j} gradient shape {np.shape(g)} != {th.shape}")
 
 
-def _accept(state, new_layers):
-    for j, v in enumerate(new_layers):
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(
-                f"non-finite parameters in layer {j} at step {state.t}",
-                step_index=state.t)
-    return ParamState(layers=tuple(new_layers),
-                      prev_layers=state.layers,
-                      t=state.t + 1)
+def step(layers, steps, grads, mu, alphas, cfg, t):
+    """Step `t` (1-based) of a run: per layer,
+    theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g,
+    where `steps` holds each layer's last step Delta theta = theta_t - theta_{t-1}
+    and `alphas` one exponent per layer.
 
-
-def step(state, grads, mu, alphas, cfg):
-    """theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g
-    per layer, with `alphas` holding one exponent per layer."""
-    _check_shapes(state, grads)
-    if state.t < 1 and np.any(np.asarray(alphas) != 1.0):
+    Step 1 is classical (every exponent 1). Returns the new layers and their
+    steps; a non-finite parameter raises DivergenceError at step `t`.
+    """
+    _check_shapes(layers, grads)
+    if t < 2 and np.any(np.asarray(alphas) != 1.0):
         raise ValueError("fractional steps require one classical step first")
-    new_layers = []
-    for th, prev, g, a in zip(state.layers, state.prev_layers, grads, alphas):
+    new_layers, new_steps = [], []
+    for j, (th, d, g, a) in enumerate(zip(layers, steps, grads, alphas)):
         a = float(a)
         if cfg.scaling_mode == "elementwise":
-            base = np.abs(th - prev) + cfg.delta
+            base = np.abs(d) + cfg.delta
         else:
-            base = _norm([th - prev]) + cfg.delta
-        new_layers.append(th - (mu / math.gamma(2.0 - a)) * (base ** (1.0 - a) * g))
-    return _accept(state, new_layers)
+            base = norm([d]) + cfg.delta
+        new = th - (mu / math.gamma(2.0 - a)) * (base ** (1.0 - a) * g)
+        if not np.all(np.isfinite(new)):
+            raise DivergenceError(
+                f"non-finite parameters in layer {j} at step {t}", step_index=t)
+        new_layers.append(new)
+        new_steps.append(new - th)
+    return new_layers, new_steps
 
 
-def make_fisher_blocks(state, decay):
-    """Fresh zero EMA blocks matching the layer shapes of `state`."""
-    return [fisher_mod.FisherBlock.zeros(j, th.shape[0], decay)
-            for j, th in enumerate(state.layers)]
-
-
-def observe_fisher_sed(grads, fisher_blocks, sed, cfg):
+def observe_fisher_sed(grads, fisher_blocks, d_max, cfg):
     """Fold gradients into the EMA blocks and refresh the dimension state.
 
-    The block list is updated in place (single-owner state). Each block gets
-    one spectral solve, on its k x k gradient Gram while it holds k < d
-    folds, whose log-det yields its effective dimension. Returns the new
-    SedEstimate (running max folded in) and the exponent array it implies.
+    The blocks are folded in place (single-owner state). Each block gets one
+    spectral solve, on its k x k gradient Gram while it holds k < d folds,
+    whose log-det yields its effective dimension. Returns the per-layer
+    dimensions, the running maximum `d_max` with them folded in, and the
+    exponent array they imply.
     """
-    per_layer = np.empty(len(fisher_blocks))
+    dzeta = np.empty(len(fisher_blocks))
     for j, g in enumerate(grads):
-        block = fisher_blocks[j] = fisher_mod.ema_update(fisher_blocks[j], g)
+        block = fisher_blocks[j]
+        fisher_mod.ema_update(block, g)
         mat = fisher_mod.spectral_operand(block, cfg.normalize_fisher)
         logdet = logdet_plus(mat, sed_mod.curvature_scale(cfg))
-        per_layer[j] = sed_mod.two_sed(logdet, block.dim, cfg)
-
-    sed = SedEstimate(per_layer=per_layer, d_max_running=sed.d_max_running)
-    sed = sed_mod.update_dmax(sed)
-    return sed, sed_mod.adapt_alpha(sed, cfg)
+        dzeta[j] = sed_mod.two_sed(logdet, block.dim, cfg)
+    d_max = max(d_max, float(np.max(dzeta)))
+    return dzeta, d_max, sed_mod.adapt_alpha(dzeta, d_max, cfg)
 
 
 def delta_radius(cfg, grad_bound, alpha_max=None):

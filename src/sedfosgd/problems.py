@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
-
 
 class GenerationError(RuntimeError):
     """AR simulation produced a non-finite sample; carries its index."""
@@ -29,57 +27,21 @@ class IdxFormatError(ValueError):
 # AR(p) system identification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    std: float
-
-    def sample(self, rng):
-        return noise_mod.gaussian(rng, 0.0, self.std)
-
-
-@dataclass(frozen=True)
-class StableNoise:
-    params: noise_mod.StableParams
-
-    def sample(self, rng):
-        return noise_mod.alpha_stable(rng, self.params)
-
-
-@dataclass(frozen=True)
-class ArModel:
-    coeffs: np.ndarray   # (a_1, ..., a_p)
-    noise: object        # GaussianNoise | StableNoise
-    horizon: int
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("coeffs must be a non-empty vector")
-        object.__setattr__(self, "coeffs", a)
-        if self.horizon <= a.size:
-            raise ValueError(
-                f"horizon must exceed the order, got K={self.horizon}, p={a.size}")
-
-    @property
-    def order(self):
-        return self.coeffs.size
-
-
-@dataclass(frozen=True)
-class Regressor:
-    phi: np.ndarray  # lagged outputs (y(k-1), ..., y(k-p))
-    y: float
-
-
-def ar_generate(model, rng, initial=None):
-    """Simulate y(k) = sum_i a_i y(k-i) + xi(k).
+def ar_generate(coeffs, horizon, draw, initial=None):
+    """Simulate y(k) = sum_i a_i y(k-i) + xi(k) for k = 1..K (K = `horizon`),
+    with `draw()` giving each noise sample xi(k) in turn.
 
     Initial conditions y(0), y(-1), ..., y(1-p) default to zero; `initial`
-    overrides them as (y(0), ..., y(1-p)). Returns the K - p regressor/target
-    pairs for which a full lag window of simulated outputs exists.
+    overrides them as (y(0), ..., y(1-p)). Returns the K - p regressor rows
+    `phi` (each the lagged outputs (y(k-1), ..., y(k-p))) and their targets
+    `y` (y(k)), for the k whose lag window is all simulated outputs.
     """
-    p = model.order
-    a = model.coeffs
+    a = np.asarray(coeffs, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"coeffs must be a vector, got shape {a.shape}")
+    p = a.size
+    if horizon <= p:
+        raise ValueError(f"horizon must exceed the order, got K={horizon}, p={p}")
     pre = np.zeros(p) if initial is None else np.asarray(initial, dtype=float)
     if pre.shape != (p,):
         raise ValueError(f"initial must have length {p}, got shape {pre.shape}")
@@ -88,31 +50,29 @@ def ar_generate(model, rng, initial=None):
         # y(k - i) with y(0), y(-1), ... taken from the initial conditions
         return y[k - i] if k - i >= 1 else pre[i - k]
 
-    y = np.zeros(model.horizon + 1)  # index 0 unused; history lives in `pre`
+    y = np.zeros(horizon + 1)  # index 0 unused; history lives in `pre`
     with np.errstate(over="ignore"):  # overflow is detected and reported below
-        for k in range(1, model.horizon + 1):
+        for k in range(1, horizon + 1):
             acc = 0.0
             for i in range(1, p + 1):
                 acc += a[i - 1] * past(k, i)
-            y[k] = acc + model.noise.sample(rng)
+            y[k] = acc + draw()
             if not np.isfinite(y[k]):
                 raise GenerationError(f"non-finite output at index {k}",
                                       sample_index=k)
-    out = []
-    for k in range(p + 1, model.horizon + 1):
-        phi = np.array([y[k - i] for i in range(1, p + 1)])
-        out.append(Regressor(phi=phi, y=float(y[k])))
-    return out
+    phi = np.column_stack([y[p + 1 - i:horizon + 1 - i] for i in range(1, p + 1)])
+    return phi, y[p + 1:]
 
 
-def ar_loss_grad(theta_hat, r):
-    """Squared prediction error and its gradient for one regressor."""
+def ar_loss_grad(theta_hat, phi, y):
+    """Squared prediction error and its gradient for one regressor row `phi`
+    and its target `y`."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_hat.shape != r.phi.shape:
+    if theta_hat.shape != phi.shape:
         raise ValueError(
-            f"shape mismatch: theta {theta_hat.shape}, phi {r.phi.shape}")
-    e = r.y - float(r.phi @ theta_hat)
-    return 0.5 * e * e, -e * r.phi
+            f"shape mismatch: theta {theta_hat.shape}, phi {phi.shape}")
+    e = float(y - phi @ theta_hat)
+    return 0.5 * e * e, -e * phi
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,12 @@ The functions read zeta, epsilon, alpha0, beta and alpha_min from `cfg`, the
 run's `ExperimentConfig`, which checks their ranges.
 """
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 
 def curvature_scale(cfg):
     """eps^(zeta-1) > 1 since eps < 1 and zeta < 1."""
     return cfg.epsilon ** (cfg.zeta - 1.0)
-
-
-@dataclass(frozen=True)
-class SedEstimate:
-    per_layer: np.ndarray  # d_zeta per layer at the current iteration
-    d_max_running: float = 0.0
-
-    @classmethod
-    def empty(cls, n_layers):
-        return cls(per_layer=np.zeros(n_layers))
 
 
 def d_curv(logdet, cfg):
@@ -46,22 +34,14 @@ def two_sed(logdet, d_nominal, cfg):
     return cfg.zeta * d_nominal + (1.0 - cfg.zeta) * d_curv(logdet, cfg)
 
 
-def update_dmax(sed):
-    """Fold the current per-layer values into the running maximum."""
-    if sed.per_layer.size:
-        d_max = max(sed.d_max_running, float(np.max(sed.per_layer)))
-    else:
-        d_max = sed.d_max_running
-    return replace(sed, d_max_running=d_max)
-
-
-def adapt_alpha(sed, cfg):
-    """Map effective dimensions to the array of per-layer fractional exponents.
+def adapt_alpha(dzeta, d_max, cfg):
+    """Map the per-layer effective dimensions `dzeta` and their running
+    maximum `d_max` to the array of per-layer fractional exponents.
 
     Before any observation (d_max == 0) every layer keeps the base exponent,
     matching the classical first step of the optimizer.
     """
-    if sed.d_max_running <= 0.0:
-        return np.full(sed.per_layer.shape, cfg.alpha0)
-    alphas = cfg.alpha0 - cfg.beta * sed.per_layer / sed.d_max_running
+    if d_max <= 0.0:
+        return np.full(np.shape(dzeta), cfg.alpha0)
+    alphas = cfg.alpha0 - cfg.beta * dzeta / d_max
     return np.clip(alphas, cfg.alpha_min, cfg.alpha0)

@@ -15,7 +15,7 @@ from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.noise import RngStream, StableParams, alpha_stable
-from sedfosgd.problems import (LabeledBatch, MlpSpec, Regressor, ar_loss_grad,
+from sedfosgd.problems import (LabeledBatch, MlpSpec, ar_loss_grad,
                                mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad)
 
@@ -67,10 +67,10 @@ def test_criterion_01_reduction_identities():
     with _Budget(1, "reduction identities are bitwise", 1.0):
         cfg = replace(AR_BASE, iterations=50)
         adaptive = run(replace(cfg, beta=0.0))
-        fixed = run(replace(cfg, optimizer="fosgd", fixed_alpha=cfg.alpha0))
+        fixed = run(replace(cfg, optimizer="fosgd"))
         assert csv_bytes(adaptive) == csv_bytes(fixed)
 
-        classical = run(replace(cfg, optimizer="fosgd", fixed_alpha=1.0))
+        classical = run(replace(cfg, optimizer="fosgd", alpha0=1.0))
         plain = run(replace(cfg, optimizer="sgd"))
         assert csv_bytes(classical) == csv_bytes(plain)
 
@@ -87,9 +87,7 @@ def test_criterion_02_ar_recovery_gaussian():
 
             # least-squares oracle on the identical regressor stream
             driver = _ArDriver(cfg, RngStream(seed))
-            phi = np.stack([r.phi for r in driver.regressors])
-            y = np.array([r.y for r in driver.regressors])
-            theta_ls = np.linalg.lstsq(phi, y, rcond=None)[0]
+            theta_ls = np.linalg.lstsq(driver.phi, driver.y, rcond=None)[0]
             ls_errs.append(np.abs(theta_ls - truth))
         med = np.median(np.stack(errs), axis=0)
         med_ls = np.median(np.stack(ls_errs), axis=0)
@@ -192,11 +190,11 @@ def test_criterion_08_gradient_oracles():
         nprng = np.random.default_rng(17)
         for _ in range(100):
             phi = nprng.standard_normal(3)
-            r = Regressor(phi=phi, y=float(nprng.standard_normal()))
+            y = float(nprng.standard_normal())
             theta = nprng.standard_normal(3)
-            _, g = ar_loss_grad(theta, r)
+            _, g = ar_loss_grad(theta, phi, y)
             assert _fd_close(g, _central_diff(
-                lambda x: ar_loss_grad(x, r)[0], theta))
+                lambda x: ar_loss_grad(x, phi, y)[0], theta))
         for _ in range(100):
             a = nprng.standard_normal((3, 3))
             a_mat = a @ a.T

@@ -32,24 +32,21 @@ class TestEmaUpdate:
     def test_full_decay_one_is_outer_product(self):
         g = np.array([1.0, -2.0, 0.5])
         block = FisherBlock.zeros(0, 3, decay=1.0)
-        block = ema_update(block, g)
+        ema_update(block, g)
         assert np.array_equal(block.matrix, np.outer(g, g))
-        assert block.weight_mass == 1.0
 
     def test_zero_gradient_scales_and_advances_mass(self):
         block = FisherBlock.zeros(0, 2, decay=0.25)
-        block = ema_update(block, np.array([2.0, 0.0]))
+        ema_update(block, np.array([2.0, 0.0]))
         before = block.matrix.copy()
-        mass_before = block.weight_mass
-        block = ema_update(block, np.zeros(2))
+        ema_update(block, np.zeros(2))
         assert np.allclose(block.matrix, 0.75 * before)
-        assert block.weight_mass > mass_before
 
     def test_matches_direct_summation(self):
         grads = fixed_stream(50, 4, seed=1)
         block = FisherBlock.zeros(0, 4, decay=0.1)
         for g in grads:
-            block = ema_update(block, g)
+            ema_update(block, g)
         expected = direct_weighted_sum(grads, 0.1)
         assert np.abs(block.matrix - expected).max() <= 1e-12
 
@@ -75,27 +72,34 @@ class TestEmaUpdate:
         full = FisherBlock.zeros(0, 5, decay=0.2, mode="full")
         diag = FisherBlock.zeros(0, 5, decay=0.2, mode="diagonal")
         for g in grads:
-            full = ema_update(full, g)
-            diag = ema_update(diag, g)
+            ema_update(full, g)
+            ema_update(diag, g)
         assert np.array_equal(diag.matrix, np.diag(full.matrix))
 
     def test_auto_diagonal_above_threshold(self):
         assert FisherBlock.zeros(0, 513, decay=0.1).mode == "diagonal"
         assert FisherBlock.zeros(0, 512, decay=0.1).mode == "full"
 
-    def test_weight_mass_monotone_to_one(self):
-        block = FisherBlock.zeros(0, 2, decay=0.1)
-        prev = 0.0
-        for g in fixed_stream(200, 2, seed=3):
-            block = ema_update(block, g)
-            assert block.weight_mass > prev
-            prev = block.weight_mass
-        assert prev == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("dim", [2, 32, 330])
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_fold_in_place_equals_the_ema_expression(self, dim, mode):
+        # the in-place *= / += fold gives the bits of
+        # (1 - gamma) * old + gamma * v (x) v, in the same array
+        block = FisherBlock.zeros(0, dim, decay=0.1, mode=mode)
+        matrix = block.matrix
+        for v in fixed_stream(dim + 2, dim, seed=dim):
+            if mode == "full":
+                expected = (1.0 - 0.1) * block.matrix + 0.1 * np.outer(v, v)
+            else:
+                expected = (1.0 - 0.1) * block.matrix + 0.1 * v * v
+            ema_update(block, v)
+            assert block.matrix is matrix
+            assert block.matrix.tobytes() == expected.tobytes()
 
     def test_psd_preserved(self):
         block = FisherBlock.zeros(0, 4, decay=0.3)
         for g in fixed_stream(40, 4, seed=4):
-            block = ema_update(block, g)
+            ema_update(block, g)
             w = np.linalg.eigvalsh(block.matrix)
             assert w.min() >= -1e-10 * trace(block)
 
@@ -108,7 +112,7 @@ class TestEmaUpdate:
         for _ in range(100):
             g = rng.standard_normal(3)
             g *= np.sqrt(b) / max(1.0, np.linalg.norm(g))
-            block = ema_update(block, g)
+            ema_update(block, g)
             assert trace(block) <= b + 1e-12
 
 
@@ -118,14 +122,15 @@ class TestTrace:
 
     def test_single_full_weight_update(self):
         g = np.array([3.0, 4.0])
-        block = ema_update(FisherBlock.zeros(0, 2, decay=1.0), g)
+        block = FisherBlock.zeros(0, 2, decay=1.0)
+        ema_update(block, g)
         assert trace(block) == pytest.approx(25.0, rel=1e-12)
 
     def test_matches_weighted_norm_sum(self):
         grads = fixed_stream(50, 3, seed=6)
         block = FisherBlock.zeros(0, 3, decay=0.1)
         for g in grads:
-            block = ema_update(block, g)
+            ema_update(block, g)
         expected = sum(0.1 * 0.9 ** s * float(g @ g)
                        for s, g in enumerate(reversed(grads)))
         assert trace(block) == pytest.approx(expected, abs=1e-12)
@@ -133,7 +138,7 @@ class TestTrace:
 
 class TestNormalize:
     def test_identity_fixed_point(self):
-        block = FisherBlock(0, "full", np.eye(3), decay=0.1, weight_mass=1.0)
+        block = FisherBlock(0, "full", np.eye(3), decay=0.1)
         assert np.allclose(normalize(block), np.eye(3))
 
     def test_zero_block_maps_to_zero(self):
@@ -141,18 +146,17 @@ class TestNormalize:
         assert np.all(normalize(block) == 0.0)
 
     def test_rescales_trace(self):
-        block = FisherBlock(0, "full", np.diag([1.0, 3.0]), decay=0.1, weight_mass=1.0)
+        block = FisherBlock(0, "full", np.diag([1.0, 3.0]), decay=0.1)
         assert np.allclose(normalize(block), np.diag([0.5, 1.5]))
 
     def test_output_trace_equals_nominal(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
-        block = FisherBlock(0, "full", a @ a.T, decay=0.1, weight_mass=1.0)
+        block = FisherBlock(0, "full", a @ a.T, decay=0.1)
         assert np.trace(normalize(block)) == pytest.approx(5.0, abs=1e-10)
 
     def test_diagonal_mode(self):
-        block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1,
-                            weight_mass=1.0)
+        block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1)
         assert np.allclose(normalize(block), [0.5, 1.5])
 
 
@@ -181,7 +185,7 @@ class TestRankLimitedFactor:
     def test_factor_dropped_at_dim_folds(self):
         block = FisherBlock.zeros(0, 5, decay=0.2)
         for k, g in enumerate(fixed_stream(8, 5, seed=8), start=1):
-            block = ema_update(block, g)
+            ema_update(block, g)
             if k < 5:
                 assert block.rows.shape == (k, 5)
                 assert block.gram.shape == (k, k)
@@ -195,7 +199,7 @@ class TestRankLimitedFactor:
                       FisherBlock.zeros(0, 600, decay=0.2)):
             assert block.rows is None and block.gram is None
             for g in fixed_stream(3, block.dim, seed=9):
-                block = ema_update(block, g)
+                ema_update(block, g)
                 assert block.rows is None and block.gram is None
                 assert spectral_operand(block, False) is block.matrix
 
@@ -211,7 +215,7 @@ class TestRankLimitedFactor:
         w = _ema_weights(decay, k)
         block = FisherBlock.zeros(0, dim, decay=decay)
         for i in range(k):
-            block = ema_update(block, np.sqrt(lam[i] / w[i]) * q[:, i])
+            ema_update(block, np.sqrt(lam[i] / w[i]) * q[:, i])
         if normalized:
             lam = lam * dim / lam.sum()
         expected = float(np.sum(np.log1p(SCALE * np.sqrt(lam))))
@@ -230,7 +234,7 @@ class TestRankLimitedFactor:
         grads = np.random.default_rng(seed).standard_normal((dim + extra, dim))
         block = FisherBlock.zeros(0, dim, decay=decay, mode="full")
         for n in range(1, dim + extra + 1):
-            block = ema_update(block, grads[n - 1])
+            ema_update(block, grads[n - 1])
             weighted = np.sqrt(_ema_weights(decay, n))[:, None] * grads[:n]
             sigma = np.linalg.svd(weighted, compute_uv=False)
             if normalized:

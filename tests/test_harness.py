@@ -25,6 +25,9 @@ from sedfosgd.problems import quadratic_loss_grad
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
+# the first step's parameters overflow: 1 - 1e308 * 10 is -inf
+PARAM_BLOWUP = ExperimentConfig(problem="quadratic", optimizer="sgd", iterations=5,
+                                quad_diag=(10.0,), quad_noise_std=0.0, mu0=1e308)
 
 
 def _failing_solver(m):
@@ -69,6 +72,9 @@ class TestConfigParsing:
                              zeta=0.2)
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="nope", optimizer="sgd", iterations=10)
+        with pytest.raises(ConfigError, match="ar_coeffs must be non-empty"):
+            ExperimentConfig(problem="ar", optimizer="sgd", iterations=10,
+                             ar_coeffs=())
 
     def test_overrides(self):
         out = parse_overrides(["mu0=0.5", "seed=9"])
@@ -138,7 +144,7 @@ class TestRun:
 
     def test_beta_zero_equals_fixed_exponent_csv(self):
         a = run(replace(AR_CFG, beta=0.0))
-        b = run(replace(AR_CFG, optimizer="fosgd", fixed_alpha=AR_CFG.alpha0))
+        b = run(replace(AR_CFG, optimizer="fosgd"))
         assert csv_bytes(a) == csv_bytes(b)
 
     def test_divergence_reports_iteration(self):
@@ -257,6 +263,10 @@ class TestSeedSweep:
         for failure in sweep.failed:
             assert failure.kind == "step" and failure.index >= 1
             assert f"at step {failure.index}" in failure.message
+        # a parameter blow-up reports the 1-based step that produced it
+        sweep = seed_sweep(PARAM_BLOWUP, 3)
+        assert [f.index for f in sweep.failed] == [1, 1, 1]
+        assert all("step=1 non-finite parameters" in str(f) for f in sweep.failed)
 
     def test_generation_failure_is_one_seed_failure(self):
         # a blown-up AR simulation fails its seed instead of the whole sweep
@@ -348,12 +358,13 @@ class TestCli:
         assert fit["fit_points"] == "181"
 
     @pytest.mark.parametrize("overrides", [
-        ["fixed_alpha=1.5"],
-        ["fixed_alpha=0"],
+        ["alpha0=1.5"],
+        ["alpha0=0"],
         ["mlp_batch=0"],
         ["mlp_batch=-3"],
         ["mlp_limit=2", "mlp_holdout=0.9"],
         ["mlp_holdout=0"],
+        ["fixed_alpha=0.5"],  # not a key: fosgd's exponent is alpha0
     ])
     def test_invalid_config_exits_before_trace(self, tmp_path, capsys,
                                                synthetic_idx, overrides):
@@ -459,7 +470,7 @@ class TestCli:
     def test_huge_finite_step_has_a_finite_delta_norm(self, tmp_path, capsys):
         # the steps grow past 1e154 before the run diverges at step 10
         cfg = self._write_cfg(
-            tmp_path, "problem = quadratic\noptimizer = fosgd\nfixed_alpha = 0.05\n"
+            tmp_path, "problem = quadratic\noptimizer = fosgd\nalpha0 = 0.05\n"
             "mu0 = 0.28\niterations = 16\n")
         out = str(tmp_path / "trace.csv")
         assert cli.main(["run", "--config", cfg, "--out", out]) == 2
@@ -467,6 +478,28 @@ class TestCli:
             deltas = [float(row["delta_norm_l0"]) for row in csv.DictReader(fh)]
         assert len(deltas) == 9 and max(deltas) > 1e154
         assert all(math.isfinite(d) for d in deltas)
+
+    def test_parameter_blowup_reports_its_step(self, tmp_path, capsys):
+        # the first step's parameters overflow; the trace holds no row
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\nquad_diag = 10\n"
+            "quad_noise_std = 0\nmu0 = 1e308\niterations = 5\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "diverged: non-finite parameters in layer 0 at step 1\n"
+        with open(out, encoding="utf-8") as fh:
+            assert len(fh.read().splitlines()) == 1
+        assert not os.path.exists(out + ".summary")
+
+    def test_ratefit_divergence_names_its_seed(self, tmp_path, capsys):
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = fosgd\nalpha0 = 0.05\n"
+            "mu0 = 0.28\niterations = 60\n")
+        assert cli.main(["ratefit", "--config", cfg, "--seeds", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ") and err.count("\n") == 1
+        assert err == "diverged: seed=0 non-finite loss or gradient at step 10\n"
 
     def test_generation_blowup_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(
@@ -527,9 +560,9 @@ class TestReductionProperty:
         cfg, alpha = drawn
         adaptive = _outcome(replace(cfg, optimizer="2sedfosgd", beta=0.0,
                                     alpha0=alpha))
-        fixed = _outcome(replace(cfg, optimizer="fosgd", fixed_alpha=alpha))
+        fixed = _outcome(replace(cfg, optimizer="fosgd", alpha0=alpha))
         assert adaptive == fixed
-        classical = _outcome(replace(cfg, optimizer="fosgd", fixed_alpha=1.0))
+        classical = _outcome(replace(cfg, optimizer="fosgd", alpha0=1.0))
         assert classical == _outcome(cfg)
 
 
@@ -553,7 +586,6 @@ _FIELD_VALUES = {
     "iterations": st.integers(1, 10**6),
     "seed": st.integers(0, 2**64 - 1),
     "out": _optional(st.one_of(st.just("none"), _NAMES)),
-    "fixed_alpha": _optional(st.floats(0.05, 1.0)),
     "grad_clip": _optional(st.floats(0.1, 20.0)),
     "scaling_mode": st.sampled_from(["elementwise", "layer-norm"]),
     "normalize_fisher": st.booleans(),
@@ -587,8 +619,8 @@ _SPECIAL = [0.0, -1.0, float("nan"), float("inf")]
 _FLOAT_RANGES = {
     "mu0": (1e-3, 20.0), "delta": (1e-8, 1e-2), "alpha0": (0.05, 1.0),
     "beta": (0.0, 0.1), "zeta": (2.0 / 3.0, 0.99), "epsilon": (1e-4, 0.5),
-    "alpha_min": (1e-3, 0.05), "fixed_alpha": (0.05, 1.0),
-    "fisher_decay": (0.01, 1.0), "grad_clip": (0.1, 20.0),
+    "alpha_min": (1e-3, 0.05), "fisher_decay": (0.01, 1.0),
+    "grad_clip": (0.1, 20.0),
     "noise_std": (0.0, 2.0), "stable_tail": (0.5, 2.0),
     "stable_skew": (-1.0, 1.0), "stable_scale": (0.1, 2.0),
     "stable_location": (-1.0, 1.0), "quad_noise_std": (0.0, 5.0),
@@ -659,5 +691,11 @@ class TestFailureContract:
             else:
                 assert code == 2
                 assert err.startswith("diverged: ") and err.count("\n") == 1, err
-                assert re.search(r"\b(step|index) \d+", err), err
+                found = re.search(r"\b(step|index) (\d+)", err)
+                assert found, err
                 assert not os.path.exists(out + ".summary")
+                if found[1] == "step":
+                    # rows 1 .. N - 1 were written before step N diverged
+                    with open(out, encoding="utf-8") as fh:
+                        rows = fh.read().splitlines()[1:]
+                    assert len(rows) == int(found[2]) - 1, err

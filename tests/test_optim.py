@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from sedfosgd.fisher import FisherBlock
 from sedfosgd.harness import ConfigError, ExperimentConfig
-from sedfosgd.noise import RngStream
-from sedfosgd.optim import (DivergenceError, ParamState, clip_gradients,
-                            delta_radius, make_fisher_blocks,
-                            observe_fisher_sed, step, step_size)
-from sedfosgd.problems import ArModel, GaussianNoise, ar_generate, ar_loss_grad
-from sedfosgd.sed import SedEstimate
+from sedfosgd.noise import RngStream, gaussian
+from sedfosgd.optim import (DivergenceError, clip_gradients, delta_radius,
+                            norm, observe_fisher_sed, step, step_size)
+from sedfosgd.problems import ar_generate, ar_loss_grad
 
 
 def cfg(**kw):
@@ -17,15 +16,27 @@ def cfg(**kw):
                             mu0=kw.pop("mu0", 0.1), **kw)
 
 
-def sgd_step(state, grads, mu):
-    return step(state, grads, mu, np.ones(state.n_layers), cfg())
+def start(*layers):
+    """Layers and their (zero) last steps before a run's first step."""
+    layers = [np.asarray(v, dtype=float) for v in layers]
+    return layers, [np.zeros_like(v) for v in layers]
 
 
-def adaptive_step(state, grads, blocks, sed, c):
-    """What the harness does for 2sedfosgd: observe, then step at the new exponents."""
-    sed, alpha = observe_fisher_sed(grads, blocks, sed, c)
-    state = step(state, grads, step_size(state.t, c.mu0), alpha, c)
-    return state, sed, alpha
+def deltas(steps):
+    """Per-layer norm of the last steps, as the trace logs it."""
+    return [float(norm([d])) for d in steps]
+
+
+def sgd_step(layers, steps, grads, mu):
+    return step(layers, steps, grads, mu, np.ones(len(layers)), cfg(), 1)
+
+
+def adaptive_step(layers, steps, grads, blocks, d_max, c, t):
+    """What the harness does for 2sedfosgd at step t >= 2: observe, then
+    step at the new exponents."""
+    _, d_max, alpha = observe_fisher_sed(grads, blocks, d_max, c)
+    layers, steps = step(layers, steps, grads, step_size(t - 1, c.mu0), alpha, c, t)
+    return layers, steps, d_max, alpha
 
 
 class TestStepSize:
@@ -47,56 +58,55 @@ class TestStepSize:
 
 class TestSgdStep:
     def test_zero_gradient(self):
-        state = ParamState.init([np.array([1.0, 2.0])])
-        out = sgd_step(state, [np.zeros(2)], 0.5)
-        assert np.array_equal(out.layers[0], [1.0, 2.0])
-        assert out.t == 1
+        layers, steps = sgd_step(*start([1.0, 2.0]), [np.zeros(2)], 0.5)
+        assert np.array_equal(layers[0], [1.0, 2.0])
+        assert np.array_equal(steps[0], [0.0, 0.0])
 
     def test_arithmetic(self):
-        state = ParamState.init([np.array([1.0, 2.0])])
-        out = sgd_step(state, [np.array([1.0, -1.0])], 0.5)
-        assert np.array_equal(out.layers[0], [0.5, 2.5])
-        assert np.array_equal(out.prev_layers[0], [1.0, 2.0])
+        layers, steps = sgd_step(*start([1.0, 2.0]), [np.array([1.0, -1.0])], 0.5)
+        assert np.array_equal(layers[0], [0.5, 2.5])
+        assert np.array_equal(steps[0], [-0.5, 0.5])
 
     def test_contraction_on_quadratic(self):
         # f = ||theta||^2 / 2, fixed step 0.1: theta_t = 0.9^t * theta_0
-        state = ParamState.init([np.array([1.0, 1.0])])
+        layers, steps = start([1.0, 1.0])
         for _ in range(100):
-            state = sgd_step(state, [state.layers[0].copy()], 0.1)
-        assert np.allclose(state.layers[0], 0.9 ** 100 * np.ones(2), rtol=1e-10)
+            layers, steps = sgd_step(layers, steps, [layers[0].copy()], 0.1)
+        assert np.allclose(layers[0], 0.9 ** 100 * np.ones(2), rtol=1e-10)
 
     def test_nonfinite_gradient_rejected(self):
         # the step does not re-check gradients; the non-finite parameters it
-        # would produce are rejected on acceptance
-        state = ParamState.init([np.zeros(2)])
-        with pytest.raises(DivergenceError):
-            sgd_step(state, [np.array([np.inf, 0.0])], 0.1)
+        # would produce are rejected at the step's own index
+        with pytest.raises(DivergenceError, match="layer 1 at step 1") as err:
+            sgd_step(*start([0.0], [0.0, 0.0]),
+                     [np.zeros(1), np.array([np.inf, 0.0])], 0.1)
+        assert err.value.step_index == 1
 
 
 class TestFosgdStep:
     def _warm_state(self, theta, prev):
-        return ParamState(layers=(np.asarray(theta, dtype=float),),
-                          prev_layers=(np.asarray(prev, dtype=float),), t=1)
+        theta = np.asarray(theta, dtype=float)
+        return [theta], [theta - np.asarray(prev, dtype=float)]
 
     def test_alpha_one_reduces_to_sgd_bitwise(self):
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(5)
         prev = rng.standard_normal(5)
         g = rng.standard_normal(5)
-        state = ParamState(layers=(theta,), prev_layers=(prev,), t=3)
+        layers, steps = self._warm_state(theta, prev)
         mu = 0.0173
         for mode in ("elementwise", "layer-norm"):
-            frac = step(state, [g], mu, [1.0], cfg(scaling_mode=mode))
-            assert np.array_equal(frac.layers[0], theta - mu * g)
+            frac, _ = step(layers, steps, [g], mu, [1.0], cfg(scaling_mode=mode), 4)
+            assert np.array_equal(frac[0], theta - mu * g)
 
     def test_stationary_scaling_factor(self):
         # theta == prev: factor is delta^(1-alpha) / Gamma(2-alpha) exactly
         delta = 1e-6
-        state = self._warm_state([1.0, 2.0], [1.0, 2.0])
+        layers, steps = self._warm_state([1.0, 2.0], [1.0, 2.0])
         g = np.array([1.0, -2.0])
-        out = step(state, [g], 1.0, [0.5], cfg(delta=delta))
+        out, _ = step(layers, steps, [g], 1.0, [0.5], cfg(delta=delta), 2)
         factor = delta ** 0.5 / math.gamma(1.5)
-        assert np.allclose(out.layers[0], state.layers[0] - factor * g, rtol=1e-12)
+        assert np.allclose(out[0], layers[0] - factor * g, rtol=1e-12)
         assert factor == pytest.approx(1e-3 / 0.8862269254527580, rel=1e-10)
 
     def test_larger_delta_gives_larger_step(self):
@@ -104,84 +114,88 @@ class TestFosgdStep:
         small = self._warm_state([1.0], [0.9])
         big = self._warm_state([1.0], [0.0])
         c = cfg()
-        out_small = step(small, [g], 0.1, [0.5], c)
-        out_big = step(big, [g], 0.1, [0.5], c)
-        assert abs(out_big.layers[0][0] - big.layers[0][0]) > \
-               abs(out_small.layers[0][0] - small.layers[0][0])
+        out_small, _ = step(*small, [g], 0.1, [0.5], c, 2)
+        out_big, _ = step(*big, [g], 0.1, [0.5], c, 2)
+        assert abs(out_big[0][0] - big[0][0][0]) > \
+               abs(out_small[0][0] - small[0][0][0])
 
     def test_stall_freedom(self):
-        state = self._warm_state([1.0], [1.0])
-        out = step(state, [np.array([2.0])], 0.1, [0.7], cfg())
-        assert out.layers[0][0] != state.layers[0][0]
+        layers, steps = self._warm_state([1.0], [1.0])
+        out, _ = step(layers, steps, [np.array([2.0])], 0.1, [0.7], cfg(), 2)
+        assert out[0][0] != layers[0][0]
 
     def test_layer_norm_mode(self):
-        state = self._warm_state([1.0, 1.0], [0.0, 0.5])
+        layers, steps = self._warm_state([1.0, 1.0], [0.0, 0.5])
         c = cfg(scaling_mode="layer-norm", delta=1e-6)
         g = np.array([1.0, 1.0])
-        out = step(state, [g], 1.0, [0.5], c)
+        out, _ = step(layers, steps, [g], 1.0, [0.5], c, 2)
         factor = (np.linalg.norm([1.0, 0.5]) + 1e-6) ** 0.5 / math.gamma(1.5)
-        assert np.allclose(out.layers[0], state.layers[0] - factor * g, rtol=1e-12)
+        assert np.allclose(out[0], layers[0] - factor * g, rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
     def test_layer_norm_of_a_huge_finite_step(self):
         # |theta - prev|^2 overflows although the step is finite; the norm
         # (5e200) and the step it scales stay finite
-        state = self._warm_state([0.0, 0.0], [-3e200, -4e200])
-        assert state.deltas() == [pytest.approx(5e200, rel=1e-12)]
+        layers, steps = self._warm_state([0.0, 0.0], [-3e200, -4e200])
+        assert deltas(steps) == [pytest.approx(5e200, rel=1e-12)]
         g = np.array([1.0, -1.0])
-        out = step(state, [g], 1.0, [0.5], cfg(scaling_mode="layer-norm"))
+        out, _ = step(layers, steps, [g], 1.0, [0.5], cfg(scaling_mode="layer-norm"), 2)
         factor = (5e200 + 1e-6) ** 0.5 / math.gamma(1.5)
-        assert np.allclose(out.layers[0], -factor * g, rtol=1e-12)
+        assert np.allclose(out[0], -factor * g, rtol=1e-12)
 
     def test_requires_warm_start(self):
-        state = ParamState.init([np.zeros(2)])
         with pytest.raises(ValueError):
-            step(state, [np.zeros(2)], 0.1, [0.9], cfg())
+            step(*start(np.zeros(2)), [np.zeros(2)], 0.1, [0.9], cfg(), 1)
 
     def test_alpha_out_of_range_rejected(self):
         # the exponent range is checked once, when the config is built
         for bad in (1.5, 0.0, -0.2):
             with pytest.raises(ConfigError):
                 ExperimentConfig(problem="ar", optimizer="fosgd", iterations=10,
-                                 fixed_alpha=bad)
+                                 alpha0=bad)
 
 
 def ar_regressors(seed=7, n=300):
-    model = ArModel(coeffs=np.array([1.5, -0.7]),
-                    noise=GaussianNoise(math.sqrt(0.5)), horizon=n + 2)
-    return ar_generate(model, RngStream(seed))
+    """The regressor rows and targets of a Gaussian-noise AR(2) simulation."""
+    rng = RngStream(seed)
+    return ar_generate(np.array([1.5, -0.7]), n + 2,
+                       lambda: gaussian(rng, 0.0, math.sqrt(0.5)))
+
+
+def fisher_blocks(layers, decay):
+    return [FisherBlock.zeros(j, v.shape[0], decay) for j, v in enumerate(layers)]
 
 
 class TestTwoSedFosgdStep:
     def test_beta_zero_matches_fixed_exponent(self):
-        regs = ar_regressors()
+        phi, y = ar_regressors()
         c = cfg(mu0=0.1, alpha0=0.98, beta=0.0)
-        sa = ParamState.init([np.zeros(2)])
-        sb = ParamState.init([np.zeros(2)])
-        _, ga = ar_loss_grad(sa.layers[0], regs[0])
-        sa = sgd_step(sa, [ga], c.mu0)
-        sb = sgd_step(sb, [ga], c.mu0)
-        blocks = make_fisher_blocks(sa, 0.1)
-        sed = SedEstimate.empty(1)
+        la, sa = start(np.zeros(2))
+        lb, sb = start(np.zeros(2))
+        _, ga = ar_loss_grad(la[0], phi[0], y[0])
+        la, sa = sgd_step(la, sa, [ga], c.mu0)
+        lb, sb = sgd_step(lb, sb, [ga], c.mu0)
+        blocks = fisher_blocks(la, 0.1)
+        d_max = 0.0
         for t in range(1, 30):
-            _, g = ar_loss_grad(sa.layers[0], regs[t])
-            sa, sed, _ = adaptive_step(sa, [g], blocks, sed, c)
-            _, g2 = ar_loss_grad(sb.layers[0], regs[t])
+            _, g = ar_loss_grad(la[0], phi[t], y[t])
+            la, sa, d_max, _ = adaptive_step(la, sa, [g], blocks, d_max, c, t + 1)
+            _, g2 = ar_loss_grad(lb[0], phi[t], y[t])
             assert np.array_equal(g, g2)
-            sb = step(sb, [g2], step_size(sb.t, c.mu0), [0.98], c)
-            assert np.array_equal(sa.layers[0], sb.layers[0])
+            lb, sb = step(lb, sb, [g2], step_size(t, c.mu0), [0.98], c, t + 1)
+            assert np.array_equal(la[0], lb[0])
 
     def test_constant_dimension_pins_alpha(self):
         # constant gradient direction: normalized Fisher is constant, so the
         # exponent settles at alpha0 - beta immediately
         c = cfg(mu0=0.01, alpha0=0.9, beta=0.2)
-        state = ParamState.init([np.array([1.0, 1.0])])
         g = np.array([0.6, 0.8])
-        state = sgd_step(state, [g], c.mu0)
-        blocks = make_fisher_blocks(state, 0.1)
-        sed = SedEstimate.empty(1)
-        for _ in range(5):
-            state, sed, alpha = adaptive_step(state, [g], blocks, sed, c)
+        layers, steps = sgd_step(*start([1.0, 1.0]), [g], c.mu0)
+        blocks = fisher_blocks(layers, 0.1)
+        d_max = 0.0
+        for t in range(2, 7):
+            layers, steps, d_max, alpha = adaptive_step(layers, steps, [g], blocks,
+                                                        d_max, c, t)
             # roundoff in the eigen-decomposition of the rescaled EMA block
             # perturbs the ratio at the 1e-9 level
             assert alpha[0] == pytest.approx(0.7, abs=1e-6)
@@ -189,19 +203,19 @@ class TestTwoSedFosgdStep:
     def test_against_straight_line_reference(self):
         # independent re-implementation of the full adaptive loop, written
         # directly from the update equations with no shared code
-        regs = ar_regressors(seed=7)
+        phi, y = ar_regressors(seed=7)
         mu0, delta, gamma_ema = 0.1, 1e-6, 0.1
         zeta, eps, alpha0, beta = 0.7, 0.01, 0.98, 0.01
         s = eps ** (zeta - 1.0)
 
         theta_prev = np.zeros(2)
-        _, g0 = ar_loss_grad(theta_prev, regs[0])
+        _, g0 = ar_loss_grad(theta_prev, phi[0], y[0])
         theta = theta_prev - mu0 * g0
         fhat = np.zeros((2, 2))
         d_max = 0.0
         ref_traj = []
         for t in range(1, 6):
-            _, g = ar_loss_grad(theta, regs[t])
+            _, g = ar_loss_grad(theta, phi[t], y[t])
             fhat = (1 - gamma_ema) * fhat + gamma_ema * np.outer(g, g)
             tr = np.trace(fhat)
             fnorm = (2.0 / tr) * fhat if tr > 1e-12 else np.zeros((2, 2))
@@ -216,34 +230,36 @@ class TestTwoSedFosgdStep:
             ref_traj.append(theta.copy())
 
         c = cfg(mu0=mu0, alpha0=alpha0, beta=beta)
-        state = ParamState.init([np.zeros(2)])
-        _, g0b = ar_loss_grad(state.layers[0], regs[0])
-        state = sgd_step(state, [g0b], mu0)
-        blocks = make_fisher_blocks(state, gamma_ema)
-        sed = SedEstimate.empty(1)
+        layers, steps = start(np.zeros(2))
+        _, g0b = ar_loss_grad(layers[0], phi[0], y[0])
+        layers, steps = sgd_step(layers, steps, [g0b], mu0)
+        blocks = fisher_blocks(layers, gamma_ema)
+        d_max = 0.0
         for t in range(1, 6):
-            _, g = ar_loss_grad(state.layers[0], regs[t])
-            state, sed, _ = adaptive_step(state, [g], blocks, sed, c)
-            assert np.abs(state.layers[0] - ref_traj[t - 1]).max() <= 1e-12
+            _, g = ar_loss_grad(layers[0], phi[t], y[t])
+            layers, steps, d_max, _ = adaptive_step(layers, steps, [g], blocks,
+                                                    d_max, c, t + 1)
+            assert np.abs(layers[0] - ref_traj[t - 1]).max() <= 1e-12
 
 
 class TestFactorBounds:
     def test_effective_step_and_gamma_ranges(self):
         # log every applied per-layer factor over an AR run and check the
         # analysis band, including the true gamma-denominator range
-        regs = ar_regressors(seed=11)
+        phi, y = ar_regressors(seed=11)
         c = cfg(mu0=0.1, alpha0=0.98, beta=0.01, alpha_min=0.05)
-        state = ParamState.init([np.zeros(2)])
-        _, g = ar_loss_grad(state.layers[0], regs[0])
-        state = sgd_step(state, [g], c.mu0)
-        blocks = make_fisher_blocks(state, 0.1)
-        sed = SedEstimate.empty(1)
+        layers, steps = start(np.zeros(2))
+        _, g = ar_loss_grad(layers[0], phi[0], y[0])
+        layers, steps = sgd_step(layers, steps, [g], c.mu0)
+        blocks = fisher_blocks(layers, 0.1)
+        d_max = 0.0
         alpha_min, alpha0 = c.alpha_min, c.alpha0
         for t in range(1, 200):
-            _, g = ar_loss_grad(state.layers[0], regs[t])
-            delta_prev = np.abs(state.layers[0] - state.prev_layers[0])
-            mu = step_size(state.t, c.mu0)
-            state, sed, alpha = adaptive_step(state, [g], blocks, sed, c)
+            _, g = ar_loss_grad(layers[0], phi[t], y[t])
+            delta_prev = np.abs(steps[0])
+            mu = step_size(t, c.mu0)
+            layers, steps, d_max, alpha = adaptive_step(layers, steps, [g], blocks,
+                                                        d_max, c, t + 1)
             a = float(alpha[0])
             denom = math.gamma(2.0 - a)
             assert 0.88 <= denom <= 1.0
@@ -258,41 +274,41 @@ class TestFactorBounds:
 
 class TestBoundedIterates:
     def test_zero_gradients(self):
-        state = ParamState.init([np.zeros(3)])
-        traj = [state]
+        layers, steps = start(np.zeros(3))
+        traj = [steps]
         for _ in range(5):
-            state = sgd_step(state, [np.zeros(3)], 0.1)
-            traj.append(state)
+            layers, steps = sgd_step(layers, steps, [np.zeros(3)], 0.1)
+            traj.append(steps)
         bound = delta_radius(cfg(mu0=0.1), 1.0) * (1 + 1e-12)
-        assert all(d <= bound for s in traj for d in s.deltas())
+        assert all(d <= bound for s in traj for d in deltas(s))
 
     def test_single_full_size_step(self):
         c = cfg(mu0=0.1)
         g = np.array([3.0, 4.0])  # norm 5
-        state = sgd_step(ParamState.init([np.zeros(2)]), [g], c.mu0)
-        assert state.deltas()[0] == pytest.approx(0.5, rel=1e-12)
-        assert state.deltas()[0] <= delta_radius(c, 5.0) * (1 + 1e-12)
+        _, steps = sgd_step(*start(np.zeros(2)), [g], c.mu0)
+        assert deltas(steps)[0] == pytest.approx(0.5, rel=1e-12)
+        assert deltas(steps)[0] <= delta_radius(c, 5.0) * (1 + 1e-12)
 
     def test_radius_covers_classical_step(self):
         c = cfg(mu0=0.1, alpha0=0.98)
         assert delta_radius(c, 5.0) >= c.mu0 * 5.0
 
     def test_adaptive_run_stays_bounded(self):
-        regs = ar_regressors(seed=5, n=220)
+        phi, y = ar_regressors(seed=5, n=220)
         c = cfg(mu0=0.1, alpha0=0.98, beta=0.01, grad_clip=10.0)
-        state = ParamState.init([np.zeros(2)])
-        _, g = ar_loss_grad(state.layers[0], regs[0])
-        state = sgd_step(state, clip_gradients([g], 10.0), c.mu0)
-        blocks = make_fisher_blocks(state, 0.1)
-        sed = SedEstimate.empty(1)
-        traj = [state]
+        layers, steps = start(np.zeros(2))
+        _, g = ar_loss_grad(layers[0], phi[0], y[0])
+        layers, steps = sgd_step(layers, steps, clip_gradients([g], 10.0), c.mu0)
+        blocks = fisher_blocks(layers, 0.1)
+        d_max = 0.0
+        traj = [steps]
         for t in range(1, 200):
-            _, g = ar_loss_grad(state.layers[0], regs[t])
-            state, sed, _ = adaptive_step(
-                state, clip_gradients([g], 10.0), blocks, sed, c)
-            traj.append(state)
+            _, g = ar_loss_grad(layers[0], phi[t], y[t])
+            layers, steps, d_max, _ = adaptive_step(
+                layers, steps, clip_gradients([g], 10.0), blocks, d_max, c, t + 1)
+            traj.append(steps)
         bound = delta_radius(c, 10.0) * (1 + 1e-12)
-        assert all(d <= bound for s in traj for d in s.deltas())
+        assert all(d <= bound for s in traj for d in deltas(s))
 
 
 class TestClip:

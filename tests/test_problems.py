@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sedfosgd.noise import RngStream, StableParams
-from sedfosgd.problems import (ArModel, GaussianNoise, GenerationError,
-                               IdxFormatError, LabeledBatch, MlpSpec,
-                               Regressor, StableNoise, ar_generate,
-                               ar_loss_grad, load_idx, mlp_init_layers,
-                               mlp_loss_grad, quadratic_loss_grad, write_idx)
+from sedfosgd.noise import RngStream, StableParams, alpha_stable, gaussian
+from sedfosgd.problems import (GenerationError, IdxFormatError, LabeledBatch,
+                               MlpSpec, ar_generate, ar_loss_grad, load_idx,
+                               mlp_init_layers, mlp_loss_grad,
+                               quadratic_loss_grad, write_idx)
 
 AR_COEFFS = np.array([1.5, -0.7])
 
@@ -23,30 +22,45 @@ def central_diff(f, x, h=1e-6):
     return g
 
 
+def gaussian_draw(std, seed=0):
+    rng = RngStream(seed)
+    return lambda: gaussian(rng, 0.0, std)
+
+
 class TestArGenerate:
     def test_forced_initial_conditions(self):
-        model = ArModel(coeffs=AR_COEFFS, noise=GaussianNoise(0.0), horizon=5)
-        regs = ar_generate(model, RngStream(0), initial=[1.0, 1.0])
+        phi, _ = ar_generate(AR_COEFFS, 5, gaussian_draw(0.0), initial=[1.0, 1.0])
         # y(1) = 1.5 * 1 - 0.7 * 1 = 0.8
-        assert regs[0].phi[1] == pytest.approx(0.8, rel=1e-12)
+        assert phi[0, 1] == pytest.approx(0.8, rel=1e-12)
 
     def test_zero_noise_zero_start_is_all_zero(self):
-        model = ArModel(coeffs=AR_COEFFS, noise=GaussianNoise(0.0), horizon=50)
-        regs = ar_generate(model, RngStream(0))
-        assert all(r.y == 0.0 for r in regs)
+        phi, y = ar_generate(AR_COEFFS, 50, gaussian_draw(0.0))
+        assert np.all(y == 0.0) and np.all(phi == 0.0)
 
     def test_pair_count(self):
-        model = ArModel(coeffs=AR_COEFFS, noise=GaussianNoise(1.0), horizon=40)
-        assert len(ar_generate(model, RngStream(1))) == 38
+        phi, y = ar_generate(AR_COEFFS, 40, gaussian_draw(1.0, seed=1))
+        assert phi.shape == (38, 2) and y.shape == (38,)
+
+    def test_rows_are_lag_windows(self):
+        # row r holds (y(k-1), ..., y(k-p)) of its target y(k), k = p + 1 + r
+        phi, y = ar_generate(np.array([0.5, -0.2, 0.1]), 30, gaussian_draw(1.0))
+        for r in range(1, y.size):
+            assert phi[r, 0] == y[r - 1]
+            assert np.array_equal(phi[r, 1:], phi[r - 1, :-1])
+
+    def test_coeffs_and_horizon_checked(self):
+        with pytest.raises(ValueError, match="horizon"):
+            ar_generate(AR_COEFFS, 2, gaussian_draw(1.0))
+        with pytest.raises(ValueError, match="vector"):
+            ar_generate(np.eye(2), 10, gaussian_draw(1.0))
 
     def test_noiseless_decay(self):
         # roots of z^2 - 1.5 z + 0.7 are inside the unit circle
         roots = np.roots([1.0, -1.5, 0.7])
         assert np.all(np.abs(roots) < 1.0)
-        model = ArModel(coeffs=AR_COEFFS, noise=GaussianNoise(0.0), horizon=200)
-        regs = ar_generate(model, RngStream(0), initial=[2.0, -1.0])
-        y_p = regs[0].phi[0]  # y(2), first output with a full lag window
-        assert abs(regs[-1].y) < abs(y_p)
+        phi, y = ar_generate(AR_COEFFS, 200, gaussian_draw(0.0), initial=[2.0, -1.0])
+        y_p = phi[0, 0]  # y(2), first output with a full lag window
+        assert abs(y[-1]) < abs(y_p)
 
     def test_yule_walker_autocovariance(self):
         # stationary solution: rho1 = a1/(1-a2), gamma0 = s^2/(1 - a1 rho1 - a2 rho2)
@@ -56,38 +70,32 @@ class TestArGenerate:
         g0 = s2 / (1 - a1 * rho1 - a2 * rho2)
         expected = [g0, g0 * rho1, g0 * rho2]
 
-        model = ArModel(coeffs=AR_COEFFS, noise=GaussianNoise(math.sqrt(s2)),
-                        horizon=5000)
-        regs = ar_generate(model, RngStream(3))
-        y = np.array([r.y for r in regs])
+        _, y = ar_generate(AR_COEFFS, 5000, gaussian_draw(math.sqrt(s2), seed=3))
         y = y - y.mean()
         for lag, want in enumerate(expected):
             got = float(np.mean(y[lag:] * y[: y.size - lag]))
             assert got == pytest.approx(want, rel=0.10)
 
     def test_explosive_noise_raises_with_index(self):
-        model = ArModel(coeffs=np.array([2.5]), noise=GaussianNoise(1e150),
-                        horizon=400)
         with pytest.raises(GenerationError, match="index"):
-            ar_generate(model, RngStream(9))
+            ar_generate(np.array([2.5]), 400, gaussian_draw(1e150, seed=9))
 
     def test_stable_noise_runs(self):
-        noise = StableNoise(StableParams(alpha_tail=1.8, scale=0.5))
-        model = ArModel(coeffs=AR_COEFFS, noise=noise, horizon=100)
-        regs = ar_generate(model, RngStream(4))
-        assert len(regs) == 98
+        rng = RngStream(4)
+        params = StableParams(alpha_tail=1.8, scale=0.5)
+        phi, y = ar_generate(AR_COEFFS, 100, lambda: alpha_stable(rng, params))
+        assert phi.shape == (98, 2) and y.shape == (98,)
 
 
 class TestArLossGrad:
     def test_exact_fit(self):
-        r = Regressor(phi=np.array([1.0, 2.0]), y=float(AR_COEFFS @ [1.0, 2.0]))
-        loss, grad = ar_loss_grad(AR_COEFFS, r)
+        phi = np.array([1.0, 2.0])
+        loss, grad = ar_loss_grad(AR_COEFFS, phi, float(AR_COEFFS @ phi))
         assert loss == 0.0
         assert np.allclose(grad, 0.0)
 
     def test_hand_arithmetic(self):
-        r = Regressor(phi=np.array([1.0, 0.0]), y=2.0)
-        loss, grad = ar_loss_grad(np.zeros(2), r)
+        loss, grad = ar_loss_grad(np.zeros(2), np.array([1.0, 0.0]), 2.0)
         assert loss == 2.0
         assert np.array_equal(grad, [-2.0, 0.0])
 
@@ -95,10 +103,10 @@ class TestArLossGrad:
         rng = np.random.default_rng(0)
         for _ in range(100):
             phi = rng.standard_normal(3)
-            r = Regressor(phi=phi, y=float(rng.standard_normal()))
+            y = float(rng.standard_normal())
             theta = rng.standard_normal(3)
-            _, grad = ar_loss_grad(theta, r)
-            fd = central_diff(lambda x: ar_loss_grad(x, r)[0], theta)
+            _, grad = ar_loss_grad(theta, phi, y)
+            fd = central_diff(lambda x: ar_loss_grad(x, phi, y)[0], theta)
             assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 

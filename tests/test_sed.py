@@ -8,8 +8,7 @@ from sedfosgd.fisher import FisherBlock, ema_update, normalize
 from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.optim import observe_fisher_sed
-from sedfosgd.sed import (SedEstimate, adapt_alpha, curvature_scale, d_curv,
-                          two_sed, update_dmax)
+from sedfosgd.sed import adapt_alpha, curvature_scale, d_curv, two_sed
 
 
 def config(**kw):
@@ -106,67 +105,76 @@ class TestTwoSed:
         for _ in range(200):
             g = rng.standard_normal(d)
             g *= min(1.0, cap / np.linalg.norm(g))
-            block = ema_update(block, g)
+            ema_update(block, g)
             assert two_sed(ld(block.matrix), d, CFG) <= ceiling + 1e-9
 
 
 class TestUpdateDmax:
+    """The running maximum `observe_fisher_sed` folds the new dimensions into."""
+
+    def _observe(self, grads, d_max, dims=(2, 5)):
+        blocks = [FisherBlock.zeros(j, d, decay=0.1) for j, d in enumerate(dims)]
+        return observe_fisher_sed(grads, blocks, d_max, CFG)
+
     def test_takes_new_max(self):
-        sed = SedEstimate(per_layer=np.array([3.0, 5.0]), d_max_running=4.0)
-        assert update_dmax(sed).d_max_running == 5.0
+        # a 5-dim layer's d_zeta is at least zeta * 5 = 3.5, above 3
+        dzeta, d_max, _ = self._observe([np.ones(2), np.ones(5)], 3.0)
+        assert dzeta[1] > dzeta[0] and dzeta[1] > 3.0
+        assert d_max == dzeta[1]
 
     def test_unchanged_when_below(self):
-        sed = SedEstimate(per_layer=np.array([1.0, 2.0]), d_max_running=4.0)
-        assert update_dmax(sed).d_max_running == 4.0
+        dzeta, d_max, _ = self._observe([np.ones(2), np.ones(5)], 100.0)
+        assert np.all(dzeta < 100.0)
+        assert d_max == 100.0
 
     def test_running_sequence(self):
-        sed = SedEstimate.empty(1)
-        seen = []
-        for v in (2.0, 7.0, 4.0, 6.0):
-            sed = SedEstimate(per_layer=np.array([v]),
-                              d_max_running=sed.d_max_running)
-            sed = update_dmax(sed)
-            seen.append(sed.d_max_running)
-        assert seen == [2.0, 7.0, 7.0, 7.0]
+        # a zero gradient shrinks the block, so d_zeta falls and the
+        # maximum holds
+        block = [FisherBlock.zeros(0, 2, decay=0.5)]
+        d_max = 0.0
+        seen, values = [], []
+        for g in ([1.0, 0.0], [0.0, 3.0], [0.0, 0.0], [0.0, 0.0]):
+            dzeta, d_max, _ = observe_fisher_sed([np.array(g)], block, d_max,
+                                                 config(normalize_fisher=False))
+            values.append(dzeta[0])
+            seen.append(d_max)
+        assert values[0] < values[1] and values[1] > values[2] > values[3]
+        assert seen == [values[0], values[1], values[1], values[1]]
 
 
 class TestAdaptAlpha:
-    def _sed(self, per_layer, d_max):
-        per_layer = np.asarray(per_layer, dtype=float)
-        return SedEstimate(per_layer=per_layer, d_max_running=d_max)
-
     def test_ratio_one_gives_base_minus_beta(self):
         cfg = config(alpha0=0.9, beta=0.2)
-        alpha = adapt_alpha(self._sed([5.0], 5.0), cfg)
+        alpha = adapt_alpha(np.array([5.0]), 5.0, cfg)
         assert alpha[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_ratio_zero_gives_base(self):
         cfg = config(alpha0=0.9, beta=0.2)
-        assert adapt_alpha(self._sed([0.0], 5.0), cfg)[0] == 0.9
+        assert adapt_alpha(np.array([0.0]), 5.0, cfg)[0] == 0.9
 
     def test_half_ratio_arithmetic(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        alpha = adapt_alpha(self._sed([2.0], 4.0), cfg)
+        alpha = adapt_alpha(np.array([2.0]), 4.0, cfg)
         assert alpha[0] == pytest.approx(0.975, rel=1e-12)
 
     def test_no_observation_gives_base(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        alpha = adapt_alpha(self._sed([0.0, 0.0], 0.0), cfg)
+        alpha = adapt_alpha(np.array([0.0, 0.0]), 0.0, cfg)
         assert np.all(alpha == 0.98)
 
     def test_clamped_to_floor(self):
         cfg = config(alpha0=0.5, beta=10.0, alpha_min=0.05)
-        assert adapt_alpha(self._sed([5.0], 5.0), cfg)[0] == 0.05
+        assert adapt_alpha(np.array([5.0]), 5.0, cfg)[0] == 0.05
 
     def test_scale_invariance(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        a1 = adapt_alpha(self._sed([2.0, 3.0], 4.0), cfg)
-        a2 = adapt_alpha(self._sed([20.0, 30.0], 40.0), cfg)
+        a1 = adapt_alpha(np.array([2.0, 3.0]), 4.0, cfg)
+        a2 = adapt_alpha(np.array([20.0, 30.0]), 40.0, cfg)
         assert np.allclose(a1, a2, rtol=1e-12)
 
     def test_monotone_in_dimension(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        values = [adapt_alpha(self._sed([v], 10.0), cfg)[0]
+        values = [adapt_alpha(np.array([v]), 10.0, cfg)[0]
                   for v in (0.0, 2.0, 5.0, 10.0)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -175,7 +183,7 @@ class TestAdaptAlpha:
         rng = np.random.default_rng(3)
         for _ in range(50):
             per = rng.uniform(0, 10, size=3)
-            alpha = adapt_alpha(self._sed(per, 10.0), cfg)
+            alpha = adapt_alpha(per, 10.0, cfg)
             assert np.all(alpha >= 0.1) and np.all(alpha <= 0.98)
 
 
@@ -187,7 +195,7 @@ class TestNormalizedPipeline:
         block = FisherBlock.zeros(0, 2, decay=0.1)
         values = []
         for _ in range(5):
-            block = ema_update(block, g)
+            ema_update(block, g)
             values.append(two_sed(ld(normalize(block)), 2, CFG))
         assert np.allclose(values, values[0], rtol=1e-12)
 
@@ -203,9 +211,10 @@ class TestNormalizedPipeline:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         blocks = [FisherBlock.zeros(0, 330, decay=0.1)]
-        sed = SedEstimate.empty(1)
+        d_max = 0.0
         rng = np.random.default_rng(4)
         for _ in range(6):
-            sed, _ = observe_fisher_sed([rng.standard_normal(330)], blocks, sed, CFG)
+            _, d_max, _ = observe_fisher_sed([rng.standard_normal(330)], blocks,
+                                             d_max, CFG)
         assert shapes == [(k, k) for k in range(1, 7)]
         assert blocks[0].gram.shape == (6, 6)
