@@ -4,14 +4,13 @@
     sedfosgd sweep   --config cfg --seeds N [--override k=v]...
     sedfosgd ratefit --config cfg [--seeds N] [--override k=v]...
 
-Exit codes: 0 success; 1 validation error, file error (OSError) or failed
-eigensolve (NumericalError); 2 divergence of the optimizer or of the
-simulated data (GenerationError).
+Exit codes: 0 success; 1 malformed command line, validation error, file
+error (OSError) or failed eigensolve (NumericalError); 2 divergence of the
+optimizer or of the simulated data (GenerationError).
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import harness
 from .harness import ConfigError
@@ -20,20 +19,28 @@ from .optim import DivergenceError
 from .problems import GenerationError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line, in any subcommand, as a ConfigError
+    (exit 1, one line) rather than a usage block and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    parser.add_argument("--out", default=None, help="trace CSV output path")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override any config key")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="sedfosgd")
+    parser = _Parser(prog="sedfosgd")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
     _add_common(p_run)
+    p_run.add_argument("--out", default=None, help="trace CSV output path")
 
     p_sweep = sub.add_parser("sweep", help="run a multi-seed sweep")
     _add_common(p_sweep)
@@ -48,17 +55,15 @@ def build_parser():
 
 def _load(args):
     overrides = harness.parse_overrides(args.override)
-    config = harness.load_config(args.config, overrides)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    return config
+    for key in ("seed", "out"):  # `--out` is a `run` option only
+        if getattr(args, key, None) is not None:
+            overrides[key] = getattr(args, key)
+    return harness.load_config(args.config, overrides)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load(args)
         if args.command == "run":
             result = harness.run(config)

@@ -96,27 +96,7 @@ def _extend_factor(rows, gram, v, gamma):
     return rows, out
 
 
-def trace(block):
-    if block.mode == "full":
-        return float(np.trace(block.matrix))
-    return float(np.sum(block.matrix))
-
-
 _TRACE_FLOOR = 1e-12
-
-
-def _trace_scale(block):
-    """dim / trace, or 0 for a block whose trace is at the floor."""
-    tr = trace(block)
-    return 0.0 if tr <= _TRACE_FLOOR else block.dim / tr
-
-
-def normalize(block):
-    """Rescale so the trace equals the dimension; zero block maps to zero."""
-    scale = _trace_scale(block)
-    if scale == 0.0:
-        return np.zeros_like(block.matrix)
-    return scale * block.matrix
 
 
 def spectral_operand(block, normalized):
@@ -124,8 +104,15 @@ def spectral_operand(block, normalized):
 
     That is the k x k weighted gradient Gram while the block holds its
     rank-limited factor, else the block itself (a vector in diagonal mode).
-    With `normalized`, the spectrum is that of `normalize(block)`.
+    With `normalized`, it is scaled by dim / trace, so the block's trace
+    becomes its dimension; a block whose trace is at the floor maps to zero.
     """
-    if block.gram is None:
-        return normalize(block) if normalized else block.matrix
-    return _trace_scale(block) * block.gram if normalized else block.gram
+    operand = block.matrix if block.gram is None else block.gram
+    if not normalized:
+        return operand
+    if block.mode == "full":
+        tr = float(np.trace(block.matrix))
+    else:
+        tr = float(np.sum(block.matrix))
+    scale = 0.0 if tr <= _TRACE_FLOOR else block.dim / tr
+    return scale * operand

@@ -8,15 +8,13 @@ run is fully determined by its config, including the CSV bytes it writes.
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
 from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
-from .noise import (RngStream, StableParams, _mix, alpha_stable, gaussian,
-                    gaussians)
+from .noise import RngStream, StableParams, _mix, alpha_stable, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
 
@@ -190,28 +188,28 @@ class _ArDriver:
     def __init__(self, config, rng):
         self.true_coeffs = np.asarray(config.ar_coeffs, dtype=float)
         p = self.true_coeffs.size
+        n = config.iterations + p
         if config.noise == "gaussian":
-            draw = partial(gaussian, rng, 0.0, config.noise_std)
+            noise = gaussians(rng, n, 0.0, config.noise_std)
         else:
-            draw = partial(alpha_stable, rng, StableParams(
+            params = StableParams(
                 alpha_tail=config.stable_tail, skew=config.stable_skew,
-                scale=config.stable_scale, location=config.stable_location))
-        self.phi, self.y = problems_mod.ar_generate(
-            self.true_coeffs, config.iterations + p, draw)
-        self.n_layers = 1
+                scale=config.stable_scale, location=config.stable_location)
+            noise = [alpha_stable(rng, params) for _ in range(n)]
+        self.phi, self.y = problems_mod.ar_generate(self.true_coeffs, noise)
         self.init_layers = [np.zeros(p)]
 
     def loss_grad(self, layers, t):
-        k = (t - 1) % len(self.y)
-        loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[k], self.y[k])
+        loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[t - 1],
+                                            self.y[t - 1])
         return loss, [g]
 
     def metric_names(self):
         return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
 
     def metrics(self, layers):
-        err = np.abs(layers[0] - self.true_coeffs)
-        return list(err) + [float(np.linalg.norm(layers[0] - self.true_coeffs))]
+        err = layers[0] - self.true_coeffs
+        return list(np.abs(err)) + [float(optim_mod.norm([err]))]
 
 
 class _QuadraticDriver:
@@ -230,7 +228,6 @@ class _QuadraticDriver:
         self.rng = rng
         self._noise_rows = np.empty((0, diag.size))
         self._next_row = 0
-        self.n_layers = 1
         self.init_layers = [np.ones(diag.size)]
         self.f_star = 0.0  # b = 0, minimum at the origin
 
@@ -275,7 +272,6 @@ class _MlpDriver:
         self.spec = problems_mod.MlpSpec(
             widths=(inputs.shape[1], config.mlp_hidden, classes))
         self.batch_size = config.mlp_batch
-        self.n_layers = self.spec.n_layers
         self.init_layers = problems_mod.mlp_init_layers(self.spec, rng)
 
     def loss_grad(self, layers, t):
@@ -318,7 +314,6 @@ _DRIVERS = {"ar": _ArDriver, "quadratic": _QuadraticDriver, "mlp": _MlpDriver}
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     header: list
     rows: list            # list of lists of floats, one per iteration
     final_layers: list
@@ -331,7 +326,7 @@ def _fmt(x):
 
 def trace_header(driver):
     cols = ["t", "mu", "loss"]
-    for j in range(driver.n_layers):
+    for j in range(len(driver.init_layers)):
         cols += [f"alpha_l{j}", f"dzeta_l{j}", f"delta_norm_l{j}"]
     cols.append("d_max")
     cols += driver.metric_names()
@@ -417,8 +412,7 @@ def run(config):
 
     if writer:
         _write_summary(config.out + ".summary", summary)
-    return RunResult(config=config, header=header, rows=rows,
-                     final_layers=layers, summary=summary)
+    return RunResult(header=header, rows=rows, final_layers=layers, summary=summary)
 
 
 class _TraceWriter:

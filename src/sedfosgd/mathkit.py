@@ -9,23 +9,14 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """Eigendecomposition failed to converge; carries the residual norm."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-def _fro(m):
-    return float(np.linalg.norm(m, "fro"))
+    """Eigendecomposition failed to converge."""
 
 
 def _solve(solver, m):
     try:
         return solver(m)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}",
-                             residual=_fro(m)) from exc
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
 
 
 def logdet_plus(m, s):

@@ -137,7 +137,8 @@ def alpha_stable(rng, p):
     """One stable draw by the Chambers-Mallows-Stuck construction.
 
     At alpha_tail = 2 this reduces to N(location, 2 * scale^2); at
-    alpha_tail = 1, skew = 0 it is a scaled Cauchy.
+    alpha_tail = 1, skew = 0 it is a scaled Cauchy. A draw beyond the float
+    range (possible for a small alpha_tail) is an infinity of its sign.
     """
     a = p.alpha_tail
     b = p.skew
@@ -156,10 +157,13 @@ def alpha_stable(rng, p):
     t = b * math.tan(math.pi * a / 2.0)
     b0 = math.atan(t) / a
     s = (1.0 + t * t) ** (1.0 / (2.0 * a))
-    x = (
-        s
-        * math.sin(a * (u + b0))
-        / math.cos(u) ** (1.0 / a)
-        * (math.cos(u - a * (u + b0)) / w) ** ((1.0 - a) / a)
-    )
+    try:
+        x = (
+            s
+            * math.sin(a * (u + b0))
+            / math.cos(u) ** (1.0 / a)
+            * (math.cos(u - a * (u + b0)) / w) ** ((1.0 - a) / a)
+        )
+    except (OverflowError, ZeroDivisionError):  # or cos(u)^(1/a) underflowed
+        x = math.copysign(math.inf, math.sin(a * (u + b0)))
     return p.scale * x + p.location

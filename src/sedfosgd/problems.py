@@ -5,6 +5,7 @@ convex quadratics for rate checks, and a tiny MLP classifier fed by
 IDX-format image/label files.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,41 +28,38 @@ class IdxFormatError(ValueError):
 # AR(p) system identification
 # ---------------------------------------------------------------------------
 
-def ar_generate(coeffs, horizon, draw, initial=None):
-    """Simulate y(k) = sum_i a_i y(k-i) + xi(k) for k = 1..K (K = `horizon`),
-    with `draw()` giving each noise sample xi(k) in turn.
+def ar_generate(coeffs, noise):
+    """Filter the noise samples xi(1), ..., xi(K) through
+    y(k) = sum_i a_i y(k-i) + xi(k) from zero initial conditions
+    y(0) = y(-1) = ... = y(1-p) = 0.
 
-    Initial conditions y(0), y(-1), ..., y(1-p) default to zero; `initial`
-    overrides them as (y(0), ..., y(1-p)). Returns the K - p regressor rows
-    `phi` (each the lagged outputs (y(k-1), ..., y(k-p))) and their targets
-    `y` (y(k)), for the k whose lag window is all simulated outputs.
+    Returns the K - p regressor rows `phi` (each the lagged outputs
+    (y(k-1), ..., y(k-p))) and their targets `y` (y(k)), for the k whose
+    lag window is all simulated outputs. A non-finite output, from a
+    non-finite sample or from growth past the float range, raises
+    GenerationError with its index k.
     """
     a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"coeffs must be a vector, got shape {a.shape}")
-    p = a.size
+    xi = np.asarray(noise, dtype=float)
+    if a.ndim != 1 or xi.ndim != 1:
+        raise ValueError(f"coeffs and noise must be vectors, got shapes "
+                         f"{a.shape} and {xi.shape}")
+    p, horizon = a.size, xi.size
     if horizon <= p:
         raise ValueError(f"horizon must exceed the order, got K={horizon}, p={p}")
-    pre = np.zeros(p) if initial is None else np.asarray(initial, dtype=float)
-    if pre.shape != (p,):
-        raise ValueError(f"initial must have length {p}, got shape {pre.shape}")
-
-    def past(k, i):
-        # y(k - i) with y(0), y(-1), ... taken from the initial conditions
-        return y[k - i] if k - i >= 1 else pre[i - k]
-
-    y = np.zeros(horizon + 1)  # index 0 unused; history lives in `pre`
-    with np.errstate(over="ignore"):  # overflow is detected and reported below
-        for k in range(1, horizon + 1):
-            acc = 0.0
-            for i in range(1, p + 1):
-                acc += a[i - 1] * past(k, i)
-            y[k] = acc + draw()
-            if not np.isfinite(y[k]):
-                raise GenerationError(f"non-finite output at index {k}",
-                                      sample_index=k)
-    phi = np.column_stack([y[p + 1 - i:horizon + 1 - i] for i in range(1, p + 1)])
-    return phi, y[p + 1:]
+    lags = a.tolist()
+    y = [0.0] * p  # y(1-p), ..., y(0); y(k) is appended at y[p - 1 + k]
+    for k, sample in enumerate(xi.tolist(), start=1):
+        acc = 0.0
+        for i, a_i in enumerate(lags, start=1):
+            acc += a_i * y[-i]
+        y.append(acc + sample)
+        if not math.isfinite(y[-1]):
+            raise GenerationError(f"non-finite output at index {k}",
+                                  sample_index=k)
+    y = np.array(y)
+    phi = np.column_stack([y[2 * p - i:p + horizon - i] for i in range(1, p + 1)])
+    return phi, y[2 * p:]
 
 
 def ar_loss_grad(theta_hat, phi, y):

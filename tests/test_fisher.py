@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedfosgd.fisher import (FisherBlock, ema_update, normalize,
-                             spectral_operand, trace)
+from sedfosgd.fisher import FisherBlock, ema_update, spectral_operand
 from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.sed import curvature_scale
@@ -101,7 +100,7 @@ class TestEmaUpdate:
         for g in fixed_stream(40, 4, seed=4):
             ema_update(block, g)
             w = np.linalg.eigvalsh(block.matrix)
-            assert w.min() >= -1e-10 * trace(block)
+            assert w.min() >= -1e-10 * np.trace(block.matrix)
 
     def test_trace_bound_under_gradient_bound(self):
         # deterministic version of the EMA trace bound: ||g||^2 <= B keeps
@@ -113,18 +112,18 @@ class TestEmaUpdate:
             g = rng.standard_normal(3)
             g *= np.sqrt(b) / max(1.0, np.linalg.norm(g))
             ema_update(block, g)
-            assert trace(block) <= b + 1e-12
+            assert np.trace(block.matrix) <= b + 1e-12
 
 
 class TestTrace:
     def test_zero_block(self):
-        assert trace(FisherBlock.zeros(0, 3, decay=0.5)) == 0.0
+        assert np.trace(FisherBlock.zeros(0, 3, decay=0.5).matrix) == 0.0
 
     def test_single_full_weight_update(self):
         g = np.array([3.0, 4.0])
         block = FisherBlock.zeros(0, 2, decay=1.0)
         ema_update(block, g)
-        assert trace(block) == pytest.approx(25.0, rel=1e-12)
+        assert np.trace(block.matrix) == pytest.approx(25.0, rel=1e-12)
 
     def test_matches_weighted_norm_sum(self):
         grads = fixed_stream(50, 3, seed=6)
@@ -133,31 +132,33 @@ class TestTrace:
             ema_update(block, g)
         expected = sum(0.1 * 0.9 ** s * float(g @ g)
                        for s, g in enumerate(reversed(grads)))
-        assert trace(block) == pytest.approx(expected, abs=1e-12)
+        assert np.trace(block.matrix) == pytest.approx(expected, abs=1e-12)
 
 
 class TestNormalize:
     def test_identity_fixed_point(self):
         block = FisherBlock(0, "full", np.eye(3), decay=0.1)
-        assert np.allclose(normalize(block), np.eye(3))
+        assert np.allclose(spectral_operand(block, True), np.eye(3))
 
     def test_zero_block_maps_to_zero(self):
-        block = FisherBlock.zeros(0, 4, decay=0.1)
-        assert np.all(normalize(block) == 0.0)
+        # a zero block and one whose trace is at the 1e-12 floor
+        for scale in (0.0, 1e-13):
+            block = FisherBlock(0, "full", scale * np.eye(4), decay=0.1)
+            assert np.all(spectral_operand(block, True) == 0.0)
 
     def test_rescales_trace(self):
         block = FisherBlock(0, "full", np.diag([1.0, 3.0]), decay=0.1)
-        assert np.allclose(normalize(block), np.diag([0.5, 1.5]))
+        assert np.allclose(spectral_operand(block, True), np.diag([0.5, 1.5]))
 
     def test_output_trace_equals_nominal(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
         block = FisherBlock(0, "full", a @ a.T, decay=0.1)
-        assert np.trace(normalize(block)) == pytest.approx(5.0, abs=1e-10)
+        assert np.trace(spectral_operand(block, True)) == pytest.approx(5.0, abs=1e-10)
 
     def test_diagonal_mode(self):
         block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1)
-        assert np.allclose(normalize(block), [0.5, 1.5])
+        assert np.allclose(spectral_operand(block, True), [0.5, 1.5])
 
 
 def _ema_weights(decay, n):
@@ -238,7 +239,7 @@ class TestRankLimitedFactor:
             weighted = np.sqrt(_ema_weights(decay, n))[:, None] * grads[:n]
             sigma = np.linalg.svd(weighted, compute_uv=False)
             if normalized:
-                sigma = sigma * np.sqrt(dim / trace(block))
+                sigma = sigma * np.sqrt(dim / np.trace(block.matrix))
             expected = float(np.sum(np.log1p(SCALE * sigma)))
             op = spectral_operand(block, normalized)
             assert op.shape == ((n, n) if n < dim else (dim, dim))

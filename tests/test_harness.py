@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedfosgd import cli, harness
-from sedfosgd.harness import (ConfigError, ExperimentConfig, _QuadraticDriver,
-                              _shuffled_indices, csv_bytes, derive_seed,
-                              load_config, parse_config_text, parse_overrides,
-                              rate_fit, run, running_min, seed_rate_fit,
-                              seed_sweep)
+from sedfosgd.harness import (ConfigError, ExperimentConfig, _ArDriver,
+                              _QuadraticDriver, _shuffled_indices, csv_bytes,
+                              derive_seed, load_config, parse_config_text,
+                              parse_overrides, rate_fit, run, running_min,
+                              seed_rate_fit, seed_sweep)
 from sedfosgd.mathkit import NumericalError
 from sedfosgd.noise import RngStream, gaussian
 from sedfosgd.optim import DivergenceError
-from sedfosgd.problems import quadratic_loss_grad
+from sedfosgd.problems import ar_generate, quadratic_loss_grad
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
@@ -216,6 +216,19 @@ class TestStreamConsumers:
             noise = np.array([gaussian(ref, 0.0, 2.5) for _ in range(dim)])
             assert f == f_ref
             assert g.tobytes() == (g_ref + noise).tobytes()
+
+    @pytest.mark.parametrize("coeffs,std", [((1.5, -0.7), math.sqrt(0.5)),
+                                            ((0.5, -0.2, 0.1), 3.0), ((0.9,), 0.0)])
+    def test_ar_noise_equals_scalar_draws(self, coeffs, std):
+        cfg = ExperimentConfig(problem="ar", optimizer="sgd", iterations=700,
+                               ar_coeffs=coeffs, noise_std=std)
+        rng, ref = RngStream(2**64 - 1), RngStream(2**64 - 1)
+        driver = _ArDriver(cfg, rng)
+        noise = [gaussian(ref, 0.0, std) for _ in range(700 + len(coeffs))]
+        phi, y = ar_generate(coeffs, noise)
+        assert driver.phi.tobytes() == phi.tobytes()
+        assert driver.y.tobytes() == y.tobytes()
+        assert rng.next_u64() == ref.next_u64()
 
 
 class TestRateFit:
@@ -501,6 +514,17 @@ class TestCli:
         assert err.startswith("diverged: ") and err.count("\n") == 1
         assert err == "diverged: seed=0 non-finite loss or gradient at step 10\n"
 
+    @pytest.mark.parametrize("seed,index", [(1, 15), (2, 22), (3, 44)])
+    def test_stable_draw_beyond_float_range_diverges(self, tmp_path, capsys,
+                                                      seed, index):
+        # at stable_tail = 0.005 some draws lie beyond the float range
+        cfg = self._write_cfg(
+            tmp_path, "problem = ar\noptimizer = sgd\niterations = 50\n"
+            "noise = stable\nstable_tail = 0.005\n")
+        assert cli.main(["run", "--config", cfg, "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"diverged: non-finite output at index {index}\n"
+
     def test_generation_blowup_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path,
@@ -510,6 +534,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and err.count("\n") == 1
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [
+        [], ["run"], ["run", "--config"], ["run", "--config", "CFG", "--seed", "abc"],
+        ["sweep", "--config", "CFG", "--seeds", "x"], ["bogus"],
+        ["run", "--config", "CFG", "--bogus"],
+        ["sweep", "--config", "CFG", "--out", "OUT"],  # --out is a run option
+        ["ratefit", "--config", "CFG", "--out", "OUT"],
+    ])
+    def test_usage_error_exits_one(self, tmp_path, capsys, args):
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 60\n")
+        out = str(tmp_path / "trace.csv")
+        argv = [{"CFG": cfg, "OUT": out}.get(a, a) for a in args]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 0
+        assert "usage: sedfosgd" in capsys.readouterr().out
+
+    def test_seed_flag_wins_over_override(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path,
+                              "problem = ar\noptimizer = sgd\niterations = 20\n")
+        traces = []
+        for extra in ([], ["--override", "seed=9"]):
+            out = str(tmp_path / f"trace{len(traces)}.csv")
+            argv = ["run", "--config", cfg, "--seed", "5", "--out", out] + extra
+            assert cli.main(argv) == 0
+            with open(out, "rb") as fh:
+                traces.append(fh.read())
+        assert traces[0] == traces[1]
+        assert traces[0] == csv_bytes(run(load_config(cfg, {"seed": 5})))
+
+    def test_huge_finite_coefficient_error_has_a_finite_norm(self, tmp_path,
+                                                             capsys):
+        # the first step puts the estimate near 1e160, so the squares of the
+        # error overflow; err_norm is still the norm of the finite errors
+        cfg = self._write_cfg(
+            tmp_path, "problem = ar\noptimizer = sgd\nmu0 = 1e160\niterations = 3\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        with open(out, encoding="utf-8") as fh:
+            row = next(csv.DictReader(fh))
+        errs = [float(row["err_a1"]), float(row["err_a2"])]
+        assert min(errs) > 1e154
+        assert float(row["err_norm"]) == pytest.approx(math.hypot(*errs), rel=1e-15)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
         _break_eigensolvers(monkeypatch)
@@ -628,7 +704,7 @@ _FLOAT_RANGES = {
 _FIELD_VALUES.update({key: st.floats(*bounds) for key, bounds in _FLOAT_RANGES.items()
                       if key not in _FIELD_VALUES})
 # the failure contract draws these keys a little past their valid ranges too
-_WIDER_RANGES = {"stable_tail": (0.5, 2.2), "stable_skew": (-1.1, 1.1)}
+_WIDER_RANGES = {"stable_tail": (0.001, 2.2), "stable_skew": (-1.1, 1.1)}
 
 
 @st.composite

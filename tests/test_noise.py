@@ -172,6 +172,14 @@ class TestStableBoundary:
         assert alpha_stable(_Stub([0.3, 1.0, 0.6]), p) == expected
         assert alpha_stable(_Stub([1.0, 0.3, 0.6]), p) == expected
 
+    @pytest.mark.parametrize("uniforms,sign", [
+        ([0.6, 0.999], 1.0), ([0.4, 0.999], -1.0),  # a power overflows
+        ([0.999, 0.3], 1.0), ([0.001, 0.3], -1.0),  # cos(u)^(1/a) underflows to 0
+    ])
+    def test_draw_beyond_float_range_is_infinite(self, uniforms, sign):
+        p = StableParams(alpha_tail=0.005, scale=0.5)
+        assert alpha_stable(_Stub(uniforms), p) == sign * math.inf
+
     def test_two_draws_per_sample(self):
         # without a 1.0 the sampler consumes exactly its two uniforms, so the
         # stream after it is unchanged

@@ -158,8 +158,8 @@ class TestFosgdStep:
 def ar_regressors(seed=7, n=300):
     """The regressor rows and targets of a Gaussian-noise AR(2) simulation."""
     rng = RngStream(seed)
-    return ar_generate(np.array([1.5, -0.7]), n + 2,
-                       lambda: gaussian(rng, 0.0, math.sqrt(0.5)))
+    return ar_generate(np.array([1.5, -0.7]),
+                       [gaussian(rng, 0.0, math.sqrt(0.5)) for _ in range(n + 2)])
 
 
 def fisher_blocks(layers, decay):

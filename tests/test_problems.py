@@ -22,43 +22,45 @@ def central_diff(f, x, h=1e-6):
     return g
 
 
-def gaussian_draw(std, seed=0):
+def gaussian_noise(n, std, seed=0):
+    """`n` N(0, std^2) draws, one scalar `gaussian` call each."""
     rng = RngStream(seed)
-    return lambda: gaussian(rng, 0.0, std)
+    return [gaussian(rng, 0.0, std) for _ in range(n)]
 
 
 class TestArGenerate:
-    def test_forced_initial_conditions(self):
-        phi, _ = ar_generate(AR_COEFFS, 5, gaussian_draw(0.0), initial=[1.0, 1.0])
-        # y(1) = 1.5 * 1 - 0.7 * 1 = 0.8
-        assert phi[0, 1] == pytest.approx(0.8, rel=1e-12)
-
     def test_zero_noise_zero_start_is_all_zero(self):
-        phi, y = ar_generate(AR_COEFFS, 50, gaussian_draw(0.0))
+        phi, y = ar_generate(AR_COEFFS, np.zeros(50))
         assert np.all(y == 0.0) and np.all(phi == 0.0)
 
     def test_pair_count(self):
-        phi, y = ar_generate(AR_COEFFS, 40, gaussian_draw(1.0, seed=1))
+        phi, y = ar_generate(AR_COEFFS, gaussian_noise(40, 1.0, seed=1))
         assert phi.shape == (38, 2) and y.shape == (38,)
 
     def test_rows_are_lag_windows(self):
         # row r holds (y(k-1), ..., y(k-p)) of its target y(k), k = p + 1 + r
-        phi, y = ar_generate(np.array([0.5, -0.2, 0.1]), 30, gaussian_draw(1.0))
+        phi, y = ar_generate(np.array([0.5, -0.2, 0.1]), gaussian_noise(30, 1.0))
         for r in range(1, y.size):
             assert phi[r, 0] == y[r - 1]
             assert np.array_equal(phi[r, 1:], phi[r - 1, :-1])
 
     def test_coeffs_and_horizon_checked(self):
         with pytest.raises(ValueError, match="horizon"):
-            ar_generate(AR_COEFFS, 2, gaussian_draw(1.0))
+            ar_generate(AR_COEFFS, np.ones(2))
         with pytest.raises(ValueError, match="vector"):
-            ar_generate(np.eye(2), 10, gaussian_draw(1.0))
+            ar_generate(np.eye(2), np.ones(10))
+        with pytest.raises(ValueError, match="vector"):
+            ar_generate(AR_COEFFS, np.ones((10, 1)))
 
     def test_noiseless_decay(self):
         # roots of z^2 - 1.5 z + 0.7 are inside the unit circle
         roots = np.roots([1.0, -1.5, 0.7])
         assert np.all(np.abs(roots) < 1.0)
-        phi, y = ar_generate(AR_COEFFS, 200, gaussian_draw(0.0), initial=[2.0, -1.0])
+        # impulse response: y(1) = 1, y(2) = 1.5, y(3) = 1.5 * 1.5 - 0.7 * 1
+        impulse = np.zeros(200)
+        impulse[0] = 1.0
+        phi, y = ar_generate(AR_COEFFS, impulse)
+        assert np.array_equal(phi[0], [1.5, 1.0]) and y[0] == 1.5 * 1.5 - 0.7
         y_p = phi[0, 0]  # y(2), first output with a full lag window
         assert abs(y[-1]) < abs(y_p)
 
@@ -70,7 +72,7 @@ class TestArGenerate:
         g0 = s2 / (1 - a1 * rho1 - a2 * rho2)
         expected = [g0, g0 * rho1, g0 * rho2]
 
-        _, y = ar_generate(AR_COEFFS, 5000, gaussian_draw(math.sqrt(s2), seed=3))
+        _, y = ar_generate(AR_COEFFS, gaussian_noise(5000, math.sqrt(s2), seed=3))
         y = y - y.mean()
         for lag, want in enumerate(expected):
             got = float(np.mean(y[lag:] * y[: y.size - lag]))
@@ -78,12 +80,19 @@ class TestArGenerate:
 
     def test_explosive_noise_raises_with_index(self):
         with pytest.raises(GenerationError, match="index"):
-            ar_generate(np.array([2.5]), 400, gaussian_draw(1e150, seed=9))
+            ar_generate(np.array([2.5]), gaussian_noise(400, 1e150, seed=9))
+
+    def test_infinite_sample_raises_at_its_index(self):
+        noise = np.ones(30)
+        noise[6] = -math.inf
+        with pytest.raises(GenerationError, match="at index 7$") as exc:
+            ar_generate(AR_COEFFS, noise)
+        assert exc.value.sample_index == 7
 
     def test_stable_noise_runs(self):
         rng = RngStream(4)
         params = StableParams(alpha_tail=1.8, scale=0.5)
-        phi, y = ar_generate(AR_COEFFS, 100, lambda: alpha_stable(rng, params))
+        phi, y = ar_generate(AR_COEFFS, [alpha_stable(rng, params) for _ in range(100)])
         assert phi.shape == (98, 2) and y.shape == (98,)
 
 
