@@ -14,7 +14,7 @@ import numpy as np
 from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
-from .noise import RngStream, StableParams, _mix, alpha_stable, gaussians
+from .noise import RngStream, StableParams, _mix, alpha_stables, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
 
@@ -178,121 +178,141 @@ def parse_overrides(pairs):
     return dict(_typed_pair(pair, "override") for pair in pairs or ())
 
 
-# ---------------------------------------------------------------------------
-# Problem drivers
-# ---------------------------------------------------------------------------
+# --- Problem drivers ---
 
 class _ArDriver:
-    """Streaming AR identification: one regressor per iteration."""
+    """Streaming AR identification: one regressor per iteration. Each seed
+    simulates its own data; one that blows up is kept in `failed` (by its
+    position in `rngs`) and has no rows here."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, rngs):
         self.true_coeffs = np.asarray(config.ar_coeffs, dtype=float)
         p = self.true_coeffs.size
         n = config.iterations + p
-        if config.noise == "gaussian":
-            noise = gaussians(rng, n, 0.0, config.noise_std)
-        else:
-            params = StableParams(
-                alpha_tail=config.stable_tail, skew=config.stable_skew,
-                scale=config.stable_scale, location=config.stable_location)
-            noise = [alpha_stable(rng, params) for _ in range(n)]
-        self.phi, self.y = problems_mod.ar_generate(self.true_coeffs, noise)
-        self.init_layers = [np.zeros(p)]
+        params = StableParams(alpha_tail=config.stable_tail, skew=config.stable_skew,
+                              scale=config.stable_scale, location=config.stable_location)
+        self.failed, data = {}, []
+        for i, rng in enumerate(rngs):
+            noise = (gaussians(rng, n, 0.0, config.noise_std) if config.noise == "gaussian"
+                     else alpha_stables(rng, params, n))
+            try:
+                data.append(problems_mod.ar_generate(self.true_coeffs, noise))
+            except GenerationError as exc:
+                self.failed[i] = exc
+        self.phi = np.array([phi for phi, _ in data]).reshape(len(data), n - p, p)
+        self.y = np.array([y for _, y in data]).reshape(len(data), n - p)
+        self.init_layers = [np.zeros((len(data), p))]
 
     def loss_grad(self, layers, t):
-        loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[t - 1],
-                                            self.y[t - 1])
+        loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[:, t - 1],
+                                            self.y[:, t - 1])
         return loss, [g]
+
+    def keep(self, mask):
+        self.phi, self.y = self.phi[mask], self.y[mask]
 
     def metric_names(self):
         return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
 
-    def metrics(self, layers):
+    def metrics(self, layers, out):
         err = layers[0] - self.true_coeffs
-        return list(np.abs(err)) + [float(optim_mod.norm([err]))]
+        np.abs(err, out=out[:, :-1])
+        out[:, -1] = optim_mod.norm([err])
 
 
 class _QuadraticDriver:
-    """Convex quadratic with additive Gaussian gradient noise.
+    """Convex quadratic with additive Gaussian gradient noise. Each seed draws
+    its noise a block of rows (about 2048 numbers) at a time from its own
+    stream, which feeds nothing else, so a step's noise row is the same as
+    if it were drawn one number at a time."""
 
-    The noise is drawn a block of rows at a time (about 2048 numbers) from the
-    run's stream, which feeds nothing else, so each step's noise row is the
-    same as if it were drawn one number at a time.
-    """
-
-    def __init__(self, config, rng):
+    def __init__(self, config, rngs):
         diag = np.asarray(config.quad_diag, dtype=float)
         self.a_mat = np.diag(diag)
         self.b = np.zeros(diag.size)
         self.noise_std = config.quad_noise_std
-        self.rng = rng
-        self._noise_rows = np.empty((0, diag.size))
-        self._next_row = 0
-        self.init_layers = [np.ones(diag.size)]
-        self.f_star = 0.0  # b = 0, minimum at the origin
+        self.failed, self.rngs, self._next_row = {}, list(rngs), 0
+        self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
+        self.init_layers = [np.ones((len(self.rngs), diag.size))]
 
     def loss_grad(self, layers, t):
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
-        if self._next_row == len(self._noise_rows):
-            rows = max(1, 2048 // g.size)
-            self._noise_rows = gaussians(self.rng, rows * g.size, 0.0,
-                                         self.noise_std).reshape(rows, g.size)
+        if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
+            rows, d = max(1, 2048 // g.shape[1]), g.shape[1]
+            self._noise_rows = np.array([gaussians(rng, rows * d, 0.0, self.noise_std)
+                                         .reshape(rows, d) for rng in self.rngs])
             self._next_row = 0
-        noisy = g + self._noise_rows[self._next_row]
+        noisy = g + self._noise_rows[:, self._next_row]
         self._next_row += 1
         return f, [noisy]
+
+    def keep(self, mask):
+        self.rngs = [rng for rng, kept in zip(self.rngs, mask) if kept]
+        self._noise_rows = self._noise_rows[mask]
 
     def metric_names(self):
         return ["gap"]
 
-    def metrics(self, layers):
-        f, _ = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
-        return [f - self.f_star]
+    def metrics(self, layers, out):
+        # b = 0, so the minimum is 0 at the origin and the gap is f itself
+        out[:, 0] = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)[0]
 
 
 class _MlpDriver:
-    """Mini-batch classification over an IDX image/label pair."""
+    """Mini-batch classification over an IDX image/label pair. Each seed
+    shuffles the examples its own way (an index order into the one copy of
+    the data), so the gradient is one call per seed."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, rngs):
         data = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
-        n = len(data)
-        if config.mlp_limit and config.mlp_limit < n:
-            n = config.mlp_limit
-        order = _shuffled_indices(n, rng)
-        inputs = data.inputs[:n][order]
-        labels = data.labels[:n][order]
-        n_hold = int(round(config.mlp_holdout * n))
-        if not 0 < n_hold < n:
+        n = min(config.mlp_limit or len(data), len(data))
+        self.n_hold = int(round(config.mlp_holdout * n))
+        if not 0 < self.n_hold < n:
             raise ConfigError(
-                f"mlp_holdout={config.mlp_holdout} splits {n} examples into {n_hold} "
-                f"holdout and {n - n_hold} training; both must be non-empty")
-        self.holdout = problems_mod.LabeledBatch(inputs[:n_hold], labels[:n_hold])
-        self.train = problems_mod.LabeledBatch(inputs[n_hold:], labels[n_hold:])
-        classes = int(data.labels.max()) + 1
-        self.spec = problems_mod.MlpSpec(
-            widths=(inputs.shape[1], config.mlp_hidden, classes))
+                f"mlp_holdout={config.mlp_holdout} splits {n} examples into {self.n_hold} "
+                f"holdout and {n - self.n_hold} training; both must be non-empty")
+        self.inputs, self.labels = data.inputs[:n], data.labels[:n]
+        self.spec = problems_mod.MlpSpec(widths=(
+            data.inputs.shape[1], config.mlp_hidden, int(data.labels.max()) + 1))
         self.batch_size = config.mlp_batch
-        self.init_layers = problems_mod.mlp_init_layers(self.spec, rng)
+        self.failed, self.orders, inits = {}, [], []
+        for rng in rngs:
+            self.orders.append(_shuffled_indices(n, rng))
+            inits.append(problems_mod.mlp_init_layers(self.spec, rng))
+        self.init_layers = [np.array(vs) for vs in zip(*inits)]
+
+    def _batch(self, rows):
+        return problems_mod.LabeledBatch(self.inputs[rows], self.labels[rows])
 
     def loss_grad(self, layers, t):
-        n_train = len(self.train)
+        n_train = len(self.labels) - self.n_hold
         start = ((t - 1) * self.batch_size) % n_train
-        idx = [(start + i) % n_train for i in range(self.batch_size)]
-        batch = problems_mod.LabeledBatch(self.train.inputs[idx],
-                                          self.train.labels[idx])
-        self._last_batch = batch
-        return problems_mod.mlp_loss_grad(self.spec, layers, batch)
+        idx = [self.n_hold + (start + i) % n_train for i in range(self.batch_size)]
+        self._batches = [self._batch(order[idx]) for order in self.orders]
+        losses, grads = [], []
+        for k, batch in enumerate(self._batches):
+            loss, g = problems_mod.mlp_loss_grad(self.spec, [v[k] for v in layers], batch)
+            losses.append(loss)
+            grads.append(g)
+        return np.array(losses), [np.array(gs) for gs in zip(*grads)]
+
+    def keep(self, mask):
+        self.orders, self._batches = ([x for x, kept in zip(xs, mask) if kept]
+                                      for xs in (self.orders, self._batches))
 
     def metric_names(self):
         return ["batch_accuracy"]
 
-    def metrics(self, layers):
-        pred = problems_mod.mlp_predict(self.spec, layers, self._last_batch.inputs)
-        return [float(np.mean(pred == self._last_batch.labels))]
+    def _accuracies(self, layers, batches):
+        return [float(np.mean(problems_mod.mlp_predict(
+            self.spec, [v[k] for v in layers], batch.inputs) == batch.labels))
+            for k, batch in enumerate(batches)]
+
+    def metrics(self, layers, out):
+        out[:, 0] = self._accuracies(layers, self._batches)
 
     def holdout_accuracy(self, layers):
-        pred = problems_mod.mlp_predict(self.spec, layers, self.holdout.inputs)
-        return float(np.mean(pred == self.holdout.labels))
+        return self._accuracies(layers, [self._batch(o[:self.n_hold]) for o in self.orders])
 
 
 def _shuffled_indices(n, rng):
@@ -308,14 +328,12 @@ def _shuffled_indices(n, rng):
 _DRIVERS = {"ar": _ArDriver, "quadratic": _QuadraticDriver, "mlp": _MlpDriver}
 
 
-# ---------------------------------------------------------------------------
-# The run loop
-# ---------------------------------------------------------------------------
+# --- The run loop ---
 
 @dataclass
 class RunResult:
     header: list
-    rows: list            # list of lists of floats, one per iteration
+    rows: np.ndarray      # (iterations, columns) float64, one row per iteration
     final_layers: list
     summary: dict
 
@@ -328,91 +346,127 @@ def trace_header(driver):
     cols = ["t", "mu", "loss"]
     for j in range(len(driver.init_layers)):
         cols += [f"alpha_l{j}", f"dzeta_l{j}", f"delta_norm_l{j}"]
-    cols.append("d_max")
-    cols += driver.metric_names()
-    return cols
+    return cols + ["d_max"] + driver.metric_names()
 
 
-def run(config):
-    """Execute one experiment; writes the CSV trace if `out` is set.
+def run(config, seeds=None):
+    """Execute one experiment; writes the CSV trace if `out` is set. The
+    trace is written row by row; the summary only lands next to it (as
+    `<out>.summary`) after the whole run succeeded.
 
-    The trace file is written row by row; the summary only lands next to it
-    (as `<out>.summary`) after the whole run succeeded.
+    With `seeds` (and no `out`), runs the config once per seed in lock-step
+    and returns, per seed, its RunResult or the DivergenceError or
+    GenerationError that ended its run; the other seeds go on. Each result
+    has the bits of a run of its seed alone: that run is a stack of one.
     """
-    rng = RngStream(config.seed)
-    driver = _DRIVERS[config.problem](config, rng)
+    stack = [config.seed] if seeds is None else list(seeds)
+    if seeds is not None and config.out:
+        raise ValueError("only a run of one seed writes a trace file")
+    driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
+    outcomes = dict(driver.failed)  # seed position -> the error that ended it
+    alive = np.array([i for i in range(len(stack)) if i not in outcomes], dtype=int)
+    if seeds is None and outcomes:
+        raise outcomes[0]
 
-    # the run state: each layer, its last step theta_t - theta_{t-1}, its
-    # EMA Fisher block, and the running maximum of the effective dimensions
+    # the run state, one row per seed of `alive` (no step runs without one):
+    # each layer, its last step, its EMA Fisher block, the dimensions, their max
     layers = list(driver.init_layers)
     steps = [np.zeros_like(v) for v in layers]
-    blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[0], config.fisher_decay)
-              for j, v in enumerate(layers)]
-    dzeta = np.zeros(len(layers))
-    d_max = 0.0
+    blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
+                                           stack=v.shape[:1]) for j, v in enumerate(layers)]
+    dzeta, d_max = np.zeros((alive.size, len(layers))), np.zeros(alive.size)
     # the optimizers differ only in their exponents: 1 for sgd, alpha0 for
     # fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
-    ones = np.ones(len(layers))
-    constant = ones if config.optimizer == "sgd" else np.full(len(layers), config.alpha0)
+    fixed = np.full((alive.size, len(layers)),
+                    1.0 if config.optimizer == "sgd" else config.alpha0)
 
     header = trace_header(driver)
-    rows = []
-    min_loss = math.inf
+    metric_col = 3 * len(layers) + 4
+    rows = np.empty((alive.size, config.iterations, len(header)))
+    # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
+    rows[:, :, 0] = np.arange(1, config.iterations + 1)
+    rows[:, :, 1] = np.concatenate(
+        [[config.mu0], optim_mod.step_size(np.arange(1, config.iterations), config.mu0)])
     writer = _TraceWriter(config.out, header) if config.out else None
 
     try:
         # an overflow or invalid operation leaves inf or nan instead of a
         # warning; the checks below report it as a divergence at its step
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(1, config.iterations + 1):
-                loss, grads = driver.loss_grad(layers, t)
-                grads = optim_mod.clip_gradients(grads, config.grad_clip)
-                # catch blow-ups before the Fisher outer product can overflow
-                blown = not math.isfinite(loss) or any(
-                    not np.all(np.isfinite(g)) or float(g @ g) == math.inf
-                    for g in grads)
-                if blown:
-                    raise DivergenceError(
-                        f"non-finite loss or gradient at step {t}", step_index=t)
+            for t in range(1, config.iterations + 1 if alive.size else 1):
+                loss, raw = driver.loss_grad(layers, t)
+                grads = optim_mod.clip_gradients(raw, config.grad_clip)
+                # catch blow-ups before the Fisher outer product can overflow:
+                # |g|^2 is finite exactly when every entry is and the squares
+                # do not overflow, as they cannot within an unused clip bound;
+                # a blown seed folds a zero gradient until it leaves below
+                blown = ~np.isfinite(loss)
+                for g in grads if grads is not raw or config.grad_clip is None else ():
+                    blown |= ~np.isfinite(np.vecdot(g, g))
+                blown_rows = blown.nonzero()[0].tolist()
+                if blown_rows:
+                    grads = [np.where(blown[:, None], 0.0, g) for g in grads]
                 if t == 1:
-                    # classical first step at the base rate, before any Fisher update
-                    mu, alphas = config.mu0, ones
+                    # classical first step, before any Fisher update
+                    alphas = np.ones_like(dzeta)
                 else:
                     # every optimizer logs the same Fisher/dimension diagnostics
                     dzeta, d_max, adaptive = optim_mod.observe_fisher_sed(
                         grads, blocks, d_max, config)
-                    mu = optim_mod.step_size(t - 1, config.mu0)
-                    alphas = adaptive if config.optimizer == "2sedfosgd" else constant
-                layers, steps = optim_mod.step(layers, steps, grads, mu, alphas,
-                                               config, t)
+                    alphas = adaptive if config.optimizer == "2sedfosgd" else fixed
+                layers, steps = optim_mod.step(layers, steps, grads, rows[0, t - 1, 1],
+                                               alphas, config, t)
 
-                min_loss = min(min_loss, loss)
-                row = [float(t), mu, loss]
+                # a seed that diverged at this step leaves the stack
+                failed = optim_mod.diverged(layers, t)
+                failed.update((k, DivergenceError(f"non-finite loss or gradient at step {t}",
+                                                  step_index=t)) for k in blown_rows)
+                if failed:
+                    outcomes.update((int(alive[k]), exc) for k, exc in failed.items())
+                    keep = ~np.isin(np.arange(alive.size), list(failed))
+                    alive, loss, alphas, fixed, dzeta, d_max, rows = (
+                        x[keep] for x in (alive, loss, alphas, fixed, dzeta, d_max, rows))
+                    layers, steps = [v[keep] for v in layers], [v[keep] for v in steps]
+                    for owner in (driver, *blocks):
+                        owner.keep(keep)
+                    if not alive.size:
+                        break
+
+                row = rows[:, t - 1]
+                row[:, 2] = loss
+                row[:, 3:metric_col - 1:3] = alphas
+                row[:, 4:metric_col - 1:3] = dzeta
                 for j, d in enumerate(steps):
-                    row += [float(alphas[j]), float(dzeta[j]),
-                            float(optim_mod.norm([d]))]
-                row.append(d_max)
-                row += [float(m) for m in driver.metrics(layers)]
-                rows.append(row)
+                    row[:, 5 + 3 * j] = optim_mod.norm([d])
+                row[:, metric_col - 1] = d_max
+                driver.metrics(layers, row[:, metric_col:])
                 if writer:
-                    writer.write_row(row)
+                    writer.write_row(row[0].tolist())
     finally:
         if writer:
             writer.close()
 
-    summary = {
-        "iterations": float(config.iterations),
-        "final_loss": rows[-1][2],
-        "min_loss": float(min_loss),
-    }
-    for name, value in zip(driver.metric_names(), rows[-1][-len(driver.metric_names()):]):
-        summary[f"final_{name}"] = float(value)
-    if config.problem == "mlp":
-        summary["holdout_accuracy"] = driver.holdout_accuracy(layers)
-
+    names = driver.metric_names()
+    holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
+    for k, i in enumerate(alive.tolist()):
+        losses = rows[k, :, 2]
+        # min_loss is the first of equal minima, as a running min() keeps it
+        summary = {"iterations": float(config.iterations), "final_loss": float(losses[-1]),
+                   "min_loss": float(losses[np.argmin(losses)])}
+        summary.update((f"final_{name}", float(x))
+                       for name, x in zip(names, rows[k, -1, metric_col:]))
+        if holdout:
+            summary["holdout_accuracy"] = holdout[k]
+        outcomes[i] = RunResult(header, rows[k], [v[k] for v in layers], summary)
+    if seeds is not None:
+        return [outcomes[i] for i in range(len(stack))]
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
     if writer:
-        _write_summary(config.out + ".summary", summary)
-    return RunResult(header=header, rows=rows, final_layers=layers, summary=summary)
+        with open(config.out + ".summary", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {_fmt(value)}\n"
+                          for key, value in outcomes[0].summary.items())
+    return outcomes[0]
 
 
 class _TraceWriter:
@@ -425,16 +479,11 @@ class _TraceWriter:
         self._fh.write(",".join(header) + "\n")
 
     def write_row(self, row):
-        self._fh.write(",".join(_fmt(x) for x in row) + "\n")
+        """Writes one row of Python floats."""
+        self._fh.write(",".join(map(repr, row)) + "\n")
 
     def close(self):
         self._fh.close()
-
-
-def _write_summary(path, summary):
-    lines = [f"{key} = {_fmt(value)}" for key, value in summary.items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def csv_bytes(result):
@@ -444,9 +493,7 @@ def csv_bytes(result):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# ---------------------------------------------------------------------------
-# Rate fit and seed sweeps
-# ---------------------------------------------------------------------------
+# --- Rate fit and seed sweeps ---
 
 @dataclass(frozen=True)
 class RateFit:
@@ -512,53 +559,56 @@ class SweepResult:
         return len(self.failed)
 
 
-def seed_sweep(config, n_seeds):
+# seeds per lock-step stack in sweeps and rate fits: a stack's state and
+# rows grow with it, so this bounds their memory whatever the seed count
+_STACK = 8
+
+
+def _seed_runs(config, n_seeds):
+    """(seed, RunResult or the error that ended its run) for `n_seeds`
+    derived seeds in index order, run in stacks of up to _STACK seeds."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    seeds = [derive_seed(config.seed, i) for i in range(n_seeds)]
+    stacks = (seeds[lo:lo + _STACK] for lo in range(0, n_seeds, _STACK))
+    return ((seed, outcome) for chunk in stacks
+            for seed, outcome in zip(chunk, run(replace(config, out=None), seeds=chunk)))
+
+
+def seed_sweep(config, n_seeds):
     seeds, summaries, failed = [], [], []
-    for i in range(n_seeds):
-        seed = derive_seed(config.seed, i)
+    for seed, outcome in _seed_runs(config, n_seeds):
         seeds.append(seed)
-        sub = replace(config, seed=seed, out=None)
-        try:
-            summaries.append(run(sub).summary)
-        except DivergenceError as exc:
-            failed.append(SweepFailure(seed, "step", exc.step_index, str(exc)))
-        except GenerationError as exc:
-            failed.append(SweepFailure(seed, "sample", exc.sample_index, str(exc)))
+        if isinstance(outcome, DivergenceError):
+            failed.append(SweepFailure(seed, "step", outcome.step_index, str(outcome)))
+        elif isinstance(outcome, GenerationError):
+            failed.append(SweepFailure(seed, "sample", outcome.sample_index, str(outcome)))
+        else:
+            summaries.append(outcome.summary)
     aggregate = {}
-    if summaries:
-        keys = summaries[0].keys()
-        for key in keys:
-            vals = np.array([s[key] for s in summaries if key in s])
-            q1, med, q3 = np.percentile(vals, [25, 50, 75])
-            aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
-                              "iqr": float(q3 - q1)}
+    for key in summaries[0] if summaries else ():
+        vals = np.array([s[key] for s in summaries if key in s])
+        q1, med, q3 = np.percentile(vals, [25, 50, 75])
+        aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
+                          "iqr": float(q3 - q1)}
     return SweepResult(seeds=seeds, summaries=summaries,
                        failed=failed, aggregate=aggregate)
 
 
 def seed_rate_fit(config, n_seeds):
     """Rate fit of the running minimum of the gap (or loss) series, averaged
-    over `n_seeds` derived seeds; a seed that diverges ends the fit with its
-    error, whose message starts with `seed=<seed>`."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    over `n_seeds` derived seeds; the lowest-index seed that diverges ends
+    the fit with its error, whose message starts with `seed=<seed>`."""
+    runs = _seed_runs(config, n_seeds)
     if config.iterations < _MIN_FIT_POINTS:
         raise ConfigError(f"iterations must be >= {_MIN_FIT_POINTS} for a rate "
                           f"fit, got {config.iterations}")
     series = None
-    for i in range(n_seeds):
-        seed = derive_seed(config.seed, i)
-        try:
-            result = run(replace(config, seed=seed, out=None))
-        except DivergenceError as exc:
-            raise DivergenceError(f"seed={seed} {exc}",
-                                  step_index=exc.step_index) from exc
-        except GenerationError as exc:
-            raise GenerationError(f"seed={seed} {exc}",
-                                  sample_index=exc.sample_index) from exc
-        col = result.header.index("gap" if "gap" in result.header else "loss")
-        gaps = [row[col] for row in result.rows]
-        series = gaps if series is None else [a + b for a, b in zip(series, gaps)]
-    return rate_fit(running_min([x / n_seeds for x in series]))
+    for seed, outcome in runs:
+        if isinstance(outcome, Exception):
+            index = getattr(outcome, "step_index", getattr(outcome, "sample_index", None))
+            raise type(outcome)(f"seed={seed} {outcome}", index) from outcome
+        gaps = outcome.rows[:, outcome.header.index("gap" if "gap" in outcome.header
+                                                    else "loss")]
+        series = gaps if series is None else series + gaps  # in seed order
+    return rate_fit(running_min(series / n_seeds))

@@ -140,30 +140,50 @@ def alpha_stable(rng, p):
     alpha_tail = 1, skew = 0 it is a scaled Cauchy. A draw beyond the float
     range (possible for a small alpha_tail) is an infinity of its sign.
     """
+    return _stable_draws(p, [_open_uniform(rng)], [_open_uniform(rng)])[0]
+
+
+def alpha_stables(rng, p, n):
+    """`n` draws as a float64 array, equal to `n` `alpha_stable` calls: the
+    2n uniforms are one `uniforms(2n)` block, unless it holds an exact 1.0;
+    then the stream state is restored and the draws are made one by one."""
+    state, u = rng._state, rng.uniforms(2 * n)
+    if np.any(u == 1.0):
+        rng._state = state
+        return np.array([alpha_stable(rng, p) for _ in range(n)], dtype=np.float64)
+    return np.array(_stable_draws(p, u[0::2].tolist(), u[1::2].tolist()), dtype=np.float64)
+
+
+def _stable_draws(p, angles, exps):
+    """The draws (a list) of the (angle, exponential) uniform pairs in (0, 1);
+    the constants t, b0 and s depend on `p` only."""
     a = p.alpha_tail
     b = p.skew
-    u = math.pi * (_open_uniform(rng) - 0.5)  # uniform on (-pi/2, pi/2)
-    w = -math.log(_open_uniform(rng))         # Exp(1), never 0
-
-    if a == 1.0:
-        half_pi = math.pi / 2.0
-        x = (1.0 / half_pi) * (
-            (half_pi + b * u) * math.tan(u)
-            - b * math.log((half_pi * w * math.cos(u)) / (half_pi + b * u))
-        )
-        # 1-parameterization shift for the alpha = 1 skewed case
-        return p.scale * x + p.location + (1.0 / half_pi) * b * p.scale * math.log(p.scale)
-
     t = b * math.tan(math.pi * a / 2.0)
     b0 = math.atan(t) / a
     s = (1.0 + t * t) ** (1.0 / (2.0 * a))
-    try:
-        x = (
-            s
-            * math.sin(a * (u + b0))
-            / math.cos(u) ** (1.0 / a)
-            * (math.cos(u - a * (u + b0)) / w) ** ((1.0 - a) / a)
-        )
-    except (OverflowError, ZeroDivisionError):  # or cos(u)^(1/a) underflowed
-        x = math.copysign(math.inf, math.sin(a * (u + b0)))
-    return p.scale * x + p.location
+    half_pi = math.pi / 2.0
+    out = []
+    for u1, u2 in zip(angles, exps):
+        u = math.pi * (u1 - 0.5)  # uniform on (-pi/2, pi/2)
+        w = -math.log(u2)         # Exp(1), never 0
+        if a == 1.0:
+            x = (1.0 / half_pi) * (
+                (half_pi + b * u) * math.tan(u)
+                - b * math.log((half_pi * w * math.cos(u)) / (half_pi + b * u))
+            )
+            # 1-parameterization shift for the alpha = 1 skewed case
+            out.append(p.scale * x + p.location
+                       + (1.0 / half_pi) * b * p.scale * math.log(p.scale))
+            continue
+        try:
+            x = (
+                s
+                * math.sin(a * (u + b0))
+                / math.cos(u) ** (1.0 / a)
+                * (math.cos(u - a * (u + b0)) / w) ** ((1.0 - a) / a)
+            )
+        except (OverflowError, ZeroDivisionError):  # or cos(u)^(1/a) underflowed
+            x = math.copysign(math.inf, math.sin(a * (u + b0)))
+        out.append(p.scale * x + p.location)
+    return out

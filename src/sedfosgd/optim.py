@@ -31,113 +31,108 @@ class DivergenceError(RuntimeError):
 
 
 def norm(arrays):
-    """Euclidean norm over all entries of `arrays`.
+    """Euclidean norm over the last axis of all of `arrays`, one per seed of
+    a stack, each with the bits of that seed's arrays alone (`np.vecdot`
+    gives each row the bits of `np.dot`, which `einsum` does not promise).
 
     When the sum of squares overflows although every entry is finite, the
     norm is taken of the arrays divided by their largest magnitude and
     scaled back, so a finite vector above about 1e154 keeps a finite norm.
-    The plain sum warns of the overflow unless numpy's errstate ignores it,
-    as it does in the run loop.
+    The plain sum warns of the overflow unless numpy's errstate ignores it.
     """
-    total = np.sqrt(sum(float(np.dot(v, v)) for v in arrays))
-    if total == np.inf and all(np.all(np.isfinite(v)) for v in arrays):
-        scale = max(float(np.max(np.abs(v))) for v in arrays)
-        total = scale * np.sqrt(sum(float(np.dot(v / scale, v / scale))
-                                    for v in arrays))
+    squares = np.vecdot(arrays[0], arrays[0])
+    for v in arrays[1:]:
+        squares = squares + np.vecdot(v, v)
+    total = np.sqrt(squares)
+    if np.inf in total.reshape(-1).tolist():  # cheaper than a reduction on a few seeds
+        huge = total == np.inf
+        with np.errstate(all="ignore"):
+            scale = np.max([np.max(np.abs(v), axis=-1) for v in arrays], axis=0)
+            scaled = [v / scale[..., None] for v in arrays]
+            rescaled = scale * np.sqrt(sum(np.vecdot(w, w) for w in scaled))
+        total = np.where(huge & np.isfinite(scale), rescaled, total)
     return total
 
 
 def step_size(t, mu0):
-    """mu0 / sqrt(t) for t >= 1."""
-    if t < 1:
+    """mu0 / sqrt(t) for t >= 1 (or an array of such t)."""
+    if np.any(np.asarray(t) < 1):
         raise ValueError(f"step schedule starts at t = 1, got {t}")
     return mu0 / np.sqrt(t)
 
 
 def clip_gradients(grads, bound):
-    """Scale the whole gradient so its global norm is at most `bound`."""
+    """Scale each seed's whole gradient so its global norm is at most `bound`."""
     if bound is None:
         return grads
     total = norm(grads)
-    if total <= bound:
+    if total.max() <= bound:
         return grads
-    factor = bound / total
-    return [factor * g for g in grads]
-
-
-def _check_shapes(layers, grads):
-    if len(grads) != len(layers):
-        raise ValueError(
-            f"expected {len(layers)} gradient layers, got {len(grads)}")
-    for j, (g, th) in enumerate(zip(grads, layers)):
-        if np.shape(g) != th.shape:
-            raise ValueError(
-                f"layer {j} gradient shape {np.shape(g)} != {th.shape}")
+    factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
+    return [factor[..., None] * g for g in grads]
 
 
 def step(layers, steps, grads, mu, alphas, cfg, t):
-    """Step `t` (1-based) of a run: per layer,
+    """Step `t` (1-based) of a stack of runs: per seed and layer,
     theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g,
-    where `steps` holds each layer's last step Delta theta = theta_t - theta_{t-1}
-    and `alphas` one exponent per layer.
-
-    Step 1 is classical (every exponent 1). Returns the new layers and their
-    steps; a non-finite parameter raises DivergenceError at step `t`.
+    where each layer is a (seeds, d) array, `steps` holds its last step
+    Delta theta = theta_t - theta_{t-1} and `alphas` (seeds, layers) the
+    exponents. `math.gamma`, and a power whose exponent differs between
+    seeds, are taken seed by seed, so each seed gets the bits of a run of its
+    own. Step 1 is classical (every exponent 1). Returns the new layers and
+    their steps; `diverged` finds the seeds whose parameters are non-finite.
     """
-    _check_shapes(layers, grads)
-    if t < 2 and np.any(np.asarray(alphas) != 1.0):
+    if [g.shape for g in grads] != [v.shape for v in layers]:
+        raise ValueError(f"gradient shapes {[g.shape for g in grads]} "
+                         f"!= layer shapes {[v.shape for v in layers]}")
+    alphas = np.asarray(alphas, dtype=float)
+    if t < 2 and np.any(alphas != 1.0):
         raise ValueError("fractional steps require one classical step first")
     new_layers, new_steps = [], []
-    for j, (th, d, g, a) in enumerate(zip(layers, steps, grads, alphas)):
-        a = float(a)
-        if cfg.scaling_mode == "elementwise":
-            base = np.abs(d) + cfg.delta
+    for th, d, g, a in zip(layers, steps, grads, alphas.T.tolist()):
+        shared = len(set(a)) == 1  # one exponent for every seed
+        coef = (mu / math.gamma(2.0 - a[0]) if shared
+                else np.array([[mu / math.gamma(2.0 - x)] for x in a]))
+        if cfg.scaling_mode == "layer-norm":
+            power = np.array([[b ** (1.0 - x)] for b, x in zip(norm([d]) + cfg.delta, a)])
+        elif shared:
+            power = (np.abs(d) + cfg.delta) ** (1.0 - a[0])
         else:
-            base = norm([d]) + cfg.delta
-        new = th - (mu / math.gamma(2.0 - a)) * (base ** (1.0 - a) * g)
-        if not np.all(np.isfinite(new)):
-            raise DivergenceError(
-                f"non-finite parameters in layer {j} at step {t}", step_index=t)
+            power = np.array([b ** (1.0 - x) for b, x in zip(np.abs(d) + cfg.delta, a)])
+        new = th - coef * (power * g)
         new_layers.append(new)
         new_steps.append(new - th)
     return new_layers, new_steps
+
+
+def diverged(layers, t):
+    """{seed row: DivergenceError} for the seeds of a stack whose parameters
+    are non-finite after step `t`, naming each one's first such layer."""
+    if all(np.isfinite(v).all() for v in layers):
+        return {}
+    finite = np.array([np.isfinite(v).all(axis=-1) for v in layers])
+    return {k: DivergenceError(
+        f"non-finite parameters in layer {int(np.argmin(finite[:, k]))} at step {t}",
+        step_index=t) for k in np.flatnonzero(~finite.all(axis=0)).tolist()}
 
 
 def observe_fisher_sed(grads, fisher_blocks, d_max, cfg):
     """Fold gradients into the EMA blocks and refresh the dimension state.
 
     The blocks are folded in place (single-owner state). Each block gets one
-    spectral solve, on its k x k gradient Gram while it holds k < d folds,
-    whose log-det yields its effective dimension. Returns the per-layer
-    dimensions, the running maximum `d_max` with them folded in, and the
-    exponent array they imply.
+    spectral solve (over all its seeds), on its k x k gradient Gram while it
+    holds k < d folds, whose log-det yields its effective dimension. Returns
+    the dimensions (layers on the last axis), the running maximum `d_max`
+    with them folded in, and the exponent array they imply.
     """
-    dzeta = np.empty(len(fisher_blocks))
+    dzeta = np.empty(grads[0].shape[:-1] + (len(fisher_blocks),))
+    s = sed_mod.curvature_scale(cfg)
     for j, g in enumerate(grads):
         block = fisher_blocks[j]
         fisher_mod.ema_update(block, g)
         mat = fisher_mod.spectral_operand(block, cfg.normalize_fisher)
-        logdet = logdet_plus(mat, sed_mod.curvature_scale(cfg))
-        dzeta[j] = sed_mod.two_sed(logdet, block.dim, cfg)
-    d_max = max(d_max, float(np.max(dzeta)))
+        logdet = logdet_plus(mat, s, diagonal=block.mode == "diagonal")
+        dzeta[..., j] = sed_mod.two_sed(logdet, block.dim, cfg)
+    d_max = np.maximum(d_max, dzeta.max(axis=-1))
     return dzeta, d_max, sed_mod.adapt_alpha(dzeta, d_max, cfg)
-
-
-def delta_radius(cfg, grad_bound, alpha_max=None):
-    """Fixed point R = mu0 * max(1, (delta + R)^(1 - alpha_max)) * G.
-
-    This is the consecutive-iterate bound; the max with 1 covers the first
-    classical step, whose scaling factor is exactly 1.
-    """
-    if alpha_max is None:
-        alpha_max = cfg.alpha0
-    r = cfg.mu0 * grad_bound
-    for _ in range(100):
-        c_delta = max(1.0, (cfg.delta + r) ** (1.0 - alpha_max))
-        r_next = cfg.mu0 * c_delta * grad_bound
-        if abs(r_next - r) <= 1e-15 * max(1.0, r):
-            r = r_next
-            break
-        r = r_next
-    return r
 

@@ -24,9 +24,7 @@ class IdxFormatError(ValueError):
     """Malformed IDX file (bad magic, truncation, or count mismatch)."""
 
 
-# ---------------------------------------------------------------------------
-# AR(p) system identification
-# ---------------------------------------------------------------------------
+# --- AR(p) system identification ---
 
 def ar_generate(coeffs, noise):
     """Filter the noise samples xi(1), ..., xi(K) through
@@ -64,36 +62,35 @@ def ar_generate(coeffs, noise):
 
 def ar_loss_grad(theta_hat, phi, y):
     """Squared prediction error and its gradient for one regressor row `phi`
-    and its target `y`."""
+    and its target `y`, or for a stack of them (one per seed, along the
+    leading axes)."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape != phi.shape:
         raise ValueError(
             f"shape mismatch: theta {theta_hat.shape}, phi {phi.shape}")
-    e = float(y - phi @ theta_hat)
-    return 0.5 * e * e, -e * phi
+    minus_e = np.vecdot(phi, theta_hat) - y  # the bits of -(y - phi theta)
+    return 0.5 * minus_e * minus_e, minus_e[..., None] * phi
 
 
-# ---------------------------------------------------------------------------
-# Convex quadratic
-# ---------------------------------------------------------------------------
+# --- Convex quadratic ---
 
 def quadratic_loss_grad(theta, a_mat, b):
-    """f = 0.5 theta' A theta - b' theta and its gradient."""
+    """f = 0.5 theta' A theta - b' theta and its gradient, for one theta or
+    a stack of them (one per seed, along the leading axes)."""
     theta = np.asarray(theta, dtype=float)
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a_mat.shape != (theta.size, theta.size) or b.shape != theta.shape:
+    d = theta.shape[-1]
+    if a_mat.shape != (d, d) or b.shape != (d,):
         raise ValueError(
             f"shape mismatch: A {a_mat.shape}, b {b.shape}, theta {theta.shape}")
     with np.errstate(over="ignore"):  # overflow -> inf, callers treat as divergence
-        a_theta = a_mat @ theta
-        f = 0.5 * float(theta @ a_theta) - float(b @ theta)
+        a_theta = np.matmul(a_mat, theta[..., None])[..., 0]
+        f = 0.5 * np.vecdot(theta, a_theta) - np.vecdot(b, theta)
         return f, a_theta - b
 
 
-# ---------------------------------------------------------------------------
-# Tiny MLP classifier
-# ---------------------------------------------------------------------------
+# --- Tiny MLP classifier ---
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -205,9 +202,7 @@ def mlp_predict(spec, layers, inputs):
     return np.argmax(h, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# IDX file format (big-endian header, magic 2051 images / 2049 labels)
-# ---------------------------------------------------------------------------
+# --- IDX files (big-endian header, magic 2051 images / 2049 labels) ---
 
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049

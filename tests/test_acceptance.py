@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import sqrtm
 
-from sedfosgd import optim, sed
+from sedfosgd import sed
 from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
 from sedfosgd.mathkit import logdet_plus
@@ -18,6 +18,8 @@ from sedfosgd.noise import RngStream, StableParams, alpha_stable
 from sedfosgd.problems import (LabeledBatch, MlpSpec, ar_loss_grad,
                                mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad)
+
+from reference import delta_radius
 
 
 _CAPSYS = None
@@ -78,16 +80,13 @@ def test_criterion_01_reduction_identities():
 def test_criterion_02_ar_recovery_gaussian():
     with _Budget(2, "AR coefficient recovery under Gaussian noise", 30.0):
         truth = np.array(AR_BASE.ar_coeffs)
+        seeds = [derive_seed(AR_BASE.seed, i) for i in range(20)]
+        # least-squares oracle on the identical regressor streams
+        driver = _ArDriver(AR_BASE, [RngStream(seed) for seed in seeds])
         errs, ls_errs = [], []
-        for i in range(20):
-            seed = derive_seed(AR_BASE.seed, i)
-            cfg = replace(AR_BASE, seed=seed)
-            theta = run(cfg).final_layers[0]
-            errs.append(np.abs(theta - truth))
-
-            # least-squares oracle on the identical regressor stream
-            driver = _ArDriver(cfg, RngStream(seed))
-            theta_ls = np.linalg.lstsq(driver.phi, driver.y, rcond=None)[0]
+        for i, result in enumerate(run(AR_BASE, seeds=seeds)):
+            errs.append(np.abs(result.final_layers[0] - truth))
+            theta_ls = np.linalg.lstsq(driver.phi[i], driver.y[i], rcond=None)[0]
             ls_errs.append(np.abs(theta_ls - truth))
         med = np.median(np.stack(errs), axis=0)
         med_ls = np.median(np.stack(ls_errs), axis=0)
@@ -101,12 +100,11 @@ def test_criterion_03_ar_stable_paired_dominance():
         # keep by damping the heavy-tail noise floor, not the transient
         base = replace(AR_BASE, noise="stable", grad_clip=10.0,
                        mu0=0.5, beta=0.05)
-        adaptive, fixed = [], []
-        for i in range(20):
-            seed = derive_seed(base.seed, i)
-            adaptive.append(run(replace(base, seed=seed)).summary["final_err_norm"])
-            fixed.append(run(replace(base, seed=seed,
-                                     optimizer="fosgd")).summary["final_err_norm"])
+        seeds = [derive_seed(base.seed, i) for i in range(20)]
+        adaptive = [result.summary["final_err_norm"]
+                    for result in run(base, seeds=seeds)]
+        fixed = [result.summary["final_err_norm"]
+                 for result in run(replace(base, optimizer="fosgd"), seeds=seeds)]
         assert np.median(adaptive) <= np.median(fixed), (
             f"median {np.median(adaptive)} vs {np.median(fixed)}")
 
@@ -117,8 +115,7 @@ def test_criterion_04_rate_check_quadratic():
                                 iterations=2000, seed=11, mu0=0.3,
                                 quad_noise_std=5.0, grad_clip=10.0)
         gap_traces = []
-        for i in range(20):
-            result = run(replace(base, seed=derive_seed(base.seed, i)))
+        for result in run(base, seeds=[derive_seed(base.seed, i) for i in range(20)]):
             col = result.header.index("gap")
             gap_traces.append([row[col] for row in result.rows])
         mean_gap = np.mean(np.array(gap_traces), axis=0)
@@ -147,7 +144,7 @@ def test_criterion_06_bounded_iterates():
         g_clip = 3.0
         cfg = replace(AR_BASE, iterations=500, grad_clip=g_clip)
         result = run(cfg)
-        radius = optim.delta_radius(cfg, g_clip, alpha_max=cfg.alpha_min)
+        radius = delta_radius(cfg, g_clip, alpha_max=cfg.alpha_min)
         col = result.header.index("delta_norm_l0")
         deltas = np.array([row[col] for row in result.rows])
         assert np.all(deltas <= radius * (1 + 1e-12)), (

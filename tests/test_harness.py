@@ -21,7 +21,7 @@ from sedfosgd.harness import (ConfigError, ExperimentConfig, _ArDriver,
 from sedfosgd.mathkit import NumericalError
 from sedfosgd.noise import RngStream, gaussian
 from sedfosgd.optim import DivergenceError
-from sedfosgd.problems import ar_generate, quadratic_loss_grad
+from sedfosgd.problems import GenerationError, ar_generate, quadratic_loss_grad
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
@@ -207,11 +207,11 @@ class TestStreamConsumers:
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
                                iterations=steps, quad_diag=diag,
                                quad_noise_std=2.5)
-        driver = _QuadraticDriver(cfg, RngStream(9))
+        driver = _QuadraticDriver(cfg, [RngStream(9)])
         ref = RngStream(9)
         theta = np.linspace(-1.0, 1.0, dim)
         for t in range(1, steps + 1):
-            f, (g,) = driver.loss_grad([theta], t)
+            (f,), ((g,),) = driver.loss_grad([theta[None]], t)
             f_ref, g_ref = quadratic_loss_grad(theta, driver.a_mat, driver.b)
             noise = np.array([gaussian(ref, 0.0, 2.5) for _ in range(dim)])
             assert f == f_ref
@@ -223,11 +223,11 @@ class TestStreamConsumers:
         cfg = ExperimentConfig(problem="ar", optimizer="sgd", iterations=700,
                                ar_coeffs=coeffs, noise_std=std)
         rng, ref = RngStream(2**64 - 1), RngStream(2**64 - 1)
-        driver = _ArDriver(cfg, rng)
+        driver = _ArDriver(cfg, [rng])
         noise = [gaussian(ref, 0.0, std) for _ in range(700 + len(coeffs))]
         phi, y = ar_generate(coeffs, noise)
-        assert driver.phi.tobytes() == phi.tobytes()
-        assert driver.y.tobytes() == y.tobytes()
+        assert driver.phi[0].tobytes() == phi.tobytes()
+        assert driver.y[0].tobytes() == y.tobytes()
         assert rng.next_u64() == ref.next_u64()
 
 
@@ -640,6 +640,100 @@ class TestReductionProperty:
         assert adaptive == fixed
         classical = _outcome(replace(cfg, optimizer="fosgd", alpha0=1.0))
         assert classical == _outcome(cfg)
+
+
+@st.composite
+def stacked_configs(draw):
+    """AR and quadratic configs of each optimizer, and 1 to 5 seeds; wide
+    base rates and small stable tails make some seeds diverge or have their
+    data blow up at different steps."""
+    common = dict(
+        optimizer=draw(st.sampled_from(["sgd", "fosgd", "2sedfosgd"])),
+        iterations=draw(st.integers(1, 40)),
+        mu0=draw(st.floats(-3.0, 2.5).map(lambda x: 10.0 ** x)),
+        alpha0=draw(st.sampled_from([1.0, 0.98, 0.5, 0.2])),
+        beta=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        scaling_mode=draw(st.sampled_from(["elementwise", "layer-norm"])),
+        normalize_fisher=draw(st.booleans()),
+        grad_clip=draw(st.one_of(st.none(), st.floats(0.1, 20.0))),
+    )
+    if draw(st.booleans()):
+        cfg = ExperimentConfig(
+            problem="ar", ar_coeffs=draw(st.sampled_from([(1.5, -0.7), (0.9,), (1.2,)])),
+            noise=draw(st.sampled_from(["gaussian", "stable"])),
+            stable_tail=draw(st.sampled_from([1.8, 1.0, 0.3, 0.005])), **common)
+    else:
+        dim = draw(st.integers(1, 6))
+        diag = draw(st.lists(st.floats(0.0, 100.0), min_size=dim, max_size=dim))
+        cfg = ExperimentConfig(problem="quadratic", quad_diag=tuple(diag),
+                               quad_noise_std=draw(st.floats(0.0, 5.0)), **common)
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    return cfg, seeds
+
+
+def _same_outcome(stacked, config):
+    """A stacked seed's RunResult or error against a run of that seed alone."""
+    try:
+        alone = run(config)
+    except (DivergenceError, GenerationError) as exc:
+        assert type(stacked) is type(exc) and str(stacked) == str(exc)
+        for index in ("step_index", "sample_index"):
+            assert getattr(stacked, index, None) == getattr(exc, index, None)
+        return
+    assert csv_bytes(stacked) == csv_bytes(alone)
+    assert {k: repr(v) for k, v in stacked.summary.items()} == {
+        k: repr(v) for k, v in alone.summary.items()}
+    assert [v.tobytes() for v in stacked.final_layers] == [
+        v.tobytes() for v in alone.final_layers]
+
+
+class TestSeedStack:
+    """A stack of seeds run in lock-step gives each seed the bits of its own
+    run, and the failures of the seeds that leave it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_configs())
+    def test_stack_equals_single_runs(self, drawn):
+        cfg, seeds = drawn
+        for seed, outcome in zip(seeds, run(cfg, seeds=seeds)):
+            _same_outcome(outcome, replace(cfg, seed=seed))
+
+    def test_mixed_divergence(self, capsys):
+        # 4 of 8 seeds diverge, at steps 245, 218, 68 and 231; the rate fit
+        # names the lowest-index one, although step 68 comes first in time
+        cfg = ExperimentConfig(problem="ar", optimizer="sgd", noise="stable",
+                               stable_tail=0.8, mu0=0.05, iterations=300)
+        seeds = [derive_seed(0, i) for i in range(8)]
+        outcomes = run(cfg, seeds=seeds)
+        assert {i: o.step_index for i, o in enumerate(outcomes)
+                if isinstance(o, DivergenceError)} == {0: 245, 5: 218, 6: 68, 7: 231}
+        for seed, outcome in zip(seeds, outcomes):
+            _same_outcome(outcome, replace(cfg, seed=seed))
+        sweep = seed_sweep(cfg, 8)
+        assert [(f.seed, f.index) for f in sweep.failed] == [
+            (seeds[i], step) for i, step in ((0, 245), (5, 218), (6, 68), (7, 231))]
+        assert len(sweep.summaries) == 4
+        with pytest.raises(DivergenceError) as err:
+            seed_rate_fit(cfg, 8)
+        assert str(err.value) == "seed=0 non-finite loss or gradient at step 245"
+        assert err.value.step_index == 245
+
+    def test_sweep_stacks_are_bounded(self, monkeypatch):
+        # a 20-seed sweep runs stacks of at most 8 seeds, in seed order
+        stacks = []
+
+        def spy(config, seeds=None):
+            stacks.append(list(seeds))
+            return run(config, seeds=seeds)
+
+        monkeypatch.setattr(harness, "run", spy)
+        sweep = seed_sweep(replace(AR_CFG, iterations=20), 20)
+        assert [len(s) for s in stacks] == [8, 8, 4]
+        assert sum(stacks, []) == sweep.seeds
+
+    def test_trace_file_needs_one_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="one seed"):
+            run(replace(AR_CFG, out=str(tmp_path / "t.csv")), seeds=[1, 2])
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
-from sedfosgd.noise import (RngStream, StableParams, alpha_stable, gaussian,
-                            gaussians)
+from sedfosgd.noise import (RngStream, StableParams, alpha_stable,
+                            alpha_stables, gaussian, gaussians)
 
 # seeds at 0, at the top of the range and past 2^63, where the state and the
 # counter arithmetic wrap
@@ -190,3 +190,50 @@ class TestStableBoundary:
             ref.uniform()
             ref.uniform()
         assert rng.next_u64() == ref.next_u64()
+
+
+class _Script(RngStream):
+    """A stream that replays fixed uniforms; its state is the position."""
+
+    def __init__(self, values):
+        self.values, self._state = list(values), 0
+
+    def uniform(self):
+        self._state += 1
+        return self.values[self._state - 1]
+
+    def uniforms(self, n):
+        self._state += n
+        return np.array(self.values[self._state - n:self._state], dtype=np.float64)
+
+
+class TestStableBlock:
+    """`alpha_stables` against `n` scalar `alpha_stable` calls."""
+
+    # tails 0.3 and 0.005 draw values beyond the float range (infinities)
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300),
+           tail=st.sampled_from([2.0, 1.8, 1.0, 0.3, 0.005]),
+           skew=st.sampled_from([0.0, 0.7, -1.0]), scale=st.floats(0.1, 2.0),
+           location=st.floats(-1.0, 1.0))
+    def test_block_equals_scalar_calls(self, seed, n, tail, skew, scale, location):
+        p = StableParams(alpha_tail=tail, skew=skew, scale=scale, location=location)
+        block, scalar = RngStream(seed), RngStream(seed)
+        got = alpha_stables(block, p, n)
+        want = np.array([alpha_stable(scalar, p) for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block._state == scalar._state
+
+    @pytest.mark.parametrize("tail,skew", [(1.8, 0.0), (1.0, 0.7), (0.005, 0.0)])
+    def test_block_with_an_exact_one_is_drawn_one_by_one(self, tail, skew):
+        # the block holds a 1.0, which the scalar sampler redraws: the second
+        # draw takes 0.2 and 0.7, and the stream ends one uniform further on
+        p = StableParams(alpha_tail=tail, skew=skew, scale=0.5)
+        values = [0.3, 0.6, 0.2, 1.0, 0.7, 0.9, 0.4]
+        block, scalar = _Script(values), _Script(values)
+        got = alpha_stables(block, p, 3)
+        want = [alpha_stable(scalar, p) for _ in range(3)]
+        assert got.tolist() == want
+        assert want[1] == alpha_stable(_Script([0.2, 0.7]), p)
+        assert block._state == scalar._state == 7
