@@ -5,8 +5,9 @@
     sedfosgd ratefit --config cfg [--seeds N] [--override k=v]...
 
 Exit codes: 0 success; 1 malformed command line, validation error, file
-error (OSError) or failed eigensolve (NumericalError); 2 divergence of the
-optimizer or of the simulated data (GenerationError).
+error (OSError), failed eigensolve (NumericalError) or a run too large to
+allocate (MemoryError); 2 divergence of the optimizer or of the simulated
+data (GenerationError).
 """
 
 import argparse
@@ -84,8 +85,8 @@ def main(argv=None):
             print(f"r_squared = {fit.r_squared}")
             print(f"fit_window = {fit.window_start} {fit.window_start + fit.points - 1}")
             print(f"fit_points = {fit.points}")
-    except (ConfigError, ValueError, OSError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, NumericalError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except (DivergenceError, GenerationError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)

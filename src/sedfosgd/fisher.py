@@ -4,11 +4,11 @@ Blocks accumulate an exponential moving average of gradient outer products.
 Layers above DIAGONAL_THRESHOLD parameters fall back to a diagonal
 approximation so storage stays O(d_j) instead of O(d_j^2).
 
-After k < d folds from zero a full block is sum_i w_i g_i g_i^T, of rank at
-most k. Until the fold count reaches d, a full block also carries the
-weighted gradient rows U = W^{1/2} G and their k x k Gram U U^T, which has
-the same nonzero spectrum as the d x d block (AB and BA share theirs), so
-`spectral_operand` can hand the eigensolver the smaller matrix exactly.
+After k < d folds from zero a full block is sum_i w_i g_i g_i^T = U^T U for
+the weighted gradient rows U = W^{1/2} G. Until then it holds U and, as its
+one matrix, the k x k Gram U U^T, which has the nonzero spectrum and trace
+of U^T U (AB and BA share theirs), so the solve is k x k and exact. The d-th
+fold materialises U^T U; from then on the block folds densely.
 """
 
 from dataclasses import dataclass
@@ -22,10 +22,10 @@ DIAGONAL_THRESHOLD = 512
 class FisherBlock:
     """EMA Fisher estimate for one layer, folded in place by `ema_update`.
 
-    `matrix` is a (..., d, d) array in full mode or (..., d) diagonal entries
-    in diagonal mode, the leading axes over seeds. `rows` (..., k, d) and
-    `gram` (..., k, k) hold the rank-limited factor of a full block built
-    from zero by k < d folds; they are None otherwise.
+    `matrix` is the block's one array, seeds on the leading axes: the (..., d)
+    diagonal in diagonal mode; in full mode the (..., k, k) Gram of the
+    weighted gradient rows `rows` (..., k, d) while it holds k < d folds from
+    zero, else the (..., d, d) block, with `rows` None.
     """
 
     layer_index: int
@@ -33,11 +33,10 @@ class FisherBlock:
     matrix: np.ndarray
     decay: float
     rows: np.ndarray = None
-    gram: np.ndarray = None
 
     @property
     def dim(self):
-        return self.matrix.shape[-1]
+        return (self.matrix if self.rows is None else self.rows).shape[-1]
 
     @classmethod
     def zeros(cls, layer_index, dim, decay, mode=None, stack=()):
@@ -46,9 +45,8 @@ class FisherBlock:
         if mode is None:
             mode = "diagonal" if dim > DIAGONAL_THRESHOLD else "full"
         if mode == "full":
-            return cls(layer_index=layer_index, mode=mode,
-                       matrix=np.zeros(stack + (dim, dim)), decay=decay,
-                       rows=np.zeros(stack + (0, dim)), gram=np.zeros(stack + (0, 0)))
+            return cls(layer_index=layer_index, mode=mode, matrix=np.zeros(stack + (0, 0)),
+                       decay=decay, rows=np.zeros(stack + (0, dim)))
         if mode == "diagonal":
             return cls(layer_index=layer_index, mode=mode,
                        matrix=np.zeros(stack + (dim,)), decay=decay)
@@ -58,7 +56,7 @@ class FisherBlock:
         """Keep only the seeds of a stacked block where `mask` is true."""
         self.matrix = self.matrix[mask]
         if self.rows is not None:
-            self.rows, self.gram = self.rows[mask], self.gram[mask]
+            self.rows = self.rows[mask]
 
 
 def ema_update(block, v):
@@ -69,20 +67,23 @@ def ema_update(block, v):
     block finite and exactly symmetric, which the spectral solve relies on.
     """
     v = np.asarray(v, dtype=float)
-    want = block.matrix.shape[:-1] if block.mode == "full" else block.matrix.shape
-    if v.shape != want:
-        raise ValueError(
-            f"dimension mismatch: block {block.matrix.shape}, gradient {v.shape}")
+    stack = block.matrix.shape[:-2 if block.mode == "full" else -1]
+    if v.shape != stack + (block.dim,):
+        raise ValueError(f"dimension mismatch: block of dim {block.dim} over seed "
+                         f"stack {stack}, gradient {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("gradient entries must be finite")
     gamma = block.decay
+    if block.rows is not None:
+        if block.rows.shape[-2] + 1 < block.dim:
+            block.rows, block.matrix = _extend_factor(block.rows, block.matrix, v, gamma)
+            return
+        # the d-th fold: U^T U as a sum of products is exactly symmetric
+        block.matrix = np.einsum("...ki,...kj->...ij", block.rows, block.rows)
+        block.rows = None
     block.matrix *= 1.0 - gamma
     if block.mode == "full":
         block.matrix += gamma * (v[..., :, None] * v[..., None, :])
-        if block.rows is not None and block.rows.shape[-2] + 1 < block.dim:
-            block.rows, block.gram = _extend_factor(block.rows, block.gram, v, gamma)
-        else:
-            block.rows = block.gram = None
     else:
         block.matrix += gamma * v * v
 
@@ -105,20 +106,17 @@ _TRACE_FLOOR = 1e-12
 
 
 def spectral_operand(block, normalized):
-    """The smallest PSD matrix whose nonzero spectrum is the block's.
-
-    That is the k x k weighted gradient Gram while the block holds its
-    rank-limited factor, else the block itself (a vector in diagonal mode).
-    With `normalized`, it is scaled by dim / trace, so the block's trace
-    becomes its dimension; a block whose trace is at the floor maps to zero.
+    """The block's matrix (its Gram, the block or its diagonal), which has
+    the block's nonzero spectrum and trace. With `normalized`, it is scaled
+    by dim / trace, so the block's trace becomes its dimension; a block
+    whose trace is at the floor maps to zero.
     """
-    operand = block.matrix if block.gram is None else block.gram
     if not normalized:
-        return operand
+        return block.matrix
     if block.mode == "full":
         tr = block.matrix.trace(axis1=-2, axis2=-1)[..., None, None]
     else:
         tr = block.matrix.sum(axis=-1, keepdims=True)
     if min(tr.reshape(-1).tolist()) <= _TRACE_FLOOR:
         tr = np.where(tr > _TRACE_FLOOR, tr, np.inf)  # dim / inf is 0
-    return block.dim / tr * operand
+    return block.dim / tr * block.matrix

@@ -29,16 +29,30 @@ def direct_weighted_sum(grads, gamma):
 
 class TestEmaUpdate:
     def test_full_decay_one_is_outer_product(self):
+        # one fold: the factor is g itself and the Gram g . g; at the d-th
+        # fold the dense block is g (x) g
         g = np.array([1.0, -2.0, 0.5])
         block = FisherBlock.zeros(0, 3, decay=1.0)
         ema_update(block, g)
+        assert np.array_equal(block.rows, g[None, :])
+        assert np.array_equal(block.matrix, [[g @ g]])
+        for _ in range(2):
+            ema_update(block, g)
+        assert block.rows is None
         assert np.array_equal(block.matrix, np.outer(g, g))
 
     def test_zero_gradient_scales_and_advances_mass(self):
-        block = FisherBlock.zeros(0, 2, decay=0.25)
-        ema_update(block, np.array([2.0, 0.0]))
+        # the Gram scales and gains a zero row and column; after the d-th
+        # fold the dense block scales
+        block = FisherBlock.zeros(0, 3, decay=0.25)
+        ema_update(block, np.array([2.0, 0.0, 0.0]))
         before = block.matrix.copy()
-        ema_update(block, np.zeros(2))
+        ema_update(block, np.zeros(3))
+        assert np.allclose(block.matrix, np.pad(0.75 * before, (0, 1)))
+        ema_update(block, np.zeros(3))
+        before = block.matrix.copy()
+        assert before.shape == (3, 3)
+        ema_update(block, np.zeros(3))
         assert np.allclose(block.matrix, 0.75 * before)
 
     def test_matches_direct_summation(self):
@@ -51,10 +65,14 @@ class TestEmaUpdate:
 
     def test_dimension_mismatch(self):
         block = FisherBlock.zeros(0, 3, decay=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dim 3 over seed stack \(\)"):
             ema_update(block, np.zeros(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dim 3 over seed stack \(\)"):
             ema_update(block, np.zeros((3, 1)))
+        stacked = FisherBlock.zeros(0, 3, decay=0.1, stack=(2,))
+        ema_update(stacked, np.ones((2, 3)))  # the factor's Gram is 1 x 1
+        with pytest.raises(ValueError, match=r"dim 3 over seed stack \(2,\)"):
+            ema_update(stacked, np.ones((2, 1)))
 
     def test_rejects_nonfinite_gradient(self):
         # the run loop stops non-finite gradients before the EMA; one that
@@ -83,10 +101,26 @@ class TestEmaUpdate:
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_fold_in_place_equals_the_ema_expression(self, dim, mode):
         # the in-place *= / += fold gives the bits of
-        # (1 - gamma) * old + gamma * v (x) v, in the same array
+        # (1 - gamma) * old + gamma * v (x) v, in the same array; a full block
+        # extends its factor before its d-th fold and folds densely after it
         block = FisherBlock.zeros(0, dim, decay=0.1, mode=mode)
-        matrix = block.matrix
-        for v in fixed_stream(dim + 2, dim, seed=dim):
+        matrix = block.matrix if mode == "diagonal" else None
+        for n, v in enumerate(fixed_stream(dim + 2, dim, seed=dim), start=1):
+            if mode == "full" and n < dim:
+                rows, gram = block.rows, block.matrix
+                ema_update(block, v)
+                new_row = np.sqrt(0.1) * v
+                assert block.rows.tobytes() == np.concatenate(
+                    [np.sqrt(1.0 - 0.1) * rows, new_row[None, :]]).tobytes()
+                assert block.matrix[:-1, :-1].tobytes() == ((1.0 - 0.1) * gram).tobytes()
+                assert block.matrix[:-1, -1].tobytes() == block.matrix[-1, :-1].tobytes()
+                assert np.allclose(block.matrix[-1], block.rows @ new_row, rtol=1e-14)
+                continue
+            if mode == "full" and n == dim:
+                ema_update(block, v)
+                matrix = block.matrix
+                assert block.rows is None and matrix.shape == (dim, dim)
+                continue
             if mode == "full":
                 expected = (1.0 - 0.1) * block.matrix + 0.1 * np.outer(v, v)
             else:
@@ -174,7 +208,8 @@ def _solve_tolerance(op, reference, s):
     min(sqrt(delta), delta / root); `reference` holds the exact roots.
     """
     n = op.shape[0]
-    delta = 4 * n * np.finfo(float).eps * max(np.linalg.norm(op), 1e-300)
+    top = max(np.abs(op).max(initial=0.0), 1e-300)  # no underflow in the norm's squares
+    delta = 4 * n * np.finfo(float).eps * max(top * np.linalg.norm(op / top), 1e-300)
     roots = np.zeros(n)
     roots[:min(n, reference.size)] = np.sort(reference)[::-1][:n]
     with np.errstate(divide="ignore"):
@@ -189,19 +224,20 @@ class TestRankLimitedFactor:
             ema_update(block, g)
             if k < 5:
                 assert block.rows.shape == (k, 5)
-                assert block.gram.shape == (k, k)
+                assert block.matrix.shape == (k, k)
                 assert spectral_operand(block, True).shape == (k, k)
             else:
-                assert block.rows is None and block.gram is None
-                assert spectral_operand(block, False) is block.matrix
+                assert block.rows is None and block.matrix.shape == (5, 5)
+            assert block.dim == 5
+            assert spectral_operand(block, False) is block.matrix
 
     def test_diagonal_blocks_carry_no_factor(self):
         for block in (FisherBlock.zeros(0, 5, decay=0.2, mode="diagonal"),
                       FisherBlock.zeros(0, 600, decay=0.2)):
-            assert block.rows is None and block.gram is None
+            assert block.rows is None and block.matrix.shape == (block.dim,)
             for g in fixed_stream(3, block.dim, seed=9):
                 ema_update(block, g)
-                assert block.rows is None and block.gram is None
+                assert block.rows is None and block.matrix.shape == (block.dim,)
                 assert spectral_operand(block, False) is block.matrix
 
     @pytest.mark.parametrize("k", [1, 5, 49])
@@ -246,3 +282,35 @@ class TestRankLimitedFactor:
             got = logdet_plus(op, SCALE)
             tol = _solve_tolerance(op, sigma, SCALE) + 1e-12 * expected
             assert abs(got - expected) <= tol, (n, got, expected, tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 40), extra=st.integers(1, 3),
+           decay=st.floats(0.0, 1.0, exclude_min=True), seeds=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_matrix_matches_the_dense_ema(self, dim, extra, decay, seeds, seed):
+        # on both sides of the d-th fold, a stacked block's one matrix is
+        # exactly symmetric, is the operand the solve reads, and gives the
+        # log-det of the dense EMA summed here, within both solves' bounds
+        grads = np.random.default_rng(seed).standard_normal((seeds, dim + extra, dim))
+        block = FisherBlock.zeros(0, dim, decay=decay, stack=(seeds,))
+        for n in range(1, dim + extra + 1):
+            ema_update(block, grads[:, n - 1])
+            m = block.matrix
+            assert m.shape == (seeds,) + ((n, n) if n < dim else (dim, dim))
+            assert m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
+            assert spectral_operand(block, False) is m
+            w = _ema_weights(decay, n)
+            dense = np.einsum("i,sij,sik->sjk", w, grads[:, :n], grads[:, :n])
+            for normalized in (False, True):
+                op = spectral_operand(block, normalized)
+                got = logdet_plus(op, SCALE)
+                for i in range(seeds):
+                    ref = dense[i]
+                    if normalized:
+                        tr = np.trace(ref)
+                        ref = dim / tr * ref if tr > 1e-12 else np.zeros_like(ref)
+                    roots = np.sqrt(np.maximum(np.linalg.eigvalsh(ref), 0.0))
+                    expected = float(np.sum(np.log1p(SCALE * roots)))
+                    tol = (_solve_tolerance(op[i], roots, SCALE)
+                           + _solve_tolerance(ref, roots, SCALE) + 1e-12 * expected)
+                    assert abs(got[i] - expected) <= tol, (n, i, got[i], expected, tol)

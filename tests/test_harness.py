@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedfosgd import cli, harness
@@ -838,6 +838,10 @@ class TestFailureContract:
 
     @settings(max_examples=60, deadline=None)
     @given(cli_configs())
+    # 10^17 iterations need more than any 64-bit address space holds, so the
+    # allocation fails at once (exit 1) without touching memory
+    @example(pairs=["iterations=100000000000000000"])
+    @example(pairs=["problem=quadratic", "iterations=100000000000000000"])
     def test_every_config_ends_in_a_known_exit(self, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "base.cfg")

@@ -217,4 +217,5 @@ class TestNormalizedPipeline:
             _, d_max, _ = observe_fisher_sed([rng.standard_normal(330)], blocks,
                                              d_max, CFG)
         assert shapes == [(k, k) for k in range(1, 7)]
-        assert blocks[0].gram.shape == (6, 6)
+        assert blocks[0].matrix.shape == (6, 6)
+        assert blocks[0].rows.shape == (6, 330)
