@@ -109,7 +109,8 @@ def spectral_operand(block, normalized):
     """The block's matrix (its Gram, the block or its diagonal), which has
     the block's nonzero spectrum and trace. With `normalized`, it is scaled
     by dim / trace, so the block's trace becomes its dimension; a block
-    whose trace is at the floor maps to zero.
+    whose trace is at the floor maps to zero. Without, it is the block's own
+    array, which the next fold of a dense or diagonal block overwrites.
     """
     if not normalized:
         return block.matrix

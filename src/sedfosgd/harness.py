@@ -14,6 +14,7 @@ import numpy as np
 from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
+from . import sed as sed_mod
 from .noise import RngStream, StableParams, _mix, alpha_stables, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
@@ -214,7 +215,7 @@ class _ArDriver:
     def metric_names(self):
         return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
 
-    def metrics(self, layers, out):
+    def metrics(self, layers, out, last):
         err = layers[0] - self.true_coeffs
         np.abs(err, out=out[:, :-1])
         out[:, -1] = optim_mod.norm([err])
@@ -233,10 +234,12 @@ class _QuadraticDriver:
         self.noise_std = config.quad_noise_std
         self.failed, self.rngs, self._next_row = {}, list(rngs), 0
         self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
+        self._gap = np.empty(len(self.rngs))  # the next loss goes here (see metrics)
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
 
     def loss_grad(self, layers, t):
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
+        self._gap[:] = f
         if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
             rows, d = max(1, 2048 // g.shape[1]), g.shape[1]
             self._noise_rows = np.array([gaussians(rng, rows * d, 0.0, self.noise_std)
@@ -253,9 +256,12 @@ class _QuadraticDriver:
     def metric_names(self):
         return ["gap"]
 
-    def metrics(self, layers, out):
-        # b = 0, so the minimum is 0 at the origin and the gap is f itself
-        out[:, 0] = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)[0]
+    def metrics(self, layers, out, last):
+        # b = 0, so the minimum is 0 at the origin and the gap is f itself:
+        # the next step's loss_grad evaluates it on these layers and fills it in
+        self._gap = out[:, 0]
+        if last:
+            self._gap[:] = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)[0]
 
 
 class _MlpDriver:
@@ -308,7 +314,7 @@ class _MlpDriver:
             self.spec, [v[k] for v in layers], batch.inputs) == batch.labels))
             for k, batch in enumerate(batches)]
 
-    def metrics(self, layers, out):
+    def metrics(self, layers, out, last):
         out[:, 0] = self._accuracies(layers, self._batches)
 
     def holdout_accuracy(self, layers):
@@ -330,6 +336,9 @@ _DRIVERS = {"ar": _ArDriver, "quadratic": _QuadraticDriver, "mlp": _MlpDriver}
 
 # --- The run loop ---
 
+# sgd and fosgd fold the Fisher diagnostics of up to 256 steps at once:
+_CHUNK_BYTES = 1 << 18  # as many as keep the chunk's operands in this many bytes
+
 @dataclass
 class RunResult:
     header: list
@@ -350,9 +359,9 @@ def trace_header(driver):
 
 
 def run(config, seeds=None):
-    """Execute one experiment; writes the CSV trace if `out` is set. The
-    trace is written row by row; the summary only lands next to it (as
-    `<out>.summary`) after the whole run succeeded.
+    """Execute one experiment; writes the CSV trace if `out` is set, its rows
+    when the run ends, however it ends (up to the step that diverged); the
+    summary only lands next to it (as `<out>.summary`) after a success.
 
     With `seeds` (and no `out`), runs the config once per seed in lock-step
     and returns, per seed, its RunResult or the DivergenceError or
@@ -369,25 +378,42 @@ def run(config, seeds=None):
         raise outcomes[0]
 
     # the run state, one row per seed of `alive` (no step runs without one):
-    # each layer, its last step, its EMA Fisher block, the dimensions, their max
+    # each layer, its last step, its EMA Fisher block, the dimensions' max
     layers = list(driver.init_layers)
     steps = [np.zeros_like(v) for v in layers]
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
-    dzeta, d_max = np.zeros((alive.size, len(layers))), np.zeros(alive.size)
+    d_max = np.zeros(alive.size)
     # the optimizers differ only in their exponents: 1 for sgd, alpha0 for
     # fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
+    adaptive = config.optimizer == "2sedfosgd"
     fixed = np.full((alive.size, len(layers)),
                     1.0 if config.optimizer == "sgd" else config.alpha0)
+    # the gradients of the steps not folded yet: 2sedfosgd folds each step's
+    # at once, sgd and fosgd (which only trace the diagnostics) a chunk
+    pending, width = [], 1 if adaptive else min(256, max(1, _CHUNK_BYTES // (8 * max(
+        alive.size, 1) * sum(b.dim ** 2 if b.mode == "full" else b.dim for b in blocks))))
 
     header = trace_header(driver)
     metric_col = 3 * len(layers) + 4
-    rows = np.empty((alive.size, config.iterations, len(header)))
+    # step 1 folds nothing, so its dimensions and d_max stay 0
+    rows = np.zeros((alive.size, config.iterations, len(header)))
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
     rows[:, :, 1] = np.concatenate(
         [[config.mu0], optim_mod.step_size(np.arange(1, config.iterations), config.mu0)])
     writer = _TraceWriter(config.out, header) if config.out else None
+    # a trace is one seed's rows (in view after it leaves), the first `done` whole
+    trace, done = rows[0] if writer else None, 0
+
+    def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
+        nonlocal d_max, done
+        dzeta, peak = optim_mod.fisher_diagnostics(pending, blocks, d_max, config)
+        rows[:, t - len(pending):t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
+        rows[:, t - len(pending):t, metric_col - 1] = peak.T
+        pending.clear()
+        d_max, done = peak[-1], t - 1  # the next loss is in
+        return dzeta, peak
 
     try:
         # an overflow or invalid operation leaves inf or nan instead of a
@@ -395,6 +421,9 @@ def run(config, seeds=None):
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, config.iterations + 1 if alive.size else 1):
                 loss, raw = driver.loss_grad(layers, t)
+                # a row is whole once its chunk is folded and the next loss is in
+                if not pending:
+                    done = t - 1
                 grads = optim_mod.clip_gradients(raw, config.grad_clip)
                 # catch blow-ups before the Fisher outer product can overflow:
                 # |g|^2 is finite exactly when every entry is and the squares
@@ -408,12 +437,14 @@ def run(config, seeds=None):
                     grads = [np.where(blown[:, None], 0.0, g) for g in grads]
                 if t == 1:
                     # classical first step, before any Fisher update
-                    alphas = np.ones_like(dzeta)
+                    alphas = np.ones_like(fixed)
                 else:
                     # every optimizer logs the same Fisher/dimension diagnostics
-                    dzeta, d_max, adaptive = optim_mod.observe_fisher_sed(
-                        grads, blocks, d_max, config)
-                    alphas = adaptive if config.optimizer == "2sedfosgd" else fixed
+                    pending.append(grads)
+                    if len(pending) == width or t == config.iterations:
+                        dzeta, peak = diagnose(t)
+                    alphas = (sed_mod.adapt_alpha(dzeta[0], peak[0, :, None], config)
+                              if adaptive else fixed)
                 layers, steps = optim_mod.step(layers, steps, grads, rows[0, t - 1, 1],
                                                alphas, config, t)
 
@@ -422,10 +453,12 @@ def run(config, seeds=None):
                 failed.update((k, DivergenceError(f"non-finite loss or gradient at step {t}",
                                                   step_index=t)) for k in blown_rows)
                 if failed:
+                    if pending:  # fold the chunk before its seeds part
+                        diagnose(t)
                     outcomes.update((int(alive[k]), exc) for k, exc in failed.items())
                     keep = ~np.isin(np.arange(alive.size), list(failed))
-                    alive, loss, alphas, fixed, dzeta, d_max, rows = (
-                        x[keep] for x in (alive, loss, alphas, fixed, dzeta, d_max, rows))
+                    alive, loss, alphas, fixed, d_max, rows = (
+                        x[keep] for x in (alive, loss, alphas, fixed, d_max, rows))
                     layers, steps = [v[keep] for v in layers], [v[keep] for v in steps]
                     for owner in (driver, *blocks):
                         owner.keep(keep)
@@ -435,16 +468,13 @@ def run(config, seeds=None):
                 row = rows[:, t - 1]
                 row[:, 2] = loss
                 row[:, 3:metric_col - 1:3] = alphas
-                row[:, 4:metric_col - 1:3] = dzeta
                 for j, d in enumerate(steps):
                     row[:, 5 + 3 * j] = optim_mod.norm([d])
-                row[:, metric_col - 1] = d_max
-                driver.metrics(layers, row[:, metric_col:])
-                if writer:
-                    writer.write_row(row[0].tolist())
+                driver.metrics(layers, row[:, metric_col:], t == config.iterations)
+            done = config.iterations if alive.size else done
     finally:
         if writer:
-            writer.close()
+            writer.close(trace, done)
 
     names = driver.metric_names()
     holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
@@ -470,7 +500,7 @@ def run(config, seeds=None):
 
 
 class _TraceWriter:
-    """Row-at-a-time CSV writer; each row is flushed as one write."""
+    """CSV trace file: the header when the run starts, its rows at the end."""
 
     def __init__(self, path, header):
         parent = os.path.dirname(os.path.abspath(path))
@@ -482,8 +512,12 @@ class _TraceWriter:
         """Writes one row of Python floats."""
         self._fh.write(",".join(map(repr, row)) + "\n")
 
-    def close(self):
-        self._fh.close()
+    def close(self, rows, n):
+        """Writes rows[:n] of a (steps, columns) array, each by write_row,
+        and closes the file."""
+        with self._fh:
+            for row in rows[:n]:  # one row's floats at a time, not the whole trace's
+                self.write_row(row.tolist())
 
 
 def csv_bytes(result):

@@ -116,23 +116,29 @@ def diverged(layers, t):
         step_index=t) for k in np.flatnonzero(~finite.all(axis=0)).tolist()}
 
 
-def observe_fisher_sed(grads, fisher_blocks, d_max, cfg):
-    """Fold gradients into the EMA blocks and refresh the dimension state.
-
-    The blocks are folded in place (single-owner state). Each block gets one
-    spectral solve (over all its seeds), on its k x k gradient Gram while it
-    holds k < d folds, whose log-det yields its effective dimension. Returns
-    the dimensions (layers on the last axis), the running maximum `d_max`
-    with them folded in, and the exponent array they imply.
+def fisher_diagnostics(grads, blocks, d_max, cfg):
+    """Fold a chunk of steps' gradients (per step, a list of per-layer
+    gradients) into the EMA blocks in order; returns each step's dimensions
+    (steps, seeds..., layers) and their running maximum from `d_max` on.
+    A block's run of equal-shape operands takes one stacked `logdet_plus`,
+    which solves each matrix alone: every chunk has the bits of one step at
+    a time (sgd and fosgd fold many steps, 2sedfosgd one, copying nothing).
     """
-    dzeta = np.empty(grads[0].shape[:-1] + (len(fisher_blocks),))
     s = sed_mod.curvature_scale(cfg)
-    for j, g in enumerate(grads):
-        block = fisher_blocks[j]
-        fisher_mod.ema_update(block, g)
-        mat = fisher_mod.spectral_operand(block, cfg.normalize_fisher)
-        logdet = logdet_plus(mat, s, diagonal=block.mode == "diagonal")
-        dzeta[..., j] = sed_mod.two_sed(logdet, block.dim, cfg)
-    d_max = np.maximum(d_max, dzeta.max(axis=-1))
-    return dzeta, d_max, sed_mod.adapt_alpha(dzeta, d_max, cfg)
-
+    dzeta = np.empty((len(grads),) + grads[0][0].shape[:-1] + (len(blocks),))
+    for j, block in enumerate(blocks):
+        ops = []
+        for step_grads in grads:
+            if ops and ops[-1] is block.matrix:  # the next fold overwrites it
+                ops[-1] = ops[-1].copy()
+            fisher_mod.ema_update(block, step_grads[j])
+            ops.append(fisher_mod.spectral_operand(block, cfg.normalize_fisher))
+        lo = 0
+        for hi in range(1, len(ops) + 1):
+            if hi == len(ops) or ops[hi].shape != ops[lo].shape:
+                group = ops[lo] if hi == lo + 1 else np.stack(ops[lo:hi])
+                dzeta[lo:hi, ..., j] = sed_mod.two_sed(
+                    logdet_plus(group, s, block.mode == "diagonal"), block.dim, cfg)
+                lo = hi
+    peak = np.maximum(d_max, dzeta.max(axis=-1))
+    return dzeta, peak if len(grads) == 1 else np.maximum.accumulate(peak, axis=0)

@@ -37,13 +37,12 @@ def two_sed(logdet, d_nominal, cfg):
 def adapt_alpha(dzeta, d_max, cfg):
     """Map the per-layer effective dimensions `dzeta` (layers on the last
     axis, seeds on any leading ones) and their running maximum `d_max` (one
-    per seed) to the array of per-layer fractional exponents.
+    per seed, on a last axis of length 1) to the per-layer exponents.
 
     Before any observation (d_max == 0) every layer keeps the base exponent,
     matching the classical first step of the optimizer.
     """
-    d_max = np.asarray(d_max, dtype=float)[..., None]
     # d_max >= dzeta >= 0, so d_max == 0 means dzeta == 0: dividing by 1
-    # instead keeps alpha0
-    alphas = cfg.alpha0 - cfg.beta * dzeta / (d_max + (d_max <= 0.0))
-    return np.minimum(np.maximum(alphas, cfg.alpha_min), cfg.alpha0)
+    # instead keeps alpha0; as beta >= 0 too, no exponent exceeds alpha0
+    return np.maximum(cfg.alpha0 - cfg.beta * dzeta / (d_max + (d_max <= 0.0)),
+                      cfg.alpha_min)

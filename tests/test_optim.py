@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedfosgd import optim
 from sedfosgd.fisher import FisherBlock
 from sedfosgd.harness import ConfigError, ExperimentConfig
 from sedfosgd.noise import RngStream, gaussian
-from sedfosgd.optim import (DivergenceError, clip_gradients, norm,
-                            observe_fisher_sed, step_size)
+from sedfosgd.optim import (DivergenceError, clip_gradients, fisher_diagnostics, norm,
+                            step_size)
 from sedfosgd.problems import ar_generate, ar_loss_grad
+from sedfosgd.sed import adapt_alpha
 
 from reference import delta_radius
 
@@ -46,9 +49,11 @@ def sgd_step(layers, steps, grads, mu):
 
 
 def adaptive_step(layers, steps, grads, blocks, d_max, c, t):
-    """What the harness does for 2sedfosgd at step t >= 2: observe, then
-    step at the new exponents."""
-    _, d_max, alpha = observe_fisher_sed(grads, blocks, d_max, c)
+    """What the harness does for 2sedfosgd at step t >= 2: fold and solve
+    the step's diagnostics (a chunk of one step), then step at the
+    exponents they give."""
+    dzeta, peak = fisher_diagnostics([grads], blocks, d_max, c)
+    d_max, alpha = peak[0], adapt_alpha(dzeta[0], peak[0], c)
     layers, steps = step(layers, steps, grads, step_size(t - 1, c.mu0), alpha, c, t)
     return layers, steps, d_max, alpha
 
@@ -342,3 +347,46 @@ class TestClip:
         assert out[0][0] == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
         assert out[1][0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
 
+
+
+@st.composite
+def gradient_chunks(draw):
+    """A gradient sequence over 1 or 2 layers of 1 to 12 parameters and 1 to
+    3 seeds, whose fold count runs past the dimension of the smaller layer
+    (so its Gram turns dense inside a chunk), some seeds folding zeros as a
+    blown seed does, and a chunk width of 1 to 17 steps."""
+    dims = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    seeds = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, 2 * min(dims) + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=(steps, seeds, 1))
+    zeros = rng.random((steps, seeds, 1)) < draw(st.sampled_from([0.0, 0.3]))
+    grads = [[np.where(zeros[w], 0.0, scale[w] * rng.standard_normal((seeds, d)))
+              for d in dims] for w in range(steps)]
+    return (dims, seeds, grads, draw(st.integers(1, 17)), draw(st.booleans()),
+            draw(st.sampled_from(["full", "diagonal"])))
+
+
+class TestChunkedDiagnostics:
+    """Fixed-exponent runs fold their Fisher diagnostics a chunk of steps at
+    a time; every chunk width gives the bits of one step at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gradient_chunks())
+    def test_chunks_keep_the_bits_of_single_steps(self, drawn):
+        dims, seeds, grads, width, normalized, mode = drawn
+        c = cfg(normalize_fisher=normalized)
+        results = []
+        for w in (1, width):
+            blocks = [FisherBlock.zeros(j, d, 0.1, mode=mode, stack=(seeds,))
+                      for j, d in enumerate(dims)]
+            d_max, dzetas, peaks = np.zeros(seeds), [], []
+            for lo in range(0, len(grads), w):
+                dzeta, peak = fisher_diagnostics(grads[lo:lo + w], blocks, d_max, c)
+                dzetas.append(dzeta)
+                peaks.append(peak)
+                d_max = peak[-1]
+            results.append((np.concatenate(dzetas).tobytes(), np.concatenate(peaks).tobytes(),
+                            [(b.matrix.tobytes(), None if b.rows is None else b.rows.tobytes())
+                             for b in blocks]))
+        assert results[0] == results[1]

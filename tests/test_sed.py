@@ -7,7 +7,7 @@ from scipy.linalg import sqrtm
 from sedfosgd.fisher import FisherBlock, ema_update, spectral_operand
 from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import logdet_plus
-from sedfosgd.optim import observe_fisher_sed
+from sedfosgd.optim import fisher_diagnostics
 from sedfosgd.sed import adapt_alpha, curvature_scale, d_curv, two_sed
 
 
@@ -110,20 +110,21 @@ class TestTwoSed:
 
 
 class TestUpdateDmax:
-    """The running maximum `observe_fisher_sed` folds the new dimensions into."""
+    """The running maximum `fisher_diagnostics` folds the new dimensions into."""
 
     def _observe(self, grads, d_max, dims=(2, 5)):
         blocks = [FisherBlock.zeros(j, d, decay=0.1) for j, d in enumerate(dims)]
-        return observe_fisher_sed(grads, blocks, d_max, CFG)
+        dzeta, peak = fisher_diagnostics([grads], blocks, d_max, CFG)
+        return dzeta[0], peak[0]
 
     def test_takes_new_max(self):
         # a 5-dim layer's d_zeta is at least zeta * 5 = 3.5, above 3
-        dzeta, d_max, _ = self._observe([np.ones(2), np.ones(5)], 3.0)
+        dzeta, d_max = self._observe([np.ones(2), np.ones(5)], 3.0)
         assert dzeta[1] > dzeta[0] and dzeta[1] > 3.0
         assert d_max == dzeta[1]
 
     def test_unchanged_when_below(self):
-        dzeta, d_max, _ = self._observe([np.ones(2), np.ones(5)], 100.0)
+        dzeta, d_max = self._observe([np.ones(2), np.ones(5)], 100.0)
         assert np.all(dzeta < 100.0)
         assert d_max == 100.0
 
@@ -134,9 +135,10 @@ class TestUpdateDmax:
         d_max = 0.0
         seen, values = [], []
         for g in ([1.0, 0.0], [0.0, 3.0], [0.0, 0.0], [0.0, 0.0]):
-            dzeta, d_max, _ = observe_fisher_sed([np.array(g)], block, d_max,
-                                                 config(normalize_fisher=False))
-            values.append(dzeta[0])
+            dzeta, peak = fisher_diagnostics([[np.array(g)]], block, d_max,
+                                             config(normalize_fisher=False))
+            d_max = peak[0]
+            values.append(dzeta[0, 0])
             seen.append(d_max)
         assert values[0] < values[1] and values[1] > values[2] > values[3]
         assert seen == [values[0], values[1], values[1], values[1]]
@@ -214,8 +216,8 @@ class TestNormalizedPipeline:
         d_max = 0.0
         rng = np.random.default_rng(4)
         for _ in range(6):
-            _, d_max, _ = observe_fisher_sed([rng.standard_normal(330)], blocks,
-                                             d_max, CFG)
+            _, peak = fisher_diagnostics([[rng.standard_normal(330)]], blocks, d_max, CFG)
+            d_max = peak[0]
         assert shapes == [(k, k) for k in range(1, 7)]
         assert blocks[0].matrix.shape == (6, 6)
         assert blocks[0].rows.shape == (6, 330)
