@@ -348,7 +348,6 @@ class TestClip:
         assert out[1][0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
 
 
-
 @st.composite
 def gradient_chunks(draw):
     """A gradient sequence over 1 or 2 layers of 1 to 12 parameters and 1 to
