@@ -15,7 +15,7 @@ from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
 from . import sed as sed_mod
-from .noise import RngStream, StableParams, _mix, alpha_stables, gaussians
+from .noise import RngStream, _mix, alpha_stables, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
 
@@ -190,12 +190,11 @@ class _ArDriver:
         self.true_coeffs = np.asarray(config.ar_coeffs, dtype=float)
         p = self.true_coeffs.size
         n = config.iterations + p
-        params = StableParams(alpha_tail=config.stable_tail, skew=config.stable_skew,
-                              scale=config.stable_scale, location=config.stable_location)
         self.failed, data = {}, []
         for i, rng in enumerate(rngs):
             noise = (gaussians(rng, n, 0.0, config.noise_std) if config.noise == "gaussian"
-                     else alpha_stables(rng, params, n))
+                     else alpha_stables(rng, n, config.stable_tail, config.stable_skew,
+                                        config.stable_scale, config.stable_location))
             try:
                 data.append(problems_mod.ar_generate(self.true_coeffs, noise))
             except GenerationError as exc:
@@ -347,10 +346,6 @@ class RunResult:
     summary: dict
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def trace_header(driver):
     cols = ["t", "mu", "loss"]
     for j in range(len(driver.init_layers)):
@@ -494,7 +489,7 @@ def run(config, seeds=None):
         raise outcomes[0]
     if writer:
         with open(config.out + ".summary", "w", encoding="utf-8") as fh:
-            fh.writelines(f"{key} = {_fmt(value)}\n"
+            fh.writelines(f"{key} = {value!r}\n"
                           for key, value in outcomes[0].summary.items())
     return outcomes[0]
 
@@ -510,7 +505,7 @@ class _TraceWriter:
 
     def write_row(self, row):
         """Writes one row of Python floats."""
-        self._fh.write(",".join(map(repr, row)) + "\n")
+        self._fh.write(_row_line(row))
 
     def close(self, rows, n):
         """Writes rows[:n] of a (steps, columns) array, each by write_row,
@@ -520,11 +515,16 @@ class _TraceWriter:
                 self.write_row(row.tolist())
 
 
+def _row_line(row):
+    """One trace line of a row of Python floats, each by its `repr`."""
+    return ",".join(map(repr, row)) + "\n"
+
+
 def csv_bytes(result):
     """The exact bytes `run` writes for this result's trace."""
-    lines = [",".join(result.header)]
-    lines += [",".join(_fmt(x) for x in row) for row in result.rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = [",".join(result.header) + "\n"]
+    lines += [_row_line(row.tolist()) for row in result.rows]  # one row's floats at a time
+    return "".join(lines).encode("utf-8")
 
 
 # --- Rate fit and seed sweeps ---

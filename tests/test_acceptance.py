@@ -14,7 +14,7 @@ from sedfosgd import sed
 from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
 from sedfosgd.mathkit import logdet_plus
-from sedfosgd.noise import RngStream, StableParams, alpha_stable
+from sedfosgd.noise import RngStream, alpha_stables
 from sedfosgd.problems import (LabeledBatch, MlpSpec, ar_loss_grad,
                                mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad)
@@ -217,15 +217,11 @@ def test_criterion_08_gradient_oracles():
 
 def test_criterion_09_noise_sampler():
     with _Budget(9, "stable sampler limits: Gaussian KS and Cauchy median", 5.0):
-        rng = RngStream(314159)
-        p2 = StableParams(alpha_tail=2.0, skew=0.0, scale=0.7, location=0.3)
-        draws = np.array([alpha_stable(rng, p2) for _ in range(100_000)])
+        draws = alpha_stables(RngStream(314159), 100_000, 2.0, 0.0, 0.7, 0.3)
         res = stats.kstest(draws, "norm", args=(0.3, 0.7 * math.sqrt(2.0)))
         assert res.pvalue > 0.01, f"KS p-value {res.pvalue}"
 
-        rng = RngStream(2718)
-        p1 = StableParams(alpha_tail=1.0, skew=0.0, scale=1.0, location=1.5)
-        draws = np.array([alpha_stable(rng, p1) for _ in range(100_000)])
+        draws = alpha_stables(RngStream(2718), 100_000, 1.0, 0.0, 1.0, 1.5)
         assert abs(np.median(draws) - 1.5) <= 0.02
 
 

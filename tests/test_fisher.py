@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedfosgd import fisher
 from sedfosgd.fisher import FisherBlock, ema_update, spectral_operand
-from sedfosgd.harness import ExperimentConfig
+from sedfosgd.harness import ExperimentConfig, derive_seed, run
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.sed import curvature_scale
 
@@ -314,3 +315,26 @@ class TestRankLimitedFactor:
                     tol = (_solve_tolerance(op[i], roots, SCALE)
                            + _solve_tolerance(ref, roots, SCALE) + 1e-12 * expected)
                     assert abs(got[i] - expected) <= tol, (n, i, got[i], expected, tol)
+
+
+class TestDiagonalFallback:
+    def test_diagonal_block_keeps_the_exponents_of_the_full_one(
+            self, synthetic_idx, monkeypatch):
+        # layer 0 of a 784-4-10 MLP has 3140 parameters, so its block is
+        # diagonal; its dimensions run about 39 % above the full block's, but
+        # the exponents, which divide them by their running maximum, agree
+        ip, lp = synthetic_idx
+        cfg = ExperimentConfig(problem="mlp", optimizer="2sedfosgd", iterations=50,
+                               seed=5, mu0=0.5, mlp_images=ip, mlp_labels=lp,
+                               mlp_limit=1000, mlp_hidden=4)
+        seeds = [derive_seed(cfg.seed, i) for i in range(3)]
+        diagonal = run(cfg, seeds=seeds)
+        monkeypatch.setattr(fisher, "DIAGONAL_THRESHOLD", 3140)
+        full = run(cfg, seeds=seeds)
+        header = diagonal[0].header
+        cols = [i for i, name in enumerate(header) if name.startswith("alpha_l")]
+        assert len(cols) == 2
+        for d, f in zip(diagonal, full):
+            assert np.abs(d.rows[:, cols] - f.rows[:, cols]).max() <= 1e-3
+            assert not np.array_equal(d.rows[:, header.index("dzeta_l0")],
+                                      f.rows[:, header.index("dzeta_l0")])

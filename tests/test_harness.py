@@ -19,9 +19,11 @@ from sedfosgd.harness import (ConfigError, ExperimentConfig, _ArDriver,
                               parse_overrides, rate_fit, run, running_min,
                               seed_rate_fit, seed_sweep)
 from sedfosgd.mathkit import NumericalError
-from sedfosgd.noise import RngStream, gaussian
+from sedfosgd.noise import RngStream
 from sedfosgd.optim import DivergenceError
 from sedfosgd.problems import GenerationError, ar_generate, quadratic_loss_grad
+
+from reference import gaussian
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
                           seed=1, mu0=0.1)
@@ -842,6 +844,8 @@ class TestFailureContract:
     # allocation fails at once (exit 1) without touching memory
     @example(pairs=["iterations=100000000000000000"])
     @example(pairs=["problem=quadratic", "iterations=100000000000000000"])
+    # the Gaussian AR noise overflows while the data is simulated
+    @example(pairs=["noise_std=1e308"])
     def test_every_config_ends_in_a_known_exit(self, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "base.cfg")

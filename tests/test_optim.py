@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sedfosgd import optim
 from sedfosgd.fisher import FisherBlock
 from sedfosgd.harness import ConfigError, ExperimentConfig
-from sedfosgd.noise import RngStream, gaussian
+from sedfosgd.noise import RngStream, gaussians
 from sedfosgd.optim import (DivergenceError, clip_gradients, fisher_diagnostics, norm,
                             step_size)
 from sedfosgd.problems import ar_generate, ar_loss_grad
@@ -176,9 +176,8 @@ class TestFosgdStep:
 
 def ar_regressors(seed=7, n=300):
     """The regressor rows and targets of a Gaussian-noise AR(2) simulation."""
-    rng = RngStream(seed)
     return ar_generate(np.array([1.5, -0.7]),
-                       [gaussian(rng, 0.0, math.sqrt(0.5)) for _ in range(n + 2)])
+                       gaussians(RngStream(seed), n + 2, 0.0, math.sqrt(0.5)))
 
 
 def fisher_blocks(layers, decay):

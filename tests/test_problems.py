@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sedfosgd.noise import RngStream, StableParams, alpha_stable, gaussian
+from sedfosgd.noise import RngStream, alpha_stables, gaussians
 from sedfosgd.problems import (GenerationError, IdxFormatError, LabeledBatch,
                                MlpSpec, ar_generate, ar_loss_grad, load_idx,
                                mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad, write_idx)
+
+from reference import uniform
 
 AR_COEFFS = np.array([1.5, -0.7])
 
@@ -23,9 +25,8 @@ def central_diff(f, x, h=1e-6):
 
 
 def gaussian_noise(n, std, seed=0):
-    """`n` N(0, std^2) draws, one scalar `gaussian` call each."""
-    rng = RngStream(seed)
-    return [gaussian(rng, 0.0, std) for _ in range(n)]
+    """`n` N(0, std^2) draws from the stream of `seed`."""
+    return gaussians(RngStream(seed), n, 0.0, std)
 
 
 class TestArGenerate:
@@ -90,9 +91,7 @@ class TestArGenerate:
         assert exc.value.sample_index == 7
 
     def test_stable_noise_runs(self):
-        rng = RngStream(4)
-        params = StableParams(alpha_tail=1.8, scale=0.5)
-        phi, y = ar_generate(AR_COEFFS, [alpha_stable(rng, params) for _ in range(100)])
+        phi, y = ar_generate(AR_COEFFS, alpha_stables(RngStream(4), 100, 1.8, scale=0.5))
         assert phi.shape == (98, 2) and y.shape == (98,)
 
 
@@ -152,7 +151,7 @@ class TestMlp:
         ref = RngStream(seed)
         expected = []
         for n_in, n_out in zip(spec.widths[:-1], spec.widths[1:]):
-            w = [(2.0 * ref.uniform() - 1.0) * spec.init_scale
+            w = [(2.0 * uniform(ref) - 1.0) * spec.init_scale
                  for _ in range(n_in * n_out)]
             expected.append(np.array(w + [0.0] * n_out))
         rng = RngStream(seed)
