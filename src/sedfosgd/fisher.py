@@ -10,19 +10,22 @@ After k < d folds from zero a full block is sum_i w_i g_i g_i^T = U^T U for
 the weighted gradient rows U = W^{1/2} G. Until then it holds U and, as its
 one matrix, the k x k Gram U U^T, which has the nonzero spectrum and trace
 of U^T U (AB and BA share theirs), so the solve is k x k and exact. The d-th
-fold materialises U^T U; from then on the block folds densely.
+fold materialises U^T U; from then on the block folds densely, each chunk
+into a new stack of one array per step, which no later fold writes to.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .mathkit import logdet_plus
+
 DIAGONAL_THRESHOLD = 512
 
 
 @dataclass
 class FisherBlock:
-    """EMA Fisher estimate for one layer, folded in place by `ema_update`.
+    """EMA Fisher estimate for one layer, folded by `ema_update`.
 
     `matrix` is the block's one array, seeds on the leading axes: the (..., d)
     diagonal in diagonal mode; in full mode the (..., k, k) Gram of the
@@ -61,33 +64,39 @@ class FisherBlock:
             self.rows = self.rows[mask]
 
 
-def ema_update(block, v):
-    """Fold one gradient vector per seed into the EMA in place:
-    (1-gamma) * old + gamma * v (x) v.
-
-    This is the one check of the Fisher input: a finite gradient keeps the
-    block finite and exactly symmetric, which the spectral solve relies on.
-    """
-    v = np.asarray(v, dtype=float)
+def ema_update(block, grads, scale, normalized):
+    """Fold a chunk of gradients (steps, seeds..., d) into the block in order,
+    each step as (1-gamma) * old + gamma * v (x) v; returns each step's
+    logdet_plus(F, scale), (steps, seeds...), with F scaled by dim / trace
+    (zero at the trace floor) if `normalized`. A finite gradient, the one
+    check of the Fisher input, keeps the block finite and exactly symmetric,
+    which the spectral solve relies on."""
     stack = block.matrix.shape[:-2 if block.mode == "full" else -1]
-    if v.shape != stack + (block.dim,):
+    if grads.shape[1:] != stack + (block.dim,):
         raise ValueError(f"dimension mismatch: block of dim {block.dim} over seed "
-                         f"stack {stack}, gradient {v.shape}")
-    if not np.isfinite(v).all():
+                         f"stack {stack}, gradient chunk {grads.shape}")
+    if not np.isfinite(grads).all():
         raise ValueError("gradient entries must be finite")
-    gamma = block.decay
-    if block.rows is not None:
+    gamma, n, logdets = block.decay, 0, []  # one array per Gram step, then the stack's
+    while block.rows is not None and n < len(grads):  # the Gram grows by one a step
         if block.rows.shape[-2] + 1 < block.dim:
-            block.rows, block.matrix = _extend_factor(block.rows, block.matrix, v, gamma)
-            return
-        # the d-th fold: U^T U as a sum of products is exactly symmetric
-        block.matrix = np.einsum("...ki,...kj->...ij", block.rows, block.rows)
-        block.rows = None
-    block.matrix *= 1.0 - gamma
-    if block.mode == "full":
-        block.matrix += gamma * (v[..., :, None] * v[..., None, :])
-    else:
-        block.matrix += gamma * v * v
+            block.rows, block.matrix = _extend_factor(block.rows, block.matrix,
+                                                      grads[n], gamma)
+            logdets.append(_logdets(block, block.matrix[None], scale, normalized))
+            n += 1
+        else:  # the d-th fold starts from U^T U, exactly symmetric as a sum of products
+            block.matrix = np.einsum("...ki,...kj->...ij", block.rows, block.rows)
+            block.rows = None
+    if n < len(grads):  # the dense or diagonal steps, each in its own row of the stack
+        v = grads[n:]
+        ops = (gamma * (v[..., :, None] * v[..., None, :]) if block.mode == "full"
+               else gamma * v * v)  # (gamma * v) * v; gamma * (v * v) rounds differently
+        ops[0] += (1.0 - gamma) * block.matrix
+        for i in range(1, len(ops)):
+            ops[i] += (1.0 - gamma) * ops[i - 1]
+        block.matrix = ops[-1]
+        logdets.append(_logdets(block, ops, scale, normalized))
+    return logdets[0] if len(logdets) == 1 else np.concatenate(logdets)
 
 
 def _extend_factor(rows, gram, v, gamma):
@@ -107,19 +116,14 @@ def _extend_factor(rows, gram, v, gamma):
 _TRACE_FLOOR = 1e-12
 
 
-def spectral_operand(block, normalized):
-    """The block's matrix (its Gram, the block or its diagonal), which has
-    the block's nonzero spectrum and trace. With `normalized`, it is scaled
-    by dim / trace, so the block's trace becomes its dimension; a block
-    whose trace is at the floor maps to zero. Without, it is the block's own
-    array, which the next fold of a dense or diagonal block overwrites.
-    """
-    if not normalized:
-        return block.matrix
-    if block.mode == "full":
-        tr = block.matrix.trace(axis1=-2, axis2=-1)[..., None, None]
-    else:
-        tr = block.matrix.sum(axis=-1, keepdims=True)
-    if min(tr.reshape(-1).tolist()) <= _TRACE_FLOOR:
-        tr = np.where(tr > _TRACE_FLOOR, tr, np.inf)  # dim / inf is 0
-    return block.dim / tr * block.matrix
+def _logdets(block, ops, scale, normalized):
+    """logdet_plus of each of the block's matrices `ops` (any leading axes)."""
+    if normalized:
+        if block.mode == "full":
+            tr = ops.trace(axis1=-2, axis2=-1)[..., None, None]
+        else:
+            tr = ops.sum(axis=-1, keepdims=True)
+        if min(tr.reshape(-1).tolist()) <= _TRACE_FLOOR:
+            tr = np.where(tr > _TRACE_FLOOR, tr, np.inf)  # dim / inf is 0
+        ops = block.dim / tr * ops
+    return logdet_plus(ops, scale, block.mode == "diagonal")

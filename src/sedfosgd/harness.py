@@ -96,6 +96,9 @@ class ExperimentConfig:
             (self.stable_scale > 0, f"stable_scale must be > 0, got {self.stable_scale}"),
             (2.0 / 3.0 <= self.zeta < 1.0, f"zeta must be in [2/3, 1), got {self.zeta}"),
             (0.0 < self.epsilon < 1.0, f"epsilon must be in (0, 1), got {self.epsilon}"),
+            (not (2.0 / 3.0 <= self.zeta < 1.0 and 0.0 < self.epsilon < 1.0)
+             or sed_mod.curvature_scale(self) > 1.0, "epsilon ** (zeta - 1) must exceed 1, "
+             f"got 1.0 at epsilon={self.epsilon}, zeta={self.zeta}"),
             (0.0 < self.alpha0 <= 1.0, f"alpha0 must be in (0, 1], got {self.alpha0}"),
             (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
             (0.0 < self.alpha_min <= self.alpha0,

@@ -16,7 +16,7 @@ class NumericalError(RuntimeError):
 
 def logdet_plus(m, s, diagonal=False):
     """log det(I + s * m^{1/2}) for PSD m and s >= 0, one per matrix on the
-    last two axes of `m`, or with `diagonal` (or a 1-D m) per diagonal.
+    last two axes of `m`, or with `diagonal` per diagonal on the last axis.
 
     Evaluated through the spectrum as sum_i log(1 + s * sqrt(lambda_i)) over
     the eigenvalues in non-increasing order, which is exact for the PSD
@@ -28,10 +28,8 @@ def logdet_plus(m, s, diagonal=False):
     """
     if s < 0 or not math.isfinite(s):
         raise ValueError(f"scale must be finite and >= 0, got {s}")
-    m = np.asarray(m, dtype=float)
     try:
-        w = m if diagonal or m.ndim == 1 else np.linalg.eigvalsh(m)[..., ::-1]
+        w = m if diagonal else np.linalg.eigvalsh(m)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    out = np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum(axis=-1)

@@ -131,7 +131,8 @@ def _stable_draws(a, b, scale, location, angles, exps):
                 s
                 * math.sin(a * (u + b0))
                 / math.cos(u) ** (1.0 / a)
-                * (math.cos(u - a * (u + b0)) / w) ** ((1.0 - a) / a)
+                # the cosine of (-pi/2, pi/2) can round below 0 near tail 1, skew +-1
+                * (abs(math.cos(u - a * (u + b0))) / w) ** ((1.0 - a) / a)
             )
         except (OverflowError, ZeroDivisionError):  # or cos(u)^(1/a) underflowed
             x = math.copysign(math.inf, math.sin(a * (u + b0)))

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fisher as fisher_mod
 from . import sed as sed_mod
-from .mathkit import logdet_plus
 
 
 class DivergenceError(RuntimeError):
@@ -118,27 +117,15 @@ def diverged(layers, t):
 
 def fisher_diagnostics(grads, blocks, d_max, cfg):
     """Fold a chunk of steps' gradients (per step, a list of per-layer
-    gradients) into the EMA blocks in order; returns each step's dimensions
-    (steps, seeds..., layers) and their running maximum from `d_max` on.
-    A block's run of equal-shape operands takes one stacked `logdet_plus`,
-    which solves each matrix alone: every chunk has the bits of one step at
-    a time (sgd and fosgd fold many steps, 2sedfosgd one, copying nothing).
+    gradients) into the EMA blocks; returns each step's dimensions (steps,
+    seeds..., layers) and their running maximum from `d_max` on, with the
+    bits of one step at a time (sgd and fosgd fold many steps, 2sedfosgd one).
     """
     s = sed_mod.curvature_scale(cfg)
     dzeta = np.empty((len(grads),) + grads[0][0].shape[:-1] + (len(blocks),))
     for j, block in enumerate(blocks):
-        ops = []
-        for step_grads in grads:
-            if ops and ops[-1] is block.matrix:  # the next fold overwrites it
-                ops[-1] = ops[-1].copy()
-            fisher_mod.ema_update(block, step_grads[j])
-            ops.append(fisher_mod.spectral_operand(block, cfg.normalize_fisher))
-        lo = 0
-        for hi in range(1, len(ops) + 1):
-            if hi == len(ops) or ops[hi].shape != ops[lo].shape:
-                group = ops[lo] if hi == lo + 1 else np.stack(ops[lo:hi])
-                dzeta[lo:hi, ..., j] = sed_mod.two_sed(
-                    logdet_plus(group, s, block.mode == "diagonal"), block.dim, cfg)
-                lo = hi
+        chunk = grads[0][j][None] if len(grads) == 1 else np.array([g[j] for g in grads])
+        dzeta[..., j] = sed_mod.two_sed(
+            fisher_mod.ema_update(block, chunk, s, cfg.normalize_fisher), block.dim, cfg)
     peak = np.maximum(d_max, dzeta.max(axis=-1))
     return dzeta, peak if len(grads) == 1 else np.maximum.accumulate(peak, axis=0)

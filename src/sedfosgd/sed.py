@@ -18,7 +18,8 @@ import numpy as np
 
 
 def curvature_scale(cfg):
-    """eps^(zeta-1) > 1 since eps < 1 and zeta < 1."""
+    """eps^(zeta-1), at least 1 since eps < 1 and zeta < 1; the run's config
+    requires it above 1, which rounding misses when eps or zeta is near 1."""
     return cfg.epsilon ** (cfg.zeta - 1.0)
 
 

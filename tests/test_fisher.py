@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedfosgd import fisher
-from sedfosgd.fisher import FisherBlock, ema_update, spectral_operand
+from sedfosgd.fisher import FisherBlock, ema_update
 from sedfosgd.harness import ExperimentConfig, derive_seed, run
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.sed import curvature_scale
@@ -28,17 +28,22 @@ def direct_weighted_sum(grads, gamma):
     return total
 
 
+def fold(block, grads, normalized=True):
+    """`ema_update` of a chunk of steps (a list, or an array with the steps
+    on its first axis); returns the steps' log-dets."""
+    return ema_update(block, np.asarray(grads, dtype=float), SCALE, normalized)
+
+
 class TestEmaUpdate:
     def test_full_decay_one_is_outer_product(self):
         # one fold: the factor is g itself and the Gram g . g; at the d-th
         # fold the dense block is g (x) g
         g = np.array([1.0, -2.0, 0.5])
         block = FisherBlock.zeros(0, 3, decay=1.0)
-        ema_update(block, g)
+        fold(block, [g])
         assert np.array_equal(block.rows, g[None, :])
         assert np.array_equal(block.matrix, [[g @ g]])
-        for _ in range(2):
-            ema_update(block, g)
+        fold(block, [g, g])
         assert block.rows is None
         assert np.array_equal(block.matrix, np.outer(g, g))
 
@@ -46,94 +51,111 @@ class TestEmaUpdate:
         # the Gram scales and gains a zero row and column; after the d-th
         # fold the dense block scales
         block = FisherBlock.zeros(0, 3, decay=0.25)
-        ema_update(block, np.array([2.0, 0.0, 0.0]))
+        fold(block, [[2.0, 0.0, 0.0]])
         before = block.matrix.copy()
-        ema_update(block, np.zeros(3))
+        fold(block, [np.zeros(3)])
         assert np.allclose(block.matrix, np.pad(0.75 * before, (0, 1)))
-        ema_update(block, np.zeros(3))
+        fold(block, [np.zeros(3)])
         before = block.matrix.copy()
         assert before.shape == (3, 3)
-        ema_update(block, np.zeros(3))
+        fold(block, [np.zeros(3)])
         assert np.allclose(block.matrix, 0.75 * before)
 
     def test_matches_direct_summation(self):
+        # one chunk of 50 steps, through the switch to the dense block
         grads = fixed_stream(50, 4, seed=1)
         block = FisherBlock.zeros(0, 4, decay=0.1)
-        for g in grads:
-            ema_update(block, g)
+        fold(block, grads)
         expected = direct_weighted_sum(grads, 0.1)
         assert np.abs(block.matrix - expected).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         block = FisherBlock.zeros(0, 3, decay=0.1)
-        with pytest.raises(ValueError, match=r"dim 3 over seed stack \(\)"):
-            ema_update(block, np.zeros(4))
-        with pytest.raises(ValueError, match=r"dim 3 over seed stack \(\)"):
-            ema_update(block, np.zeros((3, 1)))
+        for chunk in (np.zeros((1, 4)), np.zeros((1, 3, 1)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"dim 3 over seed stack \(\)"):
+                fold(block, chunk)
         stacked = FisherBlock.zeros(0, 3, decay=0.1, stack=(2,))
-        ema_update(stacked, np.ones((2, 3)))  # the factor's Gram is 1 x 1
+        fold(stacked, np.ones((1, 2, 3)))  # the factor's Gram is 1 x 1
         with pytest.raises(ValueError, match=r"dim 3 over seed stack \(2,\)"):
-            ema_update(stacked, np.ones((2, 1)))
+            fold(stacked, np.ones((1, 2, 1)))
 
     def test_rejects_nonfinite_gradient(self):
         # the run loop stops non-finite gradients before the EMA; one that
         # reaches it anyway is refused there, full or diagonal, so the
-        # spectral solve never sees a non-finite block
+        # spectral solve never sees a non-finite block; the chunk is refused
+        # whole, before any of its steps folds
         for mode in ("full", "diagonal"):
             block = FisherBlock.zeros(0, 2, decay=0.1, mode=mode)
+            before = block.matrix
             for bad in (np.nan, np.inf):
                 with pytest.raises(ValueError, match="finite"):
-                    ema_update(block, np.array([1.0, bad]))
+                    fold(block, [[1.0, 0.0], [1.0, bad]])
+                assert block.matrix is before
 
     def test_diagonal_equals_diag_of_full(self):
         grads = fixed_stream(30, 5, seed=2)
         full = FisherBlock.zeros(0, 5, decay=0.2, mode="full")
         diag = FisherBlock.zeros(0, 5, decay=0.2, mode="diagonal")
-        for g in grads:
-            ema_update(full, g)
-            ema_update(diag, g)
+        fold(full, grads)
+        fold(diag, grads)
         assert np.array_equal(diag.matrix, np.diag(full.matrix))
 
     def test_auto_diagonal_above_threshold(self):
         assert FisherBlock.zeros(0, 513, decay=0.1).mode == "diagonal"
         assert FisherBlock.zeros(0, 512, decay=0.1).mode == "full"
 
+    @pytest.mark.parametrize("dim", [2, 32, 100])
+    def test_gram_fold_equals_the_factor_expression(self, dim):
+        # before its d-th fold a full block scales its weighted rows by
+        # sqrt(1 - gamma) and appends sqrt(gamma) v, and its Gram by 1 - gamma,
+        # gaining the new row's products; each step solves its Gram alone
+        block = FisherBlock.zeros(0, dim, decay=0.1)
+        for n, v in enumerate(fixed_stream(dim + 2, dim, seed=dim), start=1):
+            rows, gram = block.rows, block.matrix
+            got = fold(block, [v], normalized=False)
+            if n == dim:
+                assert block.rows is None and block.matrix.shape == (dim, dim)
+            if n >= dim:
+                continue
+            new_row = np.sqrt(0.1) * v
+            assert block.rows.tobytes() == np.concatenate(
+                [np.sqrt(1.0 - 0.1) * rows, new_row[None, :]]).tobytes()
+            assert block.matrix[:-1, :-1].tobytes() == ((1.0 - 0.1) * gram).tobytes()
+            assert block.matrix[:-1, -1].tobytes() == block.matrix[-1, :-1].tobytes()
+            assert np.allclose(block.matrix[-1], block.rows @ new_row, rtol=1e-14)
+            assert got.tobytes() == np.array([logdet_plus(block.matrix, SCALE)]).tobytes()
+
     @pytest.mark.parametrize("dim", [2, 32, 330])
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_fold_in_place_equals_the_ema_expression(self, dim, mode):
-        # the in-place *= / += fold gives the bits of
-        # (1 - gamma) * old + gamma * v (x) v, in the same array; a full block
-        # extends its factor before its d-th fold and folds densely after it
-        block = FisherBlock.zeros(0, dim, decay=0.1, mode=mode)
-        matrix = block.matrix if mode == "diagonal" else None
-        for n, v in enumerate(fixed_stream(dim + 2, dim, seed=dim), start=1):
-            if mode == "full" and n < dim:
-                rows, gram = block.rows, block.matrix
-                ema_update(block, v)
-                new_row = np.sqrt(0.1) * v
-                assert block.rows.tobytes() == np.concatenate(
-                    [np.sqrt(1.0 - 0.1) * rows, new_row[None, :]]).tobytes()
-                assert block.matrix[:-1, :-1].tobytes() == ((1.0 - 0.1) * gram).tobytes()
-                assert block.matrix[:-1, -1].tobytes() == block.matrix[-1, :-1].tobytes()
-                assert np.allclose(block.matrix[-1], block.rows @ new_row, rtol=1e-14)
-                continue
-            if mode == "full" and n == dim:
-                ema_update(block, v)
-                matrix = block.matrix
-                assert block.rows is None and matrix.shape == (dim, dim)
-                continue
-            if mode == "full":
-                expected = (1.0 - 0.1) * block.matrix + 0.1 * np.outer(v, v)
-            else:
-                expected = (1.0 - 0.1) * block.matrix + 0.1 * v * v
-            ema_update(block, v)
-            assert block.matrix is matrix
-            assert block.matrix.tobytes() == expected.tobytes()
+        # the block folds a chunk of 1 .. 6 steps in place: each step gives
+        # the bits of (1 - gamma) * M + gamma * v (x) v (diagonal:
+        # (1 - gamma) * M + gamma * v * v) from the step before, and its
+        # log-det is the solve of that matrix alone (scaled by dim / trace
+        # if normalized)
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        block = FisherBlock(0, mode, a @ a.T if mode == "full" else a[0] * a[0], decay=0.1)
+        for width, normalized in [(w, n) for n in (False, True) for w in range(1, 7)]:
+            chunk = rng.standard_normal((width, dim))
+            m, expected = block.matrix, []
+            for v in chunk:
+                if mode == "full":
+                    m = (1.0 - 0.1) * m + 0.1 * np.outer(v, v)
+                else:
+                    m = (1.0 - 0.1) * m + 0.1 * v * v
+                op = m
+                if normalized:
+                    op = dim / (np.trace(m) if mode == "full" else m.sum()) * m
+                expected.append(logdet_plus(op, SCALE, mode == "diagonal"))
+            got = ema_update(block, chunk, SCALE, normalized)
+            assert block.matrix.tobytes() == m.tobytes()
+            assert got.tobytes() == np.array(expected).tobytes()
 
     def test_psd_preserved(self):
         block = FisherBlock.zeros(0, 4, decay=0.3)
         for g in fixed_stream(40, 4, seed=4):
-            ema_update(block, g)
+            fold(block, [g])
             w = np.linalg.eigvalsh(block.matrix)
             assert w.min() >= -1e-10 * np.trace(block.matrix)
 
@@ -146,7 +168,7 @@ class TestEmaUpdate:
         for _ in range(100):
             g = rng.standard_normal(3)
             g *= np.sqrt(b) / max(1.0, np.linalg.norm(g))
-            ema_update(block, g)
+            fold(block, [g])
             assert np.trace(block.matrix) <= b + 1e-12
 
 
@@ -157,43 +179,50 @@ class TestTrace:
     def test_single_full_weight_update(self):
         g = np.array([3.0, 4.0])
         block = FisherBlock.zeros(0, 2, decay=1.0)
-        ema_update(block, g)
+        fold(block, [g])
         assert np.trace(block.matrix) == pytest.approx(25.0, rel=1e-12)
 
     def test_matches_weighted_norm_sum(self):
         grads = fixed_stream(50, 3, seed=6)
         block = FisherBlock.zeros(0, 3, decay=0.1)
-        for g in grads:
-            ema_update(block, g)
+        fold(block, grads)
         expected = sum(0.1 * 0.9 ** s * float(g @ g)
                        for s, g in enumerate(reversed(grads)))
         assert np.trace(block.matrix) == pytest.approx(expected, abs=1e-12)
 
 
+def normalized_logdet(mode, matrix):
+    """The normalized log-det of a block holding `matrix`: at decay 0 a zero
+    gradient leaves the block as it is."""
+    block = FisherBlock(0, mode, np.asarray(matrix, dtype=float), decay=0.0)
+    return fold(block, np.zeros((1, block.dim)))[0]
+
+
 class TestNormalize:
     def test_identity_fixed_point(self):
-        block = FisherBlock(0, "full", np.eye(3), decay=0.1)
-        assert np.allclose(spectral_operand(block, True), np.eye(3))
+        assert normalized_logdet("full", np.eye(3)) == pytest.approx(
+            logdet_plus(np.eye(3), SCALE), rel=1e-15)
 
     def test_zero_block_maps_to_zero(self):
         # a zero block and one whose trace is at the 1e-12 floor
         for scale in (0.0, 1e-13):
-            block = FisherBlock(0, "full", scale * np.eye(4), decay=0.1)
-            assert np.all(spectral_operand(block, True) == 0.0)
+            assert normalized_logdet("full", scale * np.eye(4)) == 0.0
+            assert normalized_logdet("diagonal", scale * np.ones(4)) == 0.0
 
     def test_rescales_trace(self):
-        block = FisherBlock(0, "full", np.diag([1.0, 3.0]), decay=0.1)
-        assert np.allclose(spectral_operand(block, True), np.diag([0.5, 1.5]))
+        assert normalized_logdet("full", np.diag([1.0, 3.0])) == logdet_plus(
+            np.diag([0.5, 1.5]), SCALE)
 
     def test_output_trace_equals_nominal(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 5))
-        block = FisherBlock(0, "full", a @ a.T, decay=0.1)
-        assert np.trace(spectral_operand(block, True)) == pytest.approx(5.0, abs=1e-10)
+        m = a @ a.T
+        assert normalized_logdet("full", m) == pytest.approx(
+            logdet_plus(5.0 / np.trace(m) * m, SCALE), rel=1e-14)
 
     def test_diagonal_mode(self):
-        block = FisherBlock(0, "diagonal", np.array([1.0, 3.0]), decay=0.1)
-        assert np.allclose(spectral_operand(block, True), [0.5, 1.5])
+        assert normalized_logdet("diagonal", [1.0, 3.0]) == logdet_plus(
+            np.diag([0.5, 1.5]), SCALE)
 
 
 def _ema_weights(decay, n):
@@ -218,48 +247,52 @@ def _solve_tolerance(op, reference, s):
     return s * float(np.sum(per_root))
 
 
+def _operand(matrix, dim, normalized):
+    """The matrix a block's solve reads: its one matrix, with `normalized`
+    scaled by dim / trace (zero at the 1e-12 trace floor)."""
+    if not normalized:
+        return matrix
+    tr = np.trace(matrix)
+    return dim / tr * matrix if tr > 1e-12 else np.zeros_like(matrix)
+
+
 class TestRankLimitedFactor:
     def test_factor_dropped_at_dim_folds(self):
         block = FisherBlock.zeros(0, 5, decay=0.2)
         for k, g in enumerate(fixed_stream(8, 5, seed=8), start=1):
-            ema_update(block, g)
+            fold(block, [g])
             if k < 5:
                 assert block.rows.shape == (k, 5)
                 assert block.matrix.shape == (k, k)
-                assert spectral_operand(block, True).shape == (k, k)
             else:
                 assert block.rows is None and block.matrix.shape == (5, 5)
             assert block.dim == 5
-            assert spectral_operand(block, False) is block.matrix
 
     def test_diagonal_blocks_carry_no_factor(self):
         for block in (FisherBlock.zeros(0, 5, decay=0.2, mode="diagonal"),
                       FisherBlock.zeros(0, 600, decay=0.2)):
             assert block.rows is None and block.matrix.shape == (block.dim,)
             for g in fixed_stream(3, block.dim, seed=9):
-                ema_update(block, g)
+                fold(block, [g])
                 assert block.rows is None and block.matrix.shape == (block.dim,)
-                assert spectral_operand(block, False) is block.matrix
 
     @pytest.mark.parametrize("k", [1, 5, 49])
     @pytest.mark.parametrize("normalized", [False, True])
     def test_exact_low_rank_spectrum(self, k, normalized):
-        # F = Q diag(lam) Q^T with orthonormal Q, built by k folds of
-        # g_i = sqrt(lam_i / w_i) q_i
+        # F = Q diag(lam) Q^T with orthonormal Q, built by one chunk of k
+        # folds of g_i = sqrt(lam_i / w_i) q_i
         dim, decay = 330, 0.1
         rng = np.random.default_rng(k)
         q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
         lam = rng.uniform(0.5, 5.0, size=k)
         w = _ema_weights(decay, k)
         block = FisherBlock.zeros(0, dim, decay=decay)
-        for i in range(k):
-            ema_update(block, np.sqrt(lam[i] / w[i]) * q[:, i])
+        got = fold(block, (np.sqrt(lam / w) * q).T, normalized)
         if normalized:
             lam = lam * dim / lam.sum()
         expected = float(np.sum(np.log1p(SCALE * np.sqrt(lam))))
-        op = spectral_operand(block, normalized)
-        assert op.shape == (k, k)
-        assert logdet_plus(op, SCALE) == pytest.approx(expected, rel=1e-12)
+        assert block.matrix.shape == (k, k)
+        assert got[-1] == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 40), extra=st.integers(1, 3),
@@ -267,22 +300,22 @@ class TestRankLimitedFactor:
            seed=st.integers(0, 2**32 - 1))
     def test_logdet_matches_singular_values(self, dim, extra, decay,
                                             normalized, seed):
-        # across the switch to the dense block, the solve follows
-        # sum log1p(s * sigma_i) over the singular values of W^{1/2} G
+        # across the switch to the dense block, inside one chunk, each step's
+        # solve follows sum log1p(s * sigma_i) over the singular values of
+        # W^{1/2} G
         grads = np.random.default_rng(seed).standard_normal((dim + extra, dim))
         block = FisherBlock.zeros(0, dim, decay=decay, mode="full")
+        got = fold(block, grads, normalized)
         for n in range(1, dim + extra + 1):
-            ema_update(block, grads[n - 1])
             weighted = np.sqrt(_ema_weights(decay, n))[:, None] * grads[:n]
             sigma = np.linalg.svd(weighted, compute_uv=False)
+            gram = weighted @ weighted.T if n < dim else weighted.T @ weighted
             if normalized:
-                sigma = sigma * np.sqrt(dim / np.trace(block.matrix))
+                sigma = sigma * np.sqrt(dim / np.trace(gram))
             expected = float(np.sum(np.log1p(SCALE * sigma)))
-            op = spectral_operand(block, normalized)
-            assert op.shape == ((n, n) if n < dim else (dim, dim))
-            got = logdet_plus(op, SCALE)
-            tol = _solve_tolerance(op, sigma, SCALE) + 1e-12 * expected
-            assert abs(got - expected) <= tol, (n, got, expected, tol)
+            tol = (_solve_tolerance(_operand(gram, dim, normalized), sigma, SCALE)
+                   + 1e-12 * expected)
+            assert abs(got[n - 1] - expected) <= tol, (n, got[n - 1], expected, tol)
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 40), extra=st.integers(1, 3),
@@ -290,29 +323,24 @@ class TestRankLimitedFactor:
            seed=st.integers(0, 2**32 - 1))
     def test_one_matrix_matches_the_dense_ema(self, dim, extra, decay, seeds, seed):
         # on both sides of the d-th fold, a stacked block's one matrix is
-        # exactly symmetric, is the operand the solve reads, and gives the
-        # log-det of the dense EMA summed here, within both solves' bounds
+        # exactly symmetric and gives the log-det of the dense EMA summed
+        # here, within both solves' bounds
         grads = np.random.default_rng(seed).standard_normal((seeds, dim + extra, dim))
-        block = FisherBlock.zeros(0, dim, decay=decay, stack=(seeds,))
+        blocks = {normalized: FisherBlock.zeros(0, dim, decay=decay, stack=(seeds,))
+                  for normalized in (False, True)}
         for n in range(1, dim + extra + 1):
-            ema_update(block, grads[:, n - 1])
-            m = block.matrix
-            assert m.shape == (seeds,) + ((n, n) if n < dim else (dim, dim))
-            assert m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
-            assert spectral_operand(block, False) is m
             w = _ema_weights(decay, n)
             dense = np.einsum("i,sij,sik->sjk", w, grads[:, :n], grads[:, :n])
-            for normalized in (False, True):
-                op = spectral_operand(block, normalized)
-                got = logdet_plus(op, SCALE)
+            for normalized, block in blocks.items():
+                got = fold(block, grads[None, :, n - 1], normalized)[0]
+                m = block.matrix
+                assert m.shape == (seeds,) + ((n, n) if n < dim else (dim, dim))
+                assert m.tobytes() == np.swapaxes(m, -1, -2).tobytes()
                 for i in range(seeds):
-                    ref = dense[i]
-                    if normalized:
-                        tr = np.trace(ref)
-                        ref = dim / tr * ref if tr > 1e-12 else np.zeros_like(ref)
+                    ref = _operand(dense[i], dim, normalized)
                     roots = np.sqrt(np.maximum(np.linalg.eigvalsh(ref), 0.0))
                     expected = float(np.sum(np.log1p(SCALE * roots)))
-                    tol = (_solve_tolerance(op[i], roots, SCALE)
+                    tol = (_solve_tolerance(_operand(m[i], dim, normalized), roots, SCALE)
                            + _solve_tolerance(ref, roots, SCALE) + 1e-12 * expected)
                     assert abs(got[i] - expected) <= tol, (n, i, got[i], expected, tol)
 

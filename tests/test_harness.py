@@ -413,6 +413,8 @@ class TestCli:
         ("ar", ["stable_tail=3"]),
         ("ar", ["stable_skew=1.5"]),
         ("ar", ["stable_scale=0"]),
+        ("ar", ["epsilon=0.9999999999999999"]),  # epsilon ** (zeta - 1) rounds to 1
+        ("ar", ["zeta=0.9999999999999999", "epsilon=0.9"]),
     ])
     def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
                                               overrides):
@@ -846,6 +848,11 @@ class TestFailureContract:
     @example(pairs=["problem=quadratic", "iterations=100000000000000000"])
     # the Gaussian AR noise overflows while the data is simulated
     @example(pairs=["noise_std=1e308"])
+    # epsilon ** (zeta - 1) rounds to 1, whose log d_curv would divide by;
+    # the check that rejects it takes no power of an out-of-range pair
+    @example(pairs=["optimizer=2sedfosgd", "iterations=3", "epsilon=0.9999999999999999"])
+    @example(pairs=["epsilon=0"])
+    @example(pairs=["epsilon=5e-324", "zeta=0"])
     def test_every_config_ends_in_a_known_exit(self, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "base.cfg")

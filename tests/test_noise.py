@@ -174,6 +174,16 @@ class TestStableBoundary:
         stream = _Script(_outputs(*uniforms))
         assert alpha_stables(stream, 1, 0.005, 0.0, 0.5)[0] == sign * math.inf
 
+    @pytest.mark.parametrize("tail", [1.0 + 2**-40, 1.1, 1.3])
+    def test_angle_at_an_end_keeps_the_power_real(self, tail):
+        # at skew +-1 and tail just above 1, the cosine's argument lies in
+        # (-pi/2, pi/2) but rounds past its end for an angle uniform of 2^-52
+        # (or 1 - 2^-52 at skew -1); the cosine, just below 0, would raise
+        # the power to a complex value; the two draws mirror each other
+        low = alpha_stables(_Script(_outputs(2**-52, 0.6)), 1, tail, 1.0, 0.5)
+        high = alpha_stables(_Script(_outputs(1 - 2**-52, 0.6)), 1, tail, -1.0, 0.5)
+        assert np.isfinite(low).all() and high.tobytes() == (-low).tobytes()
+
     def test_two_draws_per_sample(self):
         # without a 1.0 the sampler consumes exactly its 2n uniforms, so the
         # stream after it is unchanged
