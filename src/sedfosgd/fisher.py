@@ -21,6 +21,7 @@ import numpy as np
 from .mathkit import logdet_plus
 
 DIAGONAL_THRESHOLD = 512
+_TRACE_FLOOR = 1e-12
 
 
 @dataclass
@@ -30,7 +31,8 @@ class FisherBlock:
     `matrix` is the block's one array, seeds on the leading axes: the (..., d)
     diagonal in diagonal mode; in full mode the (..., k, k) Gram of the
     weighted gradient rows `rows` (..., k, d) while it holds k < d folds from
-    zero, else the (..., d, d) block, with `rows` None.
+    zero, else the (..., d, d) block, with `rows` None. A dense or diagonal
+    `matrix` is a view that keeps its chunk's whole stack of steps alive.
     """
 
     layer_index: int
@@ -43,6 +45,10 @@ class FisherBlock:
     def dim(self):
         return (self.matrix if self.rows is None else self.rows).shape[-1]
 
+    @property
+    def step_entries(self):  # per seed, of one step's dense or diagonal matrix
+        return self.dim ** 2 if self.mode == "full" else self.dim
+
     @classmethod
     def zeros(cls, layer_index, dim, decay, mode=None, stack=()):
         """Zero block, one per seed of a `stack`-shaped stack; `mode` defaults
@@ -50,11 +56,10 @@ class FisherBlock:
         if mode is None:
             mode = "diagonal" if dim > DIAGONAL_THRESHOLD else "full"
         if mode == "full":
-            return cls(layer_index=layer_index, mode=mode, matrix=np.zeros(stack + (0, 0)),
-                       decay=decay, rows=np.zeros(stack + (0, dim)))
+            return cls(layer_index, mode, np.zeros(stack + (0, 0)), decay,
+                       rows=np.zeros(stack + (0, dim)))
         if mode == "diagonal":
-            return cls(layer_index=layer_index, mode=mode,
-                       matrix=np.zeros(stack + (dim,)), decay=decay)
+            return cls(layer_index, mode, np.zeros(stack + (dim,)), decay)
         raise ValueError(f"unknown mode {mode!r}")
 
     def keep(self, mask):
@@ -113,16 +118,11 @@ def _extend_factor(rows, gram, v, gamma):
     return rows, out
 
 
-_TRACE_FLOOR = 1e-12
-
-
 def _logdets(block, ops, scale, normalized):
     """logdet_plus of each of the block's matrices `ops` (any leading axes)."""
     if normalized:
-        if block.mode == "full":
-            tr = ops.trace(axis1=-2, axis2=-1)[..., None, None]
-        else:
-            tr = ops.sum(axis=-1, keepdims=True)
+        tr = (ops.trace(axis1=-2, axis2=-1)[..., None, None] if block.mode == "full"
+              else ops.sum(axis=-1, keepdims=True))
         if min(tr.reshape(-1).tolist()) <= _TRACE_FLOOR:
             tr = np.where(tr > _TRACE_FLOOR, tr, np.inf)  # dim / inf is 0
         ops = block.dim / tr * ops

@@ -390,7 +390,7 @@ def run(config, seeds=None):
     # the gradients of the steps not folded yet: 2sedfosgd folds each step's
     # at once, sgd and fosgd (which only trace the diagnostics) a chunk
     pending, width = [], 1 if adaptive else min(256, max(1, _CHUNK_BYTES // (8 * max(
-        alive.size, 1) * sum(b.dim ** 2 if b.mode == "full" else b.dim for b in blocks))))
+        alive.size, 1) * sum(b.step_entries for b in blocks))))
 
     header = trace_header(driver)
     metric_col = 3 * len(layers) + 4
