@@ -268,8 +268,9 @@ class _QuadraticDriver:
 
 class _MlpDriver:
     """Mini-batch classification over an IDX image/label pair. Each seed
-    shuffles the examples its own way (an index order into the one copy of
-    the data), so the gradient is one call per seed."""
+    shuffles the examples its own way: `orders` holds one index order per
+    seed into the one copy of the data, and a step gathers the stack's
+    batches from it for one gradient call."""
 
     def __init__(self, config, rngs):
         data = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
@@ -283,11 +284,13 @@ class _MlpDriver:
         self.spec = problems_mod.MlpSpec(widths=(
             data.inputs.shape[1], config.mlp_hidden, int(data.labels.max()) + 1))
         self.batch_size = config.mlp_batch
-        self.failed, self.orders, inits = {}, [], []
-        for rng in rngs:
-            self.orders.append(_shuffled_indices(n, rng))
-            inits.append(problems_mod.mlp_init_layers(self.spec, rng))
-        self.init_layers = [np.array(vs) for vs in zip(*inits)]
+        widths, self.failed = self.spec.widths, {}
+        self.orders = np.empty((len(rngs), n), dtype=np.intp)
+        self.init_layers = [np.empty((len(rngs), (a + 1) * b)) for a, b in zip(widths, widths[1:])]
+        for k, rng in enumerate(rngs):
+            self.orders[k] = _shuffled_indices(n, rng)
+            for v, init in zip(self.init_layers, problems_mod.mlp_init_layers(self.spec, rng)):
+                v[k] = init
 
     def _batch(self, rows):
         return problems_mod.LabeledBatch(self.inputs[rows], self.labels[rows])
@@ -295,32 +298,26 @@ class _MlpDriver:
     def loss_grad(self, layers, t):
         n_train = len(self.labels) - self.n_hold
         start = ((t - 1) * self.batch_size) % n_train
-        idx = [self.n_hold + (start + i) % n_train for i in range(self.batch_size)]
-        self._batches = [self._batch(order[idx]) for order in self.orders]
-        losses, grads = [], []
-        for k, batch in enumerate(self._batches):
-            loss, g = problems_mod.mlp_loss_grad(self.spec, [v[k] for v in layers], batch)
-            losses.append(loss)
-            grads.append(g)
-        return np.array(losses), [np.array(gs) for gs in zip(*grads)]
+        self._step_batch = self._batch(self.orders[:, self.n_hold + (
+            start + np.arange(self.batch_size)) % n_train])
+        return problems_mod.mlp_loss_grad(self.spec, layers, self._step_batch)
 
     def keep(self, mask):
-        self.orders, self._batches = ([x for x, kept in zip(xs, mask) if kept]
-                                      for xs in (self.orders, self._batches))
+        self.orders, batch = self.orders[mask], self._step_batch
+        self._step_batch = problems_mod.LabeledBatch(batch.inputs[mask], batch.labels[mask])
 
     def metric_names(self):
         return ["batch_accuracy"]
 
-    def _accuracies(self, layers, batches):
-        return [float(np.mean(problems_mod.mlp_predict(
-            self.spec, [v[k] for v in layers], batch.inputs) == batch.labels))
-            for k, batch in enumerate(batches)]
+    def _accuracies(self, layers, batch):
+        return np.mean(problems_mod.mlp_predict(self.spec, layers, batch.inputs)
+                       == batch.labels, axis=-1)
 
     def metrics(self, layers, out, last):
-        out[:, 0] = self._accuracies(layers, self._batches)
+        out[:, 0] = self._accuracies(layers, self._step_batch)
 
     def holdout_accuracy(self, layers):
-        return self._accuracies(layers, [self._batch(o[:self.n_hold]) for o in self.orders])
+        return self._accuracies(layers, self._batch(self.orders[:, :self.n_hold]))
 
 
 def _shuffled_indices(n, rng):
@@ -470,12 +467,12 @@ def run(config, seeds=None):
                     row[:, 5 + 3 * j] = optim_mod.norm([d])
                 driver.metrics(layers, row[:, metric_col:], t == config.iterations)
             done = config.iterations if alive.size else done
+            holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
     finally:
         if writer:
             writer.close(trace, done)
 
     names = driver.metric_names()
-    holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
     for k, i in enumerate(alive.tolist()):
         losses = rows[k, :, 2]
         # min_loss is the first of equal minima, as a running min() keeps it
@@ -483,8 +480,8 @@ def run(config, seeds=None):
                    "min_loss": float(losses[np.argmin(losses)])}
         summary.update((f"final_{name}", float(x))
                        for name, x in zip(names, rows[k, -1, metric_col:]))
-        if holdout:
-            summary["holdout_accuracy"] = holdout[k]
+        if holdout is not None:
+            summary["holdout_accuracy"] = float(holdout[k])
         outcomes[i] = RunResult(header, rows[k], [v[k] for v in layers], summary)
     if seeds is not None:
         return [outcomes[i] for i in range(len(stack))]

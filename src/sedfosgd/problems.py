@@ -110,13 +110,13 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    inputs: np.ndarray   # (batch, features), values in [0, 1]
-    labels: np.ndarray   # (batch,) integer class ids
+    inputs: np.ndarray   # (seeds..., batch, features), values in [0, 1]
+    labels: np.ndarray   # (seeds..., batch) integer class ids
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=float)
         y = np.asarray(self.labels, dtype=int)
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        if x.ndim < 2 or x.shape[:-1] != y.shape:
             raise ValueError(
                 f"inconsistent batch shapes: inputs {x.shape}, labels {y.shape}")
         if y.size and y.min() < 0:
@@ -125,7 +125,7 @@ class LabeledBatch:
         object.__setattr__(self, "labels", y)
 
     def __len__(self):
-        return self.labels.shape[0]
+        return self.labels.shape[-1]
 
 
 def mlp_init_layers(spec, rng):
@@ -143,63 +143,56 @@ def mlp_init_layers(spec, rng):
 
 def _unpack(spec, layer_vec, i):
     n_in, n_out = spec.widths[i], spec.widths[i + 1]
-    w = layer_vec[: n_in * n_out].reshape(n_in, n_out)
-    b = layer_vec[n_in * n_out:]
-    return w, b
+    w = layer_vec[..., :n_in * n_out].reshape(*layer_vec.shape[:-1], n_in, n_out)
+    return w, layer_vec[..., None, n_in * n_out:]
+
+
+def _forward(spec, layers, inputs):
+    """Each layer's input, then the logits; ReLU between layers."""
+    acts = [inputs]
+    for i in range(spec.n_layers):
+        w, b = _unpack(spec, layers[i], i)
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if i < spec.n_layers - 1 else z)
+    return acts
 
 
 def mlp_loss_grad(spec, layers, batch):
-    """Mean softmax cross-entropy and flat per-layer gradients."""
+    """Mean softmax cross-entropy and flat per-layer gradients, for one batch
+    or a stack of them (one per seed, along the leading axes of the layers
+    and the batch)."""
     if len(layers) != spec.n_layers:
         raise ValueError(
             f"expected {spec.n_layers} parameter layers, got {len(layers)}")
-    if batch.inputs.shape[1] != spec.widths[0]:
+    if batch.inputs.shape[-1] != spec.widths[0]:
         raise ValueError(
-            f"input width {batch.inputs.shape[1]} != {spec.widths[0]}")
-    n = len(batch)
-
-    # forward
-    acts = [batch.inputs]
-    pre = []
-    h = batch.inputs
-    for i in range(spec.n_layers):
-        w, b = _unpack(spec, layers[i], i)
-        z = h @ w + b
-        pre.append(z)
-        if i < spec.n_layers - 1:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-
-    logits = pre[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+            f"input width {batch.inputs.shape[-1]} != {spec.widths[0]}")
+    acts = _forward(spec, layers, batch.inputs)
+    logits = acts.pop()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    idx = np.arange(n)
-    loss = float(-np.mean(shifted[idx, batch.labels]
-                          - np.log(expz.sum(axis=1))))
+    total = expz.sum(axis=-1, keepdims=True)
+    onehot = batch.labels[..., None] == np.arange(logits.shape[-1])
+    picked = shifted[onehot].reshape(batch.labels.shape)
+    loss = -np.mean(picked - np.log(total[..., 0]), axis=-1)
 
-    # backward
+    # backward: delta is d loss / d logits, then each layer's pre-activations
+    delta = expz / total
+    delta -= onehot
+    delta /= len(batch)
     grads = [None] * spec.n_layers
-    delta = probs.copy()
-    delta[idx, batch.labels] -= 1.0
-    delta /= n
     for i in range(spec.n_layers - 1, -1, -1):
-        w, _ = _unpack(spec, layers[i], i)
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = np.concatenate([gw.ravel(), gb])
+        gw = acts[i].mT @ delta
+        grads[i] = np.concatenate([gw.reshape(*gw.shape[:-2], -1), delta.sum(axis=-2)],
+                                  axis=-1)
         if i > 0:
-            delta = (delta @ w.T) * (pre[i - 1] > 0.0)
+            w, _ = _unpack(spec, layers[i], i)
+            delta = (delta @ w.mT) * (acts[i] > 0.0)
     return loss, grads
 
 
 def mlp_predict(spec, layers, inputs):
-    h = np.asarray(inputs, dtype=float)
-    for i in range(spec.n_layers):
-        w, b = _unpack(spec, layers[i], i)
-        z = h @ w + b
-        h = np.maximum(z, 0.0) if i < spec.n_layers - 1 else z
-    return np.argmax(h, axis=1)
+    return np.argmax(_forward(spec, layers, np.asarray(inputs, dtype=float))[-1], axis=-1)
 
 
 # --- IDX files (big-endian header, magic 2051 images / 2049 labels) ---

@@ -359,6 +359,17 @@ class TestCli:
         assert len(failed) == 3
         assert failed[0].startswith("failed: seed=0 sample=")
 
+    def test_mlp_holdout_overflow_is_quiet(self, tmp_path, capsys, synthetic_idx):
+        # seed 1 runs to the end with finite weights whose holdout logits
+        # overflow: the sweep exits 0 with no warning
+        ip, lp = synthetic_idx
+        cfg = self._write_cfg(
+            tmp_path, f"problem = mlp\noptimizer = 2sedfosgd\niterations = 8\n"
+            f"mlp_hidden = 8\nmlp_batch = 8\nmlp_limit = 200\nmu0 = 1e152\nseed = 1\n"
+            f"mlp_images = {ip}\nmlp_labels = {lp}\n")
+        assert cli.main(["sweep", "--config", cfg, "--seeds", "6"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_ratefit_subcommand(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path,
@@ -647,10 +658,10 @@ class TestReductionProperty:
 
 
 @st.composite
-def stacked_configs(draw):
-    """AR and quadratic configs of each optimizer, and 1 to 5 seeds; wide
-    base rates and small stable tails make some seeds diverge or have their
-    data blow up at different steps."""
+def stacked_configs(draw, idx):
+    """AR, quadratic and MLP (on the IDX pair `idx`) configs of each
+    optimizer, and 1 to 5 seeds; wide base rates and small stable tails make
+    some seeds diverge or have their data blow up at different steps."""
     common = dict(
         optimizer=draw(st.sampled_from(["sgd", "fosgd", "2sedfosgd"])),
         iterations=draw(st.integers(1, 40)),
@@ -661,11 +672,19 @@ def stacked_configs(draw):
         normalize_fisher=draw(st.booleans()),
         grad_clip=draw(st.one_of(st.none(), st.floats(0.1, 20.0))),
     )
-    if draw(st.booleans()):
+    problem = draw(st.sampled_from(["ar", "quadratic", "mlp"]))
+    if problem == "ar":
         cfg = ExperimentConfig(
             problem="ar", ar_coeffs=draw(st.sampled_from([(1.5, -0.7), (0.9,), (1.2,)])),
             noise=draw(st.sampled_from(["gaussian", "stable"])),
             stable_tail=draw(st.sampled_from([1.8, 1.0, 0.3, 0.005])), **common)
+    elif problem == "mlp":
+        # the weights overflow at base rates near 1e150, at different steps
+        common["mu0"] = 10.0 ** draw(st.one_of(st.floats(-3.0, 1.0), st.floats(145.0, 153.0)))
+        cfg = ExperimentConfig(
+            problem="mlp", mlp_images=idx[0], mlp_labels=idx[1],
+            mlp_limit=draw(st.integers(5, 200)), mlp_hidden=draw(st.integers(1, 8)),
+            mlp_batch=draw(st.integers(1, 8)), **common)
     else:
         dim = draw(st.integers(1, 6))
         diag = draw(st.lists(st.floats(0.0, 100.0), min_size=dim, max_size=dim))
@@ -696,10 +715,23 @@ class TestSeedStack:
     run, and the failures of the seeds that leave it."""
 
     @settings(max_examples=60, deadline=None)
-    @given(stacked_configs())
-    def test_stack_equals_single_runs(self, drawn):
-        cfg, seeds = drawn
+    @given(data=st.data())
+    def test_stack_equals_single_runs(self, synthetic_idx, data):
+        cfg, seeds = data.draw(stacked_configs(synthetic_idx))
         for seed, outcome in zip(seeds, run(cfg, seeds=seeds)):
+            _same_outcome(outcome, replace(cfg, seed=seed))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
+    def test_mlp_mixed_divergence(self, synthetic_idx, optimizer):
+        # seeds 0, 4 and 5 overflow at step 3; seeds 1-3 run to the end
+        ip, lp = synthetic_idx
+        cfg = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=8,
+                               mu0=1e150, mlp_images=ip, mlp_labels=lp,
+                               mlp_limit=200, mlp_hidden=8, mlp_batch=8)
+        outcomes = run(cfg, seeds=range(6))
+        assert {i: o.step_index for i, o in enumerate(outcomes)
+                if isinstance(o, DivergenceError)} == {0: 3, 4: 3, 5: 3}
+        for seed, outcome in enumerate(outcomes):
             _same_outcome(outcome, replace(cfg, seed=seed))
 
     def test_mixed_divergence(self, capsys):
@@ -721,6 +753,14 @@ class TestSeedStack:
             seed_rate_fit(cfg, 8)
         assert str(err.value) == "seed=0 non-finite loss or gradient at step 245"
         assert err.value.step_index == 245
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
+    def test_empty_stack(self, synthetic_idx, optimizer):
+        ip, lp = synthetic_idx
+        mlp = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=3,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=50, mlp_hidden=4)
+        for cfg in (replace(AR_CFG, optimizer=optimizer), mlp):
+            assert run(cfg, seeds=[]) == []
 
     def test_sweep_stacks_are_bounded(self, monkeypatch):
         # a 20-seed sweep runs stacks of at most 8 seeds, in seed order
@@ -815,8 +855,9 @@ def _float_value(draw, lo, hi):
 
 @st.composite
 def cli_configs(draw):
-    """Override lists over AR and quadratic configs, valid or not."""
-    problem = draw(st.sampled_from(["ar", "quadratic"]))
+    """Override lists over AR, quadratic and MLP configs, valid or not; the
+    test adds the MLP's data paths."""
+    problem = draw(st.sampled_from(["ar", "quadratic", "mlp"]))
     pairs = [f"problem={problem}",
              f"optimizer={draw(st.sampled_from(['sgd', 'fosgd', '2sedfosgd']))}",
              f"iterations={draw(st.integers(1, 30))}",
@@ -827,6 +868,12 @@ def cli_configs(draw):
             pairs.append(f"{key}={draw(_float_value(lo, hi))!r}")
     if draw(st.booleans()):
         pairs.append(f"mlp_hidden={draw(st.integers(0, 8))}")
+    if problem == "mlp":
+        pairs += [f"mlp_limit={draw(st.integers(5, 200))}",
+                  f"mlp_batch={draw(st.integers(1, 8))}"]
+        if draw(st.booleans()):  # the weights overflow at base rates near 1e150
+            pairs.append(f"mu0={10.0 ** draw(st.floats(145.0, 155.0))!r}")
+        return pairs
     key, lo, hi = (("ar_coeffs", -0.9, 0.9) if problem == "ar"
                    else ("quad_diag", 0.0, 10.0))
     if draw(st.booleans()):
@@ -853,13 +900,21 @@ class TestFailureContract:
     @example(pairs=["optimizer=2sedfosgd", "iterations=3", "epsilon=0.9999999999999999"])
     @example(pairs=["epsilon=0"])
     @example(pairs=["epsilon=5e-324", "zeta=0"])
-    def test_every_config_ends_in_a_known_exit(self, pairs):
+    # finite weights whose holdout logits overflow after the last step
+    @example(pairs=["problem=mlp", "optimizer=2sedfosgd", "iterations=8", "mlp_hidden=8",
+                    "mlp_batch=8", "mlp_limit=200", "mu0=1e152", "seed=1"])
+    @example(pairs=["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8",
+                    "mlp_batch=8", "mlp_limit=200", "mu0=1e154", "seed=6"])
+    def test_every_config_ends_in_a_known_exit(self, synthetic_idx, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "base.cfg")
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write("problem = ar\noptimizer = sgd\niterations = 1\n")
             out = os.path.join(tmp, "trace.csv")
             argv = ["run", "--config", cfg, "--out", out]
+            if "problem=mlp" in pairs:
+                pairs = [*pairs, f"mlp_images={synthetic_idx[0]}",
+                         f"mlp_labels={synthetic_idx[1]}"]
             for pair in pairs:
                 argv += ["--override", pair]
             stdout, stderr = io.StringIO(), io.StringIO()

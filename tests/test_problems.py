@@ -6,7 +6,7 @@ import pytest
 from sedfosgd.noise import RngStream, alpha_stables, gaussians
 from sedfosgd.problems import (GenerationError, IdxFormatError, LabeledBatch,
                                MlpSpec, ar_generate, ar_loss_grad, load_idx,
-                               mlp_init_layers, mlp_loss_grad,
+                               mlp_init_layers, mlp_loss_grad, mlp_predict,
                                quadratic_loss_grad, write_idx)
 
 from reference import uniform
@@ -193,6 +193,33 @@ class TestMlp:
             fd = central_diff(f, layers[j].copy())
             denom = max(1.0, np.abs(fd).max())
             assert np.abs(grads[j] - fd).max() / denom <= 1e-4
+
+    @pytest.mark.parametrize("widths", [(8, 16, 4), (6, 3), (5, 7, 6, 3)])
+    def test_stack_equals_per_seed_calls(self, widths):
+        # 3 seeds with their own weights and batches: the stacked call has
+        # each seed's bits of its own 2-D call
+        spec = MlpSpec(widths=widths, init_scale=0.5)
+        nprng = np.random.default_rng(7)
+        per_seed = [mlp_init_layers(spec, RngStream(seed)) for seed in (1, 2, 3)]
+        batches = [LabeledBatch(nprng.uniform(0, 1, (9, widths[0])),
+                                nprng.integers(0, widths[-1], 9)) for _ in range(3)]
+        layers = [np.array(vs) for vs in zip(*per_seed)]
+        stacked = LabeledBatch(np.array([b.inputs for b in batches]),
+                               np.array([b.labels for b in batches]))
+        loss, grads = mlp_loss_grad(spec, layers, stacked)
+        predictions = mlp_predict(spec, layers, stacked.inputs)
+        assert loss.shape == (3,) and predictions.shape == (3, 9)
+        for k, (own, batch) in enumerate(zip(per_seed, batches)):
+            own_loss, own_grads = mlp_loss_grad(spec, own, batch)
+            assert loss[k].tobytes() == own_loss.tobytes()
+            assert [g[k].tobytes() for g in grads] == [g.tobytes() for g in own_grads]
+            assert (predictions[k].tobytes()
+                    == mlp_predict(spec, own, batch.inputs).tobytes())
+
+    def test_batch_shapes_checked(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            LabeledBatch(np.zeros((3, 4, 5)), np.zeros((3, 5), dtype=int))
+        assert len(LabeledBatch(np.zeros((3, 4, 5)), np.zeros((3, 4), dtype=int))) == 4
 
     def test_shape_mismatch(self):
         spec = MlpSpec(widths=(4, 3))
