@@ -353,7 +353,7 @@ def trace_header(driver):
     return cols + ["d_max"] + driver.metric_names()
 
 
-def run(config, seeds=None):
+def run(config, seeds=None, *, diagnostics=True):
     """Execute one experiment; writes the CSV trace if `out` is set, its rows
     when the run ends, however it ends (up to the step that diverged); the
     summary only lands next to it (as `<out>.summary`) after a success.
@@ -362,6 +362,9 @@ def run(config, seeds=None):
     and returns, per seed, its RunResult or the DivergenceError or
     GenerationError that ended its run; the other seeds go on. Each result
     has the bits of a run of its seed alone: that run is a stack of one.
+
+    With `diagnostics=False`, sgd and fosgd fold no Fisher block and leave the
+    `dzeta_l*` and `d_max` columns 0; 2sedfosgd's exponents need them.
     """
     stack = [config.seed] if seeds is None else list(seeds)
     if seeds is not None and config.out:
@@ -433,6 +436,8 @@ def run(config, seeds=None):
                 if t == 1:
                     # classical first step, before any Fisher update
                     alphas = np.ones_like(fixed)
+                elif not (adaptive or diagnostics):
+                    alphas = fixed
                 else:
                     # every optimizer logs the same Fisher/dimension diagnostics
                     pending.append(grads)
@@ -600,13 +605,16 @@ _STACK = 8
 
 def _seed_runs(config, n_seeds):
     """(seed, RunResult or the error that ended its run) for `n_seeds`
-    derived seeds in index order, run in stacks of up to _STACK seeds."""
+    derived seeds in index order, run in stacks of up to _STACK seeds
+    without the Fisher diagnostics of sgd and fosgd, which sweeps and rate
+    fits never read: their summaries and gap columns are those of `run`."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     seeds = [derive_seed(config.seed, i) for i in range(n_seeds)]
     stacks = (seeds[lo:lo + _STACK] for lo in range(0, n_seeds, _STACK))
     return ((seed, outcome) for chunk in stacks
-            for seed, outcome in zip(chunk, run(replace(config, out=None), seeds=chunk)))
+            for seed, outcome in zip(chunk, run(replace(config, out=None), seeds=chunk,
+                                                  diagnostics=False)))
 
 
 def seed_sweep(config, n_seeds):
@@ -622,9 +630,11 @@ def seed_sweep(config, n_seeds):
     aggregate = {}
     for key in summaries[0] if summaries else ():
         vals = np.array([s[key] for s in summaries if key in s])
-        q1, med, q3 = np.percentile(vals, [25, 50, 75])
-        aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
-                          "iqr": float(q3 - q1)}
+        # a gap that overflows after the last step is inf; its statistics read inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1, med, q3 = np.percentile(vals, [25, 50, 75])
+            aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
+                              "iqr": float(q3 - q1)}
     return SweepResult(seeds=seeds, summaries=summaries,
                        failed=failed, aggregate=aggregate)
 

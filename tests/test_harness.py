@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sedfosgd import cli, harness
-from sedfosgd.harness import (ConfigError, ExperimentConfig, _ArDriver,
+from sedfosgd import cli, fisher, harness
+from sedfosgd.harness import (ConfigError, ExperimentConfig, SweepFailure, _ArDriver,
                               _QuadraticDriver, _shuffled_indices, csv_bytes,
                               derive_seed, load_config, parse_config_text,
                               parse_overrides, rate_fit, run, running_min,
@@ -766,9 +767,9 @@ class TestSeedStack:
         # a 20-seed sweep runs stacks of at most 8 seeds, in seed order
         stacks = []
 
-        def spy(config, seeds=None):
+        def spy(config, seeds=None, **kw):
             stacks.append(list(seeds))
-            return run(config, seeds=seeds)
+            return run(config, seeds=seeds, **kw)
 
         monkeypatch.setattr(harness, "run", spy)
         sweep = seed_sweep(replace(AR_CFG, iterations=20), 20)
@@ -778,6 +779,95 @@ class TestSeedStack:
     def test_trace_file_needs_one_seed(self, tmp_path):
         with pytest.raises(ValueError, match="one seed"):
             run(replace(AR_CFG, out=str(tmp_path / "t.csv")), seeds=[1, 2])
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
+    @pytest.mark.parametrize("problem", ["ar", "quadratic", "mlp"])
+    def test_only_2sedfosgd_sweeps_fold_fisher_blocks(self, synthetic_idx, monkeypatch,
+                                                       problem, optimizer):
+        # sgd and fosgd fold only for the trace's dzeta and d_max columns,
+        # which sweeps and rate fits never read; a run still fills them
+        ip, lp = synthetic_idx
+        cfg = ExperimentConfig(problem=problem, optimizer=optimizer, iterations=60,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=200,
+                               mlp_hidden=4, mlp_batch=8)
+        folded, ema_update = [], fisher.ema_update
+
+        def spy(block, chunk, *args):
+            folded.append(len(chunk))
+            return ema_update(block, chunk, *args)
+
+        monkeypatch.setattr(fisher, "ema_update", spy)
+        layers = 2 if problem == "mlp" else 1
+        seed_sweep(cfg, 3)
+        seed_rate_fit(cfg, 3)
+        if optimizer == "2sedfosgd":  # one step at a time, each after the first
+            assert folded == [1] * 2 * 59 * layers
+        else:
+            assert folded == []
+        folded.clear()
+        run(cfg, seeds=[1, 2, 3])
+        assert sum(folded) == 59 * layers
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sweeps_report_what_stacked_runs_give(self, synthetic_idx, data):
+        # however the seeds split into stacks
+        cfg, seeds = data.draw(stacked_configs(synthetic_idx))
+        if data.draw(st.booleans()):  # long enough for a rate fit
+            cfg = replace(cfg, iterations=data.draw(st.integers(50, 70)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_STACK", data.draw(st.integers(1, 5)))
+            _assert_sweeps_report_stacked_runs(replace(cfg, seed=seeds[0]), len(seeds))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd"])
+    def test_mixed_sweeps_report_what_stacked_runs_give(self, synthetic_idx, optimizer):
+        # 10 seeds run as stacks of 8 and 2, and some of them diverge
+        ip, lp = synthetic_idx
+        ar = ExperimentConfig(problem="ar", optimizer=optimizer, noise="stable",
+                              stable_tail=0.8, mu0=0.05, iterations=300)
+        mlp = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=60, mu0=1e150,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=200, mlp_hidden=8,
+                               mlp_batch=8)
+        for cfg in (ar, mlp):
+            _assert_sweeps_report_stacked_runs(cfg, 10)
+
+
+def _assert_sweeps_report_stacked_runs(cfg, n):
+    """A sweep's summaries and failures and a rate fit's slope or error over
+    `n` derived seeds are those of run(cfg, seeds=...), which keeps every
+    diagnostic that sweeps and rate fits skip."""
+    derived = [derive_seed(cfg.seed, i) for i in range(n)]
+    outcomes = run(cfg, seeds=derived)
+    sweep = seed_sweep(cfg, n)
+    fit = _result_or_error(seed_rate_fit, cfg, n)
+    ran = [o for o in outcomes if not isinstance(o, Exception)]
+    failed = [(seed, o) for seed, o in zip(derived, outcomes) if isinstance(o, Exception)]
+    assert sweep.seeds == derived
+    assert repr(sweep.summaries) == repr([o.summary for o in ran])
+    assert repr(sweep.failed) == repr([SweepFailure(
+        seed, "step" if isinstance(o, DivergenceError) else "sample",
+        _index(o), str(o)) for seed, o in failed])
+    if cfg.iterations < 50:
+        assert fit[0] is ConfigError
+    elif failed:
+        seed, exc = failed[0]
+        assert fit == (type(exc), f"seed={seed} {exc}", _index(exc))
+    else:
+        column = ran[0].header.index("gap" if cfg.problem == "quadratic" else "loss")
+        series = np.mean([o.rows[:, column] for o in ran], axis=0)
+        assert fit == _result_or_error(lambda: rate_fit(running_min(series)))
+
+
+def _index(exc):
+    return getattr(exc, "step_index", getattr(exc, "sample_index", None))
+
+
+def _result_or_error(fn, *args):
+    """The `repr` of fn(*args), or the type, message and index of its error."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, DivergenceError, GenerationError) as exc:
+        return type(exc), str(exc), _index(exc)
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -882,39 +972,56 @@ def cli_configs(draw):
     return pairs
 
 
+# the failure contract's fixed examples run `sweep` and `ratefit` at 2 seeds
+# (a rate fit of 60 steps, so that its seeds run)
+_contract_example = functools.partial(example, seeds=2, fit_iterations=60)
+
+
 class TestFailureContract:
     """Every config ends in exit 0, in exit 1 with one `error:` line and no
     trace file, or in exit 2 with one `diverged:` line naming a step or a
-    sample index; nothing else escapes `cli.main`."""
+    sample index; nothing else escapes `cli.main`. A sweep lists its
+    diverged seeds and exits 0; a rate fit names the seed that diverged."""
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "ratefit"])
     @settings(max_examples=60, deadline=None)
-    @given(cli_configs())
+    @given(pairs=cli_configs(), seeds=st.integers(1, 3), fit_iterations=st.integers(50, 70))
     # 10^17 iterations need more than any 64-bit address space holds, so the
     # allocation fails at once (exit 1) without touching memory
-    @example(pairs=["iterations=100000000000000000"])
-    @example(pairs=["problem=quadratic", "iterations=100000000000000000"])
+    @_contract_example(pairs=["iterations=100000000000000000"])
+    @_contract_example(pairs=["problem=quadratic", "iterations=100000000000000000"])
     # the Gaussian AR noise overflows while the data is simulated
-    @example(pairs=["noise_std=1e308"])
+    @_contract_example(pairs=["noise_std=1e308"])
     # epsilon ** (zeta - 1) rounds to 1, whose log d_curv would divide by;
     # the check that rejects it takes no power of an out-of-range pair
-    @example(pairs=["optimizer=2sedfosgd", "iterations=3", "epsilon=0.9999999999999999"])
-    @example(pairs=["epsilon=0"])
-    @example(pairs=["epsilon=5e-324", "zeta=0"])
+    @_contract_example(pairs=["optimizer=2sedfosgd", "iterations=3",
+                              "epsilon=0.9999999999999999"])
+    @_contract_example(pairs=["epsilon=0"])
+    @_contract_example(pairs=["epsilon=5e-324", "zeta=0"])
     # finite weights whose holdout logits overflow after the last step
-    @example(pairs=["problem=mlp", "optimizer=2sedfosgd", "iterations=8", "mlp_hidden=8",
-                    "mlp_batch=8", "mlp_limit=200", "mu0=1e152", "seed=1"])
-    @example(pairs=["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8",
-                    "mlp_batch=8", "mlp_limit=200", "mu0=1e154", "seed=6"])
-    def test_every_config_ends_in_a_known_exit(self, synthetic_idx, pairs):
+    @_contract_example(pairs=["problem=mlp", "optimizer=2sedfosgd", "iterations=8",
+                              "mlp_hidden=8", "mlp_batch=8", "mlp_limit=200", "mu0=1e152",
+                              "seed=1"])
+    @_contract_example(pairs=["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8",
+                              "mlp_batch=8", "mlp_limit=200", "mu0=1e154", "seed=6"])
+    # the gap after the last step overflows, so a sweep's quartiles of it are
+    # taken between infinite values
+    @_contract_example(pairs=["problem=quadratic", "optimizer=fosgd", "iterations=9",
+                              "mu0=11.0", "alpha0=0.25", "quad_diag=1.0"])
+    def test_every_config_ends_in_a_known_exit(self, synthetic_idx, command, pairs, seeds,
+                                               fit_iterations):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "base.cfg")
             with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write("problem = ar\noptimizer = sgd\niterations = 1\n")
             out = os.path.join(tmp, "trace.csv")
-            argv = ["run", "--config", cfg, "--out", out]
+            argv = ([command, "--config", cfg, "--out", out] if command == "run"
+                    else [command, "--config", cfg, "--seeds", str(seeds)])
             if "problem=mlp" in pairs:
                 pairs = [*pairs, f"mlp_images={synthetic_idx[0]}",
                          f"mlp_labels={synthetic_idx[1]}"]
+            if command == "ratefit":  # the last override wins
+                pairs = [*pairs, f"iterations={fit_iterations}"]
             for pair in pairs:
                 argv += ["--override", pair]
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -924,17 +1031,20 @@ class TestFailureContract:
             err = stderr.getvalue()
             if code == 0:
                 assert err == ""
-                assert os.path.exists(out) and os.path.exists(out + ".summary")
+                if command == "run":
+                    assert os.path.exists(out) and os.path.exists(out + ".summary")
             elif code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
                 assert not os.path.exists(out)
             else:
-                assert code == 2
+                assert code == 2 and command != "sweep", err
                 assert err.startswith("diverged: ") and err.count("\n") == 1, err
+                if command == "ratefit":
+                    assert re.match(r"diverged: seed=\d+ ", err), err
                 found = re.search(r"\b(step|index) (\d+)", err)
                 assert found, err
                 assert not os.path.exists(out + ".summary")
-                if found[1] == "step":
+                if found[1] == "step" and command == "run":
                     # rows 1 .. N - 1 were written before step N diverged
                     with open(out, encoding="utf-8") as fh:
                         rows = fh.read().splitlines()[1:]
