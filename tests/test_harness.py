@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import io
 import math
 import os
@@ -972,9 +971,38 @@ def cli_configs(draw):
     return pairs
 
 
-# the failure contract's fixed examples run `sweep` and `ratefit` at 2 seeds
-# (a rate fit of 60 steps, so that its seeds run)
-_contract_example = functools.partial(example, seeds=2, fit_iterations=60)
+# configs that once escaped the failure contract, checked under every command
+_CONTRACT_EXAMPLES = [
+    # 10^17 iterations need more than any 64-bit address space holds, so the
+    # allocation fails at once (exit 1) without touching memory
+    ["iterations=100000000000000000"],
+    ["problem=quadratic", "iterations=100000000000000000"],
+    # the Gaussian AR noise overflows while the data is simulated
+    ["noise_std=1e308"],
+    # epsilon ** (zeta - 1) rounds to 1, whose log d_curv would divide by;
+    # the check that rejects it takes no power of an out-of-range pair
+    ["optimizer=2sedfosgd", "iterations=3", "epsilon=0.9999999999999999"],
+    ["epsilon=0"],
+    ["epsilon=5e-324", "zeta=0"],
+    # finite weights whose holdout logits overflow after the last step
+    ["problem=mlp", "optimizer=2sedfosgd", "iterations=8", "mlp_hidden=8", "mlp_batch=8",
+     "mlp_limit=200", "mu0=1e152", "seed=1"],
+    ["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8", "mlp_batch=8",
+     "mlp_limit=200", "mu0=1e154", "seed=6"],
+    # the gap after the last step overflows, so a sweep's quartiles of it are
+    # taken between infinite values
+    ["problem=quadratic", "optimizer=fosgd", "iterations=9", "mu0=11.0", "alpha0=0.25",
+     "quad_diag=1.0"],
+]
+
+
+def _contract_examples(**fixed):
+    """Adds each of `_CONTRACT_EXAMPLES` as an `@example`, with `fixed`."""
+    def decorate(test):
+        for pairs in reversed(_CONTRACT_EXAMPLES):
+            test = example(pairs=pairs, **fixed)(test)
+        return test
+    return decorate
 
 
 class TestFailureContract:
@@ -983,69 +1011,61 @@ class TestFailureContract:
     sample index; nothing else escapes `cli.main`. A sweep lists its
     diverged seeds and exits 0; a rate fit names the seed that diverged."""
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "ratefit"])
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=cli_configs())
+    @_contract_examples()
+    def test_every_config_ends_in_a_known_exit(self, synthetic_idx, pairs):
+        _assert_known_exit(synthetic_idx, "run", pairs)
+
+    # the fixed examples run at 2 seeds, a rate fit at 60 steps so that its
+    # seeds run
+    @pytest.mark.parametrize("command", ["sweep", "ratefit"])
     @settings(max_examples=60, deadline=None)
     @given(pairs=cli_configs(), seeds=st.integers(1, 3), fit_iterations=st.integers(50, 70))
-    # 10^17 iterations need more than any 64-bit address space holds, so the
-    # allocation fails at once (exit 1) without touching memory
-    @_contract_example(pairs=["iterations=100000000000000000"])
-    @_contract_example(pairs=["problem=quadratic", "iterations=100000000000000000"])
-    # the Gaussian AR noise overflows while the data is simulated
-    @_contract_example(pairs=["noise_std=1e308"])
-    # epsilon ** (zeta - 1) rounds to 1, whose log d_curv would divide by;
-    # the check that rejects it takes no power of an out-of-range pair
-    @_contract_example(pairs=["optimizer=2sedfosgd", "iterations=3",
-                              "epsilon=0.9999999999999999"])
-    @_contract_example(pairs=["epsilon=0"])
-    @_contract_example(pairs=["epsilon=5e-324", "zeta=0"])
-    # finite weights whose holdout logits overflow after the last step
-    @_contract_example(pairs=["problem=mlp", "optimizer=2sedfosgd", "iterations=8",
-                              "mlp_hidden=8", "mlp_batch=8", "mlp_limit=200", "mu0=1e152",
-                              "seed=1"])
-    @_contract_example(pairs=["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8",
-                              "mlp_batch=8", "mlp_limit=200", "mu0=1e154", "seed=6"])
-    # the gap after the last step overflows, so a sweep's quartiles of it are
-    # taken between infinite values
-    @_contract_example(pairs=["problem=quadratic", "optimizer=fosgd", "iterations=9",
-                              "mu0=11.0", "alpha0=0.25", "quad_diag=1.0"])
-    def test_every_config_ends_in_a_known_exit(self, synthetic_idx, command, pairs, seeds,
-                                               fit_iterations):
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = os.path.join(tmp, "base.cfg")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.write("problem = ar\noptimizer = sgd\niterations = 1\n")
-            out = os.path.join(tmp, "trace.csv")
-            argv = ([command, "--config", cfg, "--out", out] if command == "run"
-                    else [command, "--config", cfg, "--seeds", str(seeds)])
-            if "problem=mlp" in pairs:
-                pairs = [*pairs, f"mlp_images={synthetic_idx[0]}",
-                         f"mlp_labels={synthetic_idx[1]}"]
-            if command == "ratefit":  # the last override wins
-                pairs = [*pairs, f"iterations={fit_iterations}"]
-            for pair in pairs:
-                argv += ["--override", pair]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            err = stderr.getvalue()
-            if code == 0:
-                assert err == ""
-                if command == "run":
-                    assert os.path.exists(out) and os.path.exists(out + ".summary")
-            elif code == 1:
-                assert err.startswith("error: ") and err.count("\n") == 1, err
-                assert not os.path.exists(out)
-            else:
-                assert code == 2 and command != "sweep", err
-                assert err.startswith("diverged: ") and err.count("\n") == 1, err
-                if command == "ratefit":
-                    assert re.match(r"diverged: seed=\d+ ", err), err
-                found = re.search(r"\b(step|index) (\d+)", err)
-                assert found, err
-                assert not os.path.exists(out + ".summary")
-                if found[1] == "step" and command == "run":
-                    # rows 1 .. N - 1 were written before step N diverged
-                    with open(out, encoding="utf-8") as fh:
-                        rows = fh.read().splitlines()[1:]
-                    assert len(rows) == int(found[2]) - 1, err
+    @_contract_examples(seeds=2, fit_iterations=60)
+    def test_every_seed_config_ends_in_a_known_exit(self, synthetic_idx, command, pairs,
+                                                    seeds, fit_iterations):
+        if command == "ratefit":  # the last override wins
+            pairs = [*pairs, f"iterations={fit_iterations}"]
+        _assert_known_exit(synthetic_idx, command, pairs, seeds)
+
+
+def _assert_known_exit(synthetic_idx, command, pairs, seeds=None):
+    """Runs `command` of a one-step sgd AR config file with `pairs` as
+    overrides and checks that it ends as the failure contract says."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "base.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("problem = ar\noptimizer = sgd\niterations = 1\n")
+        out = os.path.join(tmp, "trace.csv")
+        argv = ([command, "--config", cfg, "--out", out] if command == "run"
+                else [command, "--config", cfg, "--seeds", str(seeds)])
+        if "problem=mlp" in pairs:
+            pairs = [*pairs, f"mlp_images={synthetic_idx[0]}",
+                     f"mlp_labels={synthetic_idx[1]}"]
+        for pair in pairs:
+            argv += ["--override", pair]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            if command == "run":
+                assert os.path.exists(out) and os.path.exists(out + ".summary")
+        elif code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not os.path.exists(out)
+        else:
+            assert code == 2 and command != "sweep", err
+            assert err.startswith("diverged: ") and err.count("\n") == 1, err
+            if command == "ratefit":
+                assert re.match(r"diverged: seed=\d+ ", err), err
+            found = re.search(r"\b(step|index) (\d+)", err)
+            assert found, err
+            assert not os.path.exists(out + ".summary")
+            if found[1] == "step" and command == "run":
+                # rows 1 .. N - 1 were written before step N diverged
+                with open(out, encoding="utf-8") as fh:
+                    rows = fh.read().splitlines()[1:]
+                assert len(rows) == int(found[2]) - 1, err
