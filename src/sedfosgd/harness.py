@@ -376,22 +376,19 @@ def run(config, seeds=None, *, diagnostics=True):
         raise outcomes[0]
 
     # the run state, one row per seed of `alive` (no step runs without one):
-    # each layer, its last step, its EMA Fisher block, the dimensions' max
+    # each layer, its last step and its EMA Fisher block
     layers = list(driver.init_layers)
     steps = [np.zeros_like(v) for v in layers]
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
-    d_max = np.zeros(alive.size)
-    # the optimizers differ only in their exponents: 1 for sgd, alpha0 for
-    # fosgd, and the adaptive ones (chosen each step below) for 2sedfosgd
     adaptive = config.optimizer == "2sedfosgd"
-    fixed = np.full((alive.size, len(layers)),
-                    1.0 if config.optimizer == "sgd" else config.alpha0)
     # the gradients of the steps not folded yet: 2sedfosgd folds each step's
     # at once, sgd and fosgd (which only trace the diagnostics) a chunk
     pending, width = [], 1 if adaptive else min(256, max(1, _CHUNK_BYTES // (8 * max(
         alive.size, 1) * sum(b.step_entries for b in blocks))))
 
+    # the rows are the run's record: each step reads its step size and
+    # exponents from its row, and a fold the d_max of the row before it
     header = trace_header(driver)
     metric_col = 3 * len(layers) + 4
     # step 1 folds nothing, so its dimensions and d_max stay 0
@@ -400,25 +397,32 @@ def run(config, seeds=None, *, diagnostics=True):
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
     rows[:, :, 1] = np.concatenate(
         [[config.mu0], optim_mod.step_size(np.arange(1, config.iterations), config.mu0)])
+    # the optimizers differ only in their exponents: 1 at the classical first
+    # step and for sgd, alpha0 for fosgd, and for 2sedfosgd the adaptive ones,
+    # which each step writes into its row before it steps
+    rows[:, :, 3:metric_col - 1:3] = 1.0 if config.optimizer == "sgd" else config.alpha0
+    rows[:, 0, 3:metric_col - 1:3] = 1.0
     writer = _TraceWriter(config.out, header) if config.out else None
     # a trace is one seed's rows (in view after it leaves), the first `done` whole
     trace, done = rows[0] if writer else None, 0
 
     def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
-        nonlocal d_max, done
-        dzeta, peak = optim_mod.fisher_diagnostics(pending, blocks, d_max, config)
-        rows[:, t - len(pending):t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
-        rows[:, t - len(pending):t, metric_col - 1] = peak.T
+        nonlocal done
+        lo = t - len(pending)  # the chunk's first row; the row before holds d_max
+        dzeta, peak = optim_mod.fisher_diagnostics(
+            pending, blocks, rows[:, lo - 1, metric_col - 1], config)
+        rows[:, lo:t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
+        rows[:, lo:t, metric_col - 1] = peak.T
         pending.clear()
-        d_max, done = peak[-1], t - 1  # the next loss is in
-        return dzeta, peak
+        done = t - 1  # the next loss is in
 
     try:
         # an overflow or invalid operation leaves inf or nan instead of a
         # warning; the checks below report it as a divergence at its step
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, config.iterations + 1 if alive.size else 1):
-                loss, raw = driver.loss_grad(layers, t)
+                row = rows[:, t - 1]
+                row[:, 2], raw = driver.loss_grad(layers, t)
                 # a row is whole once its chunk is folded and the next loss is in
                 if not pending:
                     done = t - 1
@@ -427,26 +431,23 @@ def run(config, seeds=None, *, diagnostics=True):
                 # |g|^2 is finite exactly when every entry is and the squares
                 # do not overflow, as they cannot within an unused clip bound;
                 # a blown seed folds a zero gradient until it leaves below
-                blown = ~np.isfinite(loss)
+                blown = ~np.isfinite(row[:, 2])
                 for g in grads if grads is not raw or config.grad_clip is None else ():
                     blown |= ~np.isfinite(np.vecdot(g, g))
                 blown_rows = blown.nonzero()[0].tolist()
                 if blown_rows:
                     grads = [np.where(blown[:, None], 0.0, g) for g in grads]
-                if t == 1:
-                    # classical first step, before any Fisher update
-                    alphas = np.ones_like(fixed)
-                elif not (adaptive or diagnostics):
-                    alphas = fixed
-                else:
-                    # every optimizer logs the same Fisher/dimension diagnostics
+                # every optimizer logs the same Fisher/dimension diagnostics
+                # after the classical first step, which folds nothing
+                if t > 1 and (adaptive or diagnostics):
                     pending.append(grads)
                     if len(pending) == width or t == config.iterations:
-                        dzeta, peak = diagnose(t)
-                    alphas = (sed_mod.adapt_alpha(dzeta[0], peak[0, :, None], config)
-                              if adaptive else fixed)
-                layers, steps = optim_mod.step(layers, steps, grads, rows[0, t - 1, 1],
-                                               alphas, config, t)
+                        diagnose(t)
+                    if adaptive:
+                        row[:, 3:metric_col - 1:3] = sed_mod.adapt_alpha(
+                            row[:, 4:metric_col - 1:3], row[:, metric_col - 1, None], config)
+                layers, steps = optim_mod.step(layers, steps, grads, row[0, 1],
+                                               row[:, 3:metric_col - 1:3], config, t)
 
                 # a seed that diverged at this step leaves the stack
                 failed = optim_mod.diverged(layers, t)
@@ -457,17 +458,14 @@ def run(config, seeds=None, *, diagnostics=True):
                         diagnose(t)
                     outcomes.update((int(alive[k]), exc) for k, exc in failed.items())
                     keep = ~np.isin(np.arange(alive.size), list(failed))
-                    alive, loss, alphas, fixed, d_max, rows = (
-                        x[keep] for x in (alive, loss, alphas, fixed, d_max, rows))
+                    alive, rows = alive[keep], rows[keep]
                     layers, steps = [v[keep] for v in layers], [v[keep] for v in steps]
                     for owner in (driver, *blocks):
                         owner.keep(keep)
                     if not alive.size:
                         break
+                    row = rows[:, t - 1]
 
-                row = rows[:, t - 1]
-                row[:, 2] = loss
-                row[:, 3:metric_col - 1:3] = alphas
                 for j, d in enumerate(steps):
                     row[:, 5 + 3 * j] = optim_mod.norm([d])
                 driver.metrics(layers, row[:, metric_col:], t == config.iterations)
