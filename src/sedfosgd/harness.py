@@ -240,6 +240,8 @@ class _QuadraticDriver:
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
 
     def loss_grad(self, layers, t):
+        # the previous row's gap is evaluated here, not in metrics, as
+        # bench/tracer.py counts a step per oracle call made from loss_grad
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
         self._gap[:] = f
         if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
@@ -382,6 +384,8 @@ def run(config, seeds=None, *, diagnostics=True):
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
     adaptive = config.optimizer == "2sedfosgd"
+    clip_bounds_squares = (config.grad_clip is not None
+                           and math.isfinite(config.grad_clip * config.grad_clip))
     # the gradients of the steps not folded yet: 2sedfosgd folds each step's
     # at once, sgd and fosgd (which only trace the diagnostics) a chunk
     pending, width = [], 1 if adaptive else min(256, max(1, _CHUNK_BYTES // (8 * max(
@@ -429,10 +433,11 @@ def run(config, seeds=None, *, diagnostics=True):
                 grads = optim_mod.clip_gradients(raw, config.grad_clip)
                 # catch blow-ups before the Fisher outer product can overflow:
                 # |g|^2 is finite exactly when every entry is and the squares
-                # do not overflow, as they cannot within an unused clip bound;
-                # a blown seed folds a zero gradient until it leaves below
+                # do not overflow, as they cannot within an unused clip bound
+                # whose square is finite; a blown seed folds a zero gradient
+                # until it leaves below
                 blown = ~np.isfinite(row[:, 2])
-                for g in grads if grads is not raw or config.grad_clip is None else ():
+                for g in grads if grads is not raw or not clip_bounds_squares else ():
                     blown |= ~np.isfinite(np.vecdot(g, g))
                 blown_rows = blown.nonzero()[0].tolist()
                 if blown_rows:
@@ -477,6 +482,13 @@ def run(config, seeds=None, *, diagnostics=True):
 
     names = driver.metric_names()
     for k, i in enumerate(alive.tolist()):
+        if not np.isfinite(rows[k, -1, metric_col:]).all():
+            # the quadratic's last gap is the loss at step T + 1: one that is
+            # not finite ends the run as that step's loss check would
+            t = config.iterations + 1
+            outcomes[i] = DivergenceError(f"non-finite loss or gradient at step {t}",
+                                          step_index=t)
+            continue
         losses = rows[k, :, 2]
         # min_loss is the first of equal minima, as a running min() keeps it
         summary = {"iterations": float(config.iterations), "final_loss": float(losses[-1]),
@@ -628,11 +640,12 @@ def seed_sweep(config, n_seeds):
     aggregate = {}
     for key in summaries[0] if summaries else ():
         vals = np.array([s[key] for s in summaries if key in s])
-        # a gap that overflows after the last step is inf; its statistics read inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            q1, med, q3 = np.percentile(vals, [25, 50, 75])
-            aggregate[key] = {"mean": float(vals.mean()), "median": float(med),
-                              "iqr": float(q3 - q1)}
+        q1, med, q3 = np.percentile(vals, [25, 50, 75])
+        with np.errstate(over="ignore"):  # the sum of finite values can overflow,
+            mean = vals.mean()
+        if math.isinf(mean):  # and then their shares of the mean add up to it
+            mean = (vals / vals.size).sum()
+        aggregate[key] = {"mean": float(mean), "median": float(med), "iqr": float(q3 - q1)}
     return SweepResult(seeds=seeds, summaries=summaries,
                        failed=failed, aggregate=aggregate)
 
@@ -645,12 +658,14 @@ def seed_rate_fit(config, n_seeds):
     if config.iterations < _MIN_FIT_POINTS:
         raise ConfigError(f"iterations must be >= {_MIN_FIT_POINTS} for a rate "
                           f"fit, got {config.iterations}")
-    series = None
+    total = shares = 0.0
     for seed, outcome in runs:
         if isinstance(outcome, Exception):
             index = getattr(outcome, "step_index", getattr(outcome, "sample_index", None))
             raise type(outcome)(f"seed={seed} {outcome}", index) from outcome
         gaps = outcome.rows[:, outcome.header.index("gap" if "gap" in outcome.header
                                                     else "loss")]
-        series = gaps if series is None else series + gaps  # in seed order
-    return rate_fit(running_min(series / n_seeds))
+        with np.errstate(over="ignore"):  # the sum of finite gaps can overflow,
+            total = total + gaps  # in seed order
+        shares = shares + gaps / n_seeds  # and then their shares add up to the mean
+    return rate_fit(running_min(np.where(np.isinf(total), shares, total / n_seeds)))

@@ -370,6 +370,28 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--seeds", "6"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_sweep_mean_of_huge_finite_gaps(self, tmp_path, capsys):
+        # three finite gaps near 8.45e307 whose sum overflows
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 1\n"
+            "quad_diag = 1\nquad_noise_std = 0\nmu0 = 1.3e154\n")
+        assert cli.main(["sweep", "--config", cfg, "--seeds", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "final_gap: mean=8.45e+307 median=8.45e+307 iqr=0\n" in captured.out
+
+    def test_ratefit_of_huge_finite_gaps(self, tmp_path, capsys):
+        # the noise drives each seed's gap to about 1e306, so the sum of the
+        # hundred seeds' gaps overflows; their mean is still fitted
+        cfg = self._write_cfg(
+            tmp_path, "problem = quadratic\noptimizer = sgd\niterations = 50\n"
+            "quad_diag = 0.001\nmu0 = 1000\nquad_noise_std = 9e151\n")
+        assert cli.main(["ratefit", "--config", cfg, "--seeds", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fit = dict(line.split(" = ") for line in captured.out.splitlines())
+        assert all(math.isfinite(float(fit[key])) for key in ("slope", "r_squared"))
+
     def test_ratefit_subcommand(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path,
@@ -426,6 +448,10 @@ class TestCli:
         ("ar", ["stable_scale=0"]),
         ("ar", ["epsilon=0.9999999999999999"]),  # epsilon ** (zeta - 1) rounds to 1
         ("ar", ["zeta=0.9999999999999999", "epsilon=0.9"]),
+        # text that does not parse as the key's type
+        ("ar", ["iterations=abc"]),
+        ("ar", ["normalize_fisher=maybe"]),
+        ("quadratic", ["quad_diag=1,x"]),
     ])
     def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
                                               overrides):
@@ -775,6 +801,23 @@ class TestSeedStack:
         assert [len(s) for s in stacks] == [8, 8, 4]
         assert sum(stacks, []) == sweep.seeds
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
+    def test_quadratic_gap_is_the_next_loss(self, optimizer):
+        # the gap of row t is the loss that step t + 1 evaluates, bit for bit,
+        # also after other seeds left the stack (five of these six diverge
+        # under 2sedfosgd); the last one is evaluated at the final layers
+        cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=200,
+                               quad_diag=(1.0, 4.0, 9.0), quad_noise_std=3.0, mu0=0.3,
+                               alpha0=0.5)
+        results = [r for r in run(cfg, seeds=range(6)) if isinstance(r, harness.RunResult)]
+        assert results
+        for r in results:
+            gap, loss = (r.rows[:, r.header.index(name)] for name in ("gap", "loss"))
+            assert gap[:-1].tobytes() == loss[1:].tobytes()
+            last, _ = quadratic_loss_grad(r.final_layers[0], np.diag(cfg.quad_diag),
+                                          np.zeros(3))
+            assert gap[-1] == last
+
     def test_trace_file_needs_one_seed(self, tmp_path):
         with pytest.raises(ValueError, match="one seed"):
             run(replace(AR_CFG, out=str(tmp_path / "t.csv")), seeds=[1, 2])
@@ -989,10 +1032,15 @@ _CONTRACT_EXAMPLES = [
      "mlp_limit=200", "mu0=1e152", "seed=1"],
     ["problem=mlp", "optimizer=sgd", "iterations=8", "mlp_hidden=8", "mlp_batch=8",
      "mlp_limit=200", "mu0=1e154", "seed=6"],
-    # the gap after the last step overflows, so a sweep's quartiles of it are
-    # taken between infinite values
+    # the gap after the last step overflows: that is step 10's loss, so the
+    # run diverges there, as it does at iterations=10
     ["problem=quadratic", "optimizer=fosgd", "iterations=9", "mu0=11.0", "alpha0=0.25",
      "quad_diag=1.0"],
+    # the squares of a gradient within an unused clip bound above 1e154
+    # overflow, so the bound does not spare the gradient check at step 9
+    ["problem=ar", "optimizer=fosgd", "iterations=9", "mu0=62.8914", "alpha0=0.5",
+     "alpha_min=0.01", "delta=0.118", "grad_clip=1.73e187", "noise=stable",
+     "stable_tail=0.5", "ar_coeffs=1.2", "seed=480"],
 ]
 
 
@@ -1009,7 +1057,9 @@ class TestFailureContract:
     """Every config ends in exit 0, in exit 1 with one `error:` line and no
     trace file, or in exit 2 with one `diverged:` line naming a step or a
     sample index; nothing else escapes `cli.main`. A sweep lists its
-    diverged seeds and exits 0; a rate fit names the seed that diverged."""
+    diverged seeds and exits 0; a rate fit names the seed that diverged.
+    Exit 0 means finite results: every trace cell but a step norm and every
+    summary value, and every number a sweep or rate fit prints."""
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=cli_configs())
@@ -1052,7 +1102,9 @@ def _assert_known_exit(synthetic_idx, command, pairs, seeds=None):
         if code == 0:
             assert err == ""
             if command == "run":
-                assert os.path.exists(out) and os.path.exists(out + ".summary")
+                _assert_finite_run(out)
+            else:
+                assert not re.search(r"\b(inf|nan)\b", stdout.getvalue()), stdout.getvalue()
         elif code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not os.path.exists(out)
@@ -1069,3 +1121,18 @@ def _assert_known_exit(synthetic_idx, command, pairs, seeds=None):
                 with open(out, encoding="utf-8") as fh:
                     rows = fh.read().splitlines()[1:]
                 assert len(rows) == int(found[2]) - 1, err
+
+
+def _assert_finite_run(out):
+    """An exit-0 run has a finite value in every cell of its trace but the
+    step norms (a finite step can be longer than the largest float) and in
+    every summary value."""
+    with open(out, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    cols = [j for j, name in enumerate(header.split(","))
+            if not name.startswith("delta_norm_l")]
+    rows = np.array([line.split(",") for line in lines], dtype=float)
+    assert np.isfinite(rows[:, cols]).all(), rows
+    with open(out + ".summary", encoding="utf-8") as fh:
+        values = [float(line.split(" = ")[1]) for line in fh.read().splitlines()]
+    assert np.isfinite(values).all(), values

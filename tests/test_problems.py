@@ -254,6 +254,15 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="bad magic"):
             load_idx(str(path), str(lp))
 
+    def test_truncated_header(self, tmp_path):
+        import struct
+        path = tmp_path / "short.idx"
+        path.write_bytes(struct.pack(">i", 2051) + b"\0\0")  # 6 of the 16 header bytes
+        lp = tmp_path / "lb.idx"
+        lp.write_bytes(struct.pack(">ii", 2049, 1) + b"\0")
+        with pytest.raises(IdxFormatError, match="truncated header, expected 16 bytes, got 6"):
+            load_idx(str(path), str(lp))
+
     def test_truncated_payload(self, tmp_path):
         import struct
         path = tmp_path / "trunc.idx"
