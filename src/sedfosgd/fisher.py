@@ -58,9 +58,7 @@ class FisherBlock:
         if mode == "full":
             return cls(layer_index, mode, np.zeros(stack + (0, 0)), decay,
                        rows=np.zeros(stack + (0, dim)))
-        if mode == "diagonal":
-            return cls(layer_index, mode, np.zeros(stack + (dim,)), decay)
-        raise ValueError(f"unknown mode {mode!r}")
+        return cls(layer_index, mode, np.zeros(stack + (dim,)), decay)
 
     def keep(self, mask):
         """Keep only the seeds of a stacked block where `mask` is true."""
@@ -73,15 +71,9 @@ def ema_update(block, grads, scale, normalized):
     """Fold a chunk of gradients (steps, seeds..., d) into the block in order,
     each step as (1-gamma) * old + gamma * v (x) v; returns each step's
     logdet_plus(F, scale), (steps, seeds...), with F scaled by dim / trace
-    (zero at the trace floor) if `normalized`. A finite gradient, the one
-    check of the Fisher input, keeps the block finite and exactly symmetric,
-    which the spectral solve relies on."""
-    stack = block.matrix.shape[:-2 if block.mode == "full" else -1]
-    if grads.shape[1:] != stack + (block.dim,):
-        raise ValueError(f"dimension mismatch: block of dim {block.dim} over seed "
-                         f"stack {stack}, gradient chunk {grads.shape}")
-    if not np.isfinite(grads).all():
-        raise ValueError("gradient entries must be finite")
+    (zero at the trace floor) if `normalized`. The run loop passes finite
+    chunks shaped to the block (it zeroes a blown seed's gradient), which
+    keeps the block finite and exactly symmetric, as the spectral solve needs."""
     gamma, n, logdets = block.decay, 0, []  # one array per Gram step, then the stack's
     while block.rows is not None and n < len(grads):  # the Gram grows by one a step
         if block.rows.shape[-2] + 1 < block.dim:

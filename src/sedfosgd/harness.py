@@ -275,51 +275,47 @@ class _MlpDriver:
     batches from it for one gradient call."""
 
     def __init__(self, config, rngs):
-        data = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
-        n = min(config.mlp_limit or len(data), len(data))
+        inputs, labels = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
+        n = min(config.mlp_limit or len(labels), len(labels))
         self.n_hold = int(round(config.mlp_holdout * n))
         if not 0 < self.n_hold < n:
             raise ConfigError(
                 f"mlp_holdout={config.mlp_holdout} splits {n} examples into {self.n_hold} "
                 f"holdout and {n - self.n_hold} training; both must be non-empty")
-        self.inputs, self.labels = data.inputs[:n], data.labels[:n]
-        self.spec = problems_mod.MlpSpec(widths=(
-            data.inputs.shape[1], config.mlp_hidden, int(data.labels.max()) + 1))
-        self.batch_size = config.mlp_batch
-        widths, self.failed = self.spec.widths, {}
+        self.inputs, self.labels = inputs[:n], labels[:n]
+        self.widths = widths = (inputs.shape[1], config.mlp_hidden, int(labels.max()) + 1)
+        self.batch_size, self.failed = config.mlp_batch, {}
         self.orders = np.empty((len(rngs), n), dtype=np.intp)
         self.init_layers = [np.empty((len(rngs), (a + 1) * b)) for a, b in zip(widths, widths[1:])]
         for k, rng in enumerate(rngs):
             self.orders[k] = _shuffled_indices(n, rng)
-            for v, init in zip(self.init_layers, problems_mod.mlp_init_layers(self.spec, rng)):
+            for v, init in zip(self.init_layers, problems_mod.mlp_init_layers(widths, rng)):
                 v[k] = init
-
-    def _batch(self, rows):
-        return problems_mod.LabeledBatch(self.inputs[rows], self.labels[rows])
 
     def loss_grad(self, layers, t):
         n_train = len(self.labels) - self.n_hold
         start = ((t - 1) * self.batch_size) % n_train
-        self._step_batch = self._batch(self.orders[:, self.n_hold + (
-            start + np.arange(self.batch_size)) % n_train])
-        return problems_mod.mlp_loss_grad(self.spec, layers, self._step_batch)
+        rows = self.orders[:, self.n_hold + (start + np.arange(self.batch_size)) % n_train]
+        self._step_batch = self.inputs[rows], self.labels[rows]
+        return problems_mod.mlp_loss_grad(self.widths, layers, *self._step_batch)
 
     def keep(self, mask):
-        self.orders, batch = self.orders[mask], self._step_batch
-        self._step_batch = problems_mod.LabeledBatch(batch.inputs[mask], batch.labels[mask])
+        self.orders = self.orders[mask]
+        self._step_batch = tuple(a[mask] for a in self._step_batch)
 
     def metric_names(self):
         return ["batch_accuracy"]
 
-    def _accuracies(self, layers, batch):
-        return np.mean(problems_mod.mlp_predict(self.spec, layers, batch.inputs)
-                       == batch.labels, axis=-1)
+    def _accuracies(self, layers, inputs, labels):
+        return np.mean(problems_mod.mlp_predict(self.widths, layers, inputs) == labels,
+                       axis=-1)
 
     def metrics(self, layers, out, last):
-        out[:, 0] = self._accuracies(layers, self._step_batch)
+        out[:, 0] = self._accuracies(layers, *self._step_batch)
 
     def holdout_accuracy(self, layers):
-        return self._accuracies(layers, self._batch(self.orders[:, :self.n_hold]))
+        rows = self.orders[:, :self.n_hold]
+        return self._accuracies(layers, self.inputs[rows], self.labels[rows])
 
 
 def _shuffled_indices(n, rng):
@@ -452,7 +448,7 @@ def run(config, seeds=None, *, diagnostics=True):
                         row[:, 3:metric_col - 1:3] = sed_mod.adapt_alpha(
                             row[:, 4:metric_col - 1:3], row[:, metric_col - 1, None], config)
                 layers, steps = optim_mod.step(layers, steps, grads, row[0, 1],
-                                               row[:, 3:metric_col - 1:3], config, t)
+                                               row[:, 3:metric_col - 1:3], config)
 
                 # a seed that diverged at this step leaves the stack
                 failed = optim_mod.diverged(layers, t)

@@ -5,8 +5,6 @@ A pure function on small dense arrays (layer blocks, their Grams or
 diagonals, stacked over seeds on leading axes), so it is thread-safe.
 """
 
-import math
-
 import numpy as np
 
 
@@ -23,11 +21,10 @@ def logdet_plus(m, s, diagonal=False):
     square root and always non-negative. Zero eigenvalues add log1p(0) = 0,
     so any PSD matrix with the same nonzero spectrum gives the same value.
 
-    `m` is taken as finite and exactly symmetric, as every EMA Fisher block
-    and its Gram are by construction; it is not checked again here.
+    Neither input is checked here: `m` is finite and exactly symmetric, as
+    every EMA Fisher block and its Gram are by construction, and `s` is the
+    run's curvature scale, which its config keeps finite and above 1.
     """
-    if s < 0 or not math.isfinite(s):
-        raise ValueError(f"scale must be finite and >= 0, got {s}")
     try:
         w = m if diagonal else np.linalg.eigvalsh(m)[..., ::-1]
     except np.linalg.LinAlgError as exc:

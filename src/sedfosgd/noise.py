@@ -49,8 +49,6 @@ class RngStream:
     def next_u64s(self, n):
         """The next `n` outputs as a uint64 array, equal to `n` `next_u64()`
         calls, which leaves the state where those calls would."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)

@@ -55,8 +55,6 @@ def norm(arrays):
 
 def step_size(t, mu0):
     """mu0 / sqrt(t) for t >= 1 (or an array of such t)."""
-    if np.any(np.asarray(t) < 1):
-        raise ValueError(f"step schedule starts at t = 1, got {t}")
     return mu0 / np.sqrt(t)
 
 
@@ -71,22 +69,17 @@ def clip_gradients(grads, bound):
     return [factor[..., None] * g for g in grads]
 
 
-def step(layers, steps, grads, mu, alphas, cfg, t):
-    """Step `t` (1-based) of a stack of runs: per seed and layer,
+def step(layers, steps, grads, mu, alphas, cfg):
+    """One step of a stack of runs: per seed and layer,
     theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g,
-    where each layer is a (seeds, d) array, `steps` holds its last step
-    Delta theta = theta_t - theta_{t-1} and `alphas` (seeds, layers) the
-    exponents. `math.gamma`, and a power whose exponent differs between
-    seeds, are taken seed by seed, so each seed gets the bits of a run of its
-    own. Step 1 is classical (every exponent 1). Returns the new layers and
-    their steps; `diverged` finds the seeds whose parameters are non-finite.
+    where each layer and its gradient is a (seeds, d) array, `steps` holds
+    its last step Delta theta = theta_t - theta_{t-1} and the array `alphas`
+    (seeds, layers) the exponents, all 1 at a run's classical first step.
+    `math.gamma`, and a power whose exponent differs between seeds, are taken
+    seed by seed, so each seed gets the bits of a run of its own. Returns the
+    new layers and their steps; `diverged` finds the seeds whose parameters
+    are non-finite.
     """
-    if [g.shape for g in grads] != [v.shape for v in layers]:
-        raise ValueError(f"gradient shapes {[g.shape for g in grads]} "
-                         f"!= layer shapes {[v.shape for v in layers]}")
-    alphas = np.asarray(alphas, dtype=float)
-    if t < 2 and np.any(alphas != 1.0):
-        raise ValueError("fractional steps require one classical step first")
     new_layers, new_steps = [], []
     for th, d, g, a in zip(layers, steps, grads, alphas.T.tolist()):
         shared = len(set(a)) == 1  # one exponent for every seed

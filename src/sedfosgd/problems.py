@@ -7,7 +7,6 @@ IDX-format image/label files.
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,13 @@ def ar_generate(coeffs, noise):
     non-finite sample or from growth past the float range, raises
     GenerationError with its index k.
     """
-    a = np.asarray(coeffs, dtype=float)
-    xi = np.asarray(noise, dtype=float)
-    if a.ndim != 1 or xi.ndim != 1:
-        raise ValueError(f"coeffs and noise must be vectors, got shapes "
-                         f"{a.shape} and {xi.shape}")
-    p, horizon = a.size, xi.size
-    if horizon <= p:
-        raise ValueError(f"horizon must exceed the order, got K={horizon}, p={p}")
-    lags = a.tolist()
+    # as Python floats: a list of an array holds numpy scalars, which warn
+    # on overflow; the run passes K > p samples
+    lags = np.asarray(coeffs, dtype=float).tolist()
+    samples = np.asarray(noise, dtype=float).tolist()
+    p, horizon = len(lags), len(samples)
     y = [0.0] * p  # y(1-p), ..., y(0); y(k) is appended at y[p - 1 + k]
-    for k, sample in enumerate(xi.tolist(), start=1):
+    for k, sample in enumerate(samples, start=1):
         acc = 0.0
         for i, a_i in enumerate(lags, start=1):
             acc += a_i * y[-i]
@@ -64,10 +59,6 @@ def ar_loss_grad(theta_hat, phi, y):
     """Squared prediction error and its gradient for one regressor row `phi`
     and its target `y`, or for a stack of them (one per seed, along the
     leading axes)."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_hat.shape != phi.shape:
-        raise ValueError(
-            f"shape mismatch: theta {theta_hat.shape}, phi {phi.shape}")
     minus_e = np.vecdot(phi, theta_hat) - y  # the bits of -(y - phi theta)
     return 0.5 * minus_e * minus_e, minus_e[..., None] * phi
 
@@ -77,13 +68,6 @@ def ar_loss_grad(theta_hat, phi, y):
 def quadratic_loss_grad(theta, a_mat, b):
     """f = 0.5 theta' A theta - b' theta and its gradient, for one theta or
     a stack of them (one per seed, along the leading axes)."""
-    theta = np.asarray(theta, dtype=float)
-    a_mat = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = theta.shape[-1]
-    if a_mat.shape != (d, d) or b.shape != (d,):
-        raise ValueError(
-            f"shape mismatch: A {a_mat.shape}, b {b.shape}, theta {theta.shape}")
     with np.errstate(over="ignore"):  # overflow -> inf, callers treat as divergence
         a_theta = np.matmul(a_mat, theta[..., None])[..., 0]
         f = 0.5 * np.vecdot(theta, a_theta) - np.vecdot(b, theta)
@@ -91,108 +75,73 @@ def quadratic_loss_grad(theta, a_mat, b):
 
 
 # --- Tiny MLP classifier ---
+#
+# An MLP is its `widths` (input, hidden..., classes), with ReLU between
+# layers, and one flat (weights, biases) parameter vector per layer. A batch
+# is its float `inputs` (seeds..., batch, features), values in [0, 1], and
+# its integer class `labels` (seeds..., batch).
 
-@dataclass(frozen=True)
-class MlpSpec:
-    widths: tuple          # (input, hidden..., classes); ReLU between layers
-    init_scale: float = 0.05
-
-    def __post_init__(self):
-        w = tuple(int(x) for x in self.widths)
-        if len(w) < 2 or any(x < 1 for x in w):
-            raise ValueError(f"need at least two positive widths, got {w}")
-        object.__setattr__(self, "widths", w)
-
-    @property
-    def n_layers(self):
-        return len(self.widths) - 1
+WEIGHT_SCALE = 0.05  # initial weights are uniform on (-WEIGHT_SCALE, WEIGHT_SCALE)
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
-    inputs: np.ndarray   # (seeds..., batch, features), values in [0, 1]
-    labels: np.ndarray   # (seeds..., batch) integer class ids
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
-        y = np.asarray(self.labels, dtype=int)
-        if x.ndim < 2 or x.shape[:-1] != y.shape:
-            raise ValueError(
-                f"inconsistent batch shapes: inputs {x.shape}, labels {y.shape}")
-        if y.size and y.min() < 0:
-            raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self):
-        return self.labels.shape[-1]
-
-
-def mlp_init_layers(spec, rng):
-    """Uniform(-scale, scale) weights, zero biases, flattened per layer."""
+def mlp_init_layers(widths, rng):
+    """Uniform(-WEIGHT_SCALE, WEIGHT_SCALE) weights, zero biases, flattened per layer."""
     layers = []
-    for i in range(spec.n_layers):
-        n_in, n_out = spec.widths[i], spec.widths[i + 1]
+    for n_in, n_out in zip(widths, widths[1:]):
         w = rng.uniforms(n_in * n_out)
         w *= 2.0
         w -= 1.0
-        w *= spec.init_scale
+        w *= WEIGHT_SCALE
         layers.append(np.concatenate([w, np.zeros(n_out)]))
     return layers
 
 
-def _unpack(spec, layer_vec, i):
-    n_in, n_out = spec.widths[i], spec.widths[i + 1]
+def _unpack(widths, layer_vec, i):
+    n_in, n_out = widths[i], widths[i + 1]
     w = layer_vec[..., :n_in * n_out].reshape(*layer_vec.shape[:-1], n_in, n_out)
     return w, layer_vec[..., None, n_in * n_out:]
 
 
-def _forward(spec, layers, inputs):
+def _forward(widths, layers, inputs):
     """Each layer's input, then the logits; ReLU between layers."""
     acts = [inputs]
-    for i in range(spec.n_layers):
-        w, b = _unpack(spec, layers[i], i)
+    for i in range(len(layers)):
+        w, b = _unpack(widths, layers[i], i)
         z = acts[-1] @ w + b
-        acts.append(np.maximum(z, 0.0) if i < spec.n_layers - 1 else z)
+        acts.append(np.maximum(z, 0.0) if i < len(layers) - 1 else z)
     return acts
 
 
-def mlp_loss_grad(spec, layers, batch):
+def mlp_loss_grad(widths, layers, inputs, labels):
     """Mean softmax cross-entropy and flat per-layer gradients, for one batch
     or a stack of them (one per seed, along the leading axes of the layers
     and the batch)."""
-    if len(layers) != spec.n_layers:
-        raise ValueError(
-            f"expected {spec.n_layers} parameter layers, got {len(layers)}")
-    if batch.inputs.shape[-1] != spec.widths[0]:
-        raise ValueError(
-            f"input width {batch.inputs.shape[-1]} != {spec.widths[0]}")
-    acts = _forward(spec, layers, batch.inputs)
+    acts = _forward(widths, layers, inputs)
     logits = acts.pop()
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     total = expz.sum(axis=-1, keepdims=True)
-    onehot = batch.labels[..., None] == np.arange(logits.shape[-1])
-    picked = shifted[onehot].reshape(batch.labels.shape)
+    onehot = labels[..., None] == np.arange(logits.shape[-1])
+    picked = shifted[onehot].reshape(labels.shape)
     loss = -np.mean(picked - np.log(total[..., 0]), axis=-1)
 
     # backward: delta is d loss / d logits, then each layer's pre-activations
     delta = expz / total
     delta -= onehot
-    delta /= len(batch)
-    grads = [None] * spec.n_layers
-    for i in range(spec.n_layers - 1, -1, -1):
+    delta /= labels.shape[-1]
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
         gw = acts[i].mT @ delta
         grads[i] = np.concatenate([gw.reshape(*gw.shape[:-2], -1), delta.sum(axis=-2)],
                                   axis=-1)
         if i > 0:
-            w, _ = _unpack(spec, layers[i], i)
+            w, _ = _unpack(widths, layers[i], i)
             delta = (delta @ w.mT) * (acts[i] > 0.0)
     return loss, grads
 
 
-def mlp_predict(spec, layers, inputs):
-    return np.argmax(_forward(spec, layers, np.asarray(inputs, dtype=float))[-1], axis=-1)
+def mlp_predict(widths, layers, inputs):
+    return np.argmax(_forward(widths, layers, inputs)[-1], axis=-1)
 
 
 # --- IDX files (big-endian header, magic 2051 images / 2049 labels) ---
@@ -222,14 +171,17 @@ def _read_idx(path, expected_magic, ndim):
 
 
 def load_idx(images_path, labels_path):
-    """Load an IDX image/label pair into a batch with pixels scaled to [0, 1]."""
+    """Load an IDX image/label pair as its (inputs, labels) batch, each image
+    a row of pixels scaled to [0, 1]."""
     images = _read_idx(images_path, _IMAGE_MAGIC, ndim=3)
     labels = _read_idx(labels_path, _LABEL_MAGIC, ndim=1)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    flat = images.reshape(images.shape[0], -1).astype(float) / 255.0
-    return LabeledBatch(inputs=flat, labels=labels.astype(int))
+    if 0 in images.shape:  # the header's dims, as _read_idx shaped the pixels
+        raise IdxFormatError(f"{images_path}: no pixels, {images.shape[0]} images "
+                             f"of {images.shape[1]} x {images.shape[2]}")
+    return images.reshape(images.shape[0], -1).astype(float) / 255.0, labels.astype(int)
 
 
 def write_idx(images_path, labels_path, images, labels):

@@ -30,8 +30,6 @@ def d_curv(logdet, cfg):
 
 
 def two_sed(logdet, d_nominal, cfg):
-    if d_nominal < 1:
-        raise ValueError(f"d_nominal must be >= 1, got {d_nominal}")
     return cfg.zeta * d_nominal + (1.0 - cfg.zeta) * d_curv(logdet, cfg)
 
 

@@ -15,8 +15,7 @@ from sedfosgd.harness import (ExperimentConfig, csv_bytes, derive_seed,
                               rate_fit, run, running_min, _ArDriver)
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.noise import RngStream, alpha_stables
-from sedfosgd.problems import (LabeledBatch, MlpSpec, ar_loss_grad,
-                               mlp_init_layers, mlp_loss_grad,
+from sedfosgd.problems import (ar_loss_grad, mlp_init_layers, mlp_loss_grad,
                                quadratic_loss_grad)
 
 from reference import delta_radius
@@ -200,17 +199,16 @@ def test_criterion_08_gradient_oracles():
             _, g = quadratic_loss_grad(theta, a_mat, b)
             assert _fd_close(g, _central_diff(
                 lambda x: quadratic_loss_grad(x, a_mat, b)[0], theta))
-        spec = MlpSpec(widths=(6, 8, 4))
+        widths = (6, 8, 4)
         for k in range(100):
-            layers = mlp_init_layers(spec, RngStream(1000 + k))
-            batch = LabeledBatch(nprng.uniform(0, 1, (3, 6)),
-                                 nprng.integers(0, 4, 3))
-            _, grads = mlp_loss_grad(spec, layers, batch)
-            for j in range(spec.n_layers):
+            layers = mlp_init_layers(widths, RngStream(1000 + k))
+            batch = (nprng.uniform(0, 1, (3, 6)), nprng.integers(0, 4, 3))
+            _, grads = mlp_loss_grad(widths, layers, *batch)
+            for j in range(len(layers)):
                 def f(vec, j=j):
                     trial = [v.copy() for v in layers]
                     trial[j] = vec
-                    return mlp_loss_grad(spec, trial, batch)[0]
+                    return mlp_loss_grad(widths, trial, *batch)[0]
                 assert _fd_close(grads[j],
                                  _central_diff(f, layers[j].copy()))
 

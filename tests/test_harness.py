@@ -744,8 +744,19 @@ class TestSeedStack:
     @given(data=st.data())
     def test_stack_equals_single_runs(self, synthetic_idx, data):
         cfg, seeds = data.draw(stacked_configs(synthetic_idx))
-        for seed, outcome in zip(seeds, run(cfg, seeds=seeds)):
-            _same_outcome(outcome, replace(cfg, seed=seed))
+        ema_update = fisher.ema_update
+
+        def spy(block, chunk, *args):
+            # the loop owns the fold's invariant: a finite (steps, seeds, d)
+            # chunk, a blown seed's gradient zeroed until the seed leaves
+            assert chunk.shape == (len(chunk), block.matrix.shape[0], block.dim)
+            assert np.isfinite(chunk).all()
+            return ema_update(block, chunk, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fisher, "ema_update", spy)
+            for seed, outcome in zip(seeds, run(cfg, seeds=seeds)):
+                _same_outcome(outcome, replace(cfg, seed=seed))
 
     @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
     def test_mlp_mixed_divergence(self, synthetic_idx, optimizer):

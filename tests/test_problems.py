@@ -1,13 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sedfosgd import cli
 from sedfosgd.noise import RngStream, alpha_stables, gaussians
-from sedfosgd.problems import (GenerationError, IdxFormatError, LabeledBatch,
-                               MlpSpec, ar_generate, ar_loss_grad, load_idx,
-                               mlp_init_layers, mlp_loss_grad, mlp_predict,
-                               quadratic_loss_grad, write_idx)
+from sedfosgd.problems import (WEIGHT_SCALE, GenerationError, IdxFormatError,
+                               ar_generate, ar_loss_grad, load_idx, mlp_init_layers,
+                               mlp_loss_grad, mlp_predict, quadratic_loss_grad,
+                               write_idx)
 
 from reference import uniform
 
@@ -44,14 +46,6 @@ class TestArGenerate:
         for r in range(1, y.size):
             assert phi[r, 0] == y[r - 1]
             assert np.array_equal(phi[r, 1:], phi[r - 1, :-1])
-
-    def test_coeffs_and_horizon_checked(self):
-        with pytest.raises(ValueError, match="horizon"):
-            ar_generate(AR_COEFFS, np.ones(2))
-        with pytest.raises(ValueError, match="vector"):
-            ar_generate(np.eye(2), np.ones(10))
-        with pytest.raises(ValueError, match="vector"):
-            ar_generate(AR_COEFFS, np.ones((10, 1)))
 
     def test_noiseless_decay(self):
         # roots of z^2 - 1.5 z + 0.7 are inside the unit circle
@@ -147,49 +141,46 @@ class TestQuadratic:
 class TestMlp:
     @pytest.mark.parametrize("seed", [0, 2**63 + 5])
     def test_init_equals_scalar_draws(self, seed):
-        spec = MlpSpec(widths=(7, 5, 3), init_scale=0.3)
+        widths = (7, 5, 3)
         ref = RngStream(seed)
         expected = []
-        for n_in, n_out in zip(spec.widths[:-1], spec.widths[1:]):
-            w = [(2.0 * uniform(ref) - 1.0) * spec.init_scale
+        for n_in, n_out in zip(widths[:-1], widths[1:]):
+            w = [(2.0 * uniform(ref) - 1.0) * WEIGHT_SCALE
                  for _ in range(n_in * n_out)]
             expected.append(np.array(w + [0.0] * n_out))
         rng = RngStream(seed)
-        layers = mlp_init_layers(spec, rng)
+        layers = mlp_init_layers(widths, rng)
         assert [v.tobytes() for v in layers] == [v.tobytes() for v in expected]
         assert rng.next_u64() == ref.next_u64()
 
     def test_uniform_loss_at_zero_weights(self):
-        spec = MlpSpec(widths=(4, 6, 5))
-        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
-        batch = LabeledBatch(np.random.default_rng(0).uniform(0, 1, (7, 4)),
-                             np.arange(7) % 5)
-        loss, _ = mlp_loss_grad(spec, layers, batch)
+        widths = (4, 6, 5)
+        layers = [np.zeros_like(v) for v in mlp_init_layers(widths, RngStream(0))]
+        batch = (np.random.default_rng(0).uniform(0, 1, (7, 4)), np.arange(7) % 5)
+        loss, _ = mlp_loss_grad(widths, layers, *batch)
         assert loss == pytest.approx(math.log(5), rel=1e-12)
 
     def test_large_margin_loss_vanishes(self):
         # direct softmax evaluation: margin 20 puts the loss below 1e-3
-        spec = MlpSpec(widths=(2, 3))
-        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
+        widths = (2, 3)
+        layers = [np.zeros_like(v) for v in mlp_init_layers(widths, RngStream(0))]
         # weights map x = (1, 0) to logits (20, 0, 0)
         layers[0][0] = 20.0
-        batch = LabeledBatch(np.array([[1.0, 0.0]]), np.array([0]))
-        loss, _ = mlp_loss_grad(spec, layers, batch)
+        loss, _ = mlp_loss_grad(widths, layers, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss < 1e-3
 
     def test_finite_differences(self):
-        spec = MlpSpec(widths=(8, 16, 4))
+        widths = (8, 16, 4)
         rng = RngStream(123)
         nprng = np.random.default_rng(2)
-        layers = mlp_init_layers(spec, rng)
-        batch = LabeledBatch(nprng.uniform(0, 1, (5, 8)),
-                             nprng.integers(0, 4, 5))
-        _, grads = mlp_loss_grad(spec, layers, batch)
-        for j in range(spec.n_layers):
+        layers = mlp_init_layers(widths, rng)
+        batch = (nprng.uniform(0, 1, (5, 8)), nprng.integers(0, 4, 5))
+        _, grads = mlp_loss_grad(widths, layers, *batch)
+        for j in range(len(layers)):
             def f(vec, j=j):
                 trial = [v.copy() for v in layers]
                 trial[j] = vec
-                return mlp_loss_grad(spec, trial, batch)[0]
+                return mlp_loss_grad(widths, trial, *batch)[0]
             fd = central_diff(f, layers[j].copy())
             denom = max(1.0, np.abs(fd).max())
             assert np.abs(grads[j] - fd).max() / denom <= 1e-4
@@ -198,39 +189,27 @@ class TestMlp:
     def test_stack_equals_per_seed_calls(self, widths):
         # 3 seeds with their own weights and batches: the stacked call has
         # each seed's bits of its own 2-D call
-        spec = MlpSpec(widths=widths, init_scale=0.5)
         nprng = np.random.default_rng(7)
-        per_seed = [mlp_init_layers(spec, RngStream(seed)) for seed in (1, 2, 3)]
-        batches = [LabeledBatch(nprng.uniform(0, 1, (9, widths[0])),
-                                nprng.integers(0, widths[-1], 9)) for _ in range(3)]
+        per_seed = [mlp_init_layers(widths, RngStream(seed)) for seed in (1, 2, 3)]
+        batches = [(nprng.uniform(0, 1, (9, widths[0])),
+                    nprng.integers(0, widths[-1], 9)) for _ in range(3)]
         layers = [np.array(vs) for vs in zip(*per_seed)]
-        stacked = LabeledBatch(np.array([b.inputs for b in batches]),
-                               np.array([b.labels for b in batches]))
-        loss, grads = mlp_loss_grad(spec, layers, stacked)
-        predictions = mlp_predict(spec, layers, stacked.inputs)
+        inputs, labels = (np.array(a) for a in zip(*batches))
+        loss, grads = mlp_loss_grad(widths, layers, inputs, labels)
+        predictions = mlp_predict(widths, layers, inputs)
         assert loss.shape == (3,) and predictions.shape == (3, 9)
         for k, (own, batch) in enumerate(zip(per_seed, batches)):
-            own_loss, own_grads = mlp_loss_grad(spec, own, batch)
+            own_loss, own_grads = mlp_loss_grad(widths, own, *batch)
             assert loss[k].tobytes() == own_loss.tobytes()
             assert [g[k].tobytes() for g in grads] == [g.tobytes() for g in own_grads]
             assert (predictions[k].tobytes()
-                    == mlp_predict(spec, own, batch.inputs).tobytes())
-
-    def test_batch_shapes_checked(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            LabeledBatch(np.zeros((3, 4, 5)), np.zeros((3, 5), dtype=int))
-        assert len(LabeledBatch(np.zeros((3, 4, 5)), np.zeros((3, 4), dtype=int))) == 4
+                    == mlp_predict(widths, own, batch[0]).tobytes())
 
     def test_shape_mismatch(self):
-        spec = MlpSpec(widths=(4, 3))
-        layers = [np.zeros_like(v) for v in mlp_init_layers(spec, RngStream(0))]
-        batch = LabeledBatch(np.zeros((2, 5)), np.zeros(2, dtype=int))
+        widths = (4, 3)
+        layers = [np.zeros_like(v) for v in mlp_init_layers(widths, RngStream(0))]
         with pytest.raises(ValueError):
-            mlp_loss_grad(spec, layers, batch)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MlpSpec(widths=(4,))
+            mlp_loss_grad(widths, layers, np.zeros((2, 5)), np.zeros(2, dtype=int))
 
 
 class TestIdx:
@@ -239,11 +218,11 @@ class TestIdx:
         labels = np.array([1, 7], dtype=np.uint8)
         ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
         write_idx(ip, lp, images, labels)
-        batch = load_idx(ip, lp)
-        assert np.array_equal(batch.labels, [1, 7])
-        back = (batch.inputs.reshape(2, 3, 3) * 255.0).round().astype(np.uint8)
+        inputs, got = load_idx(ip, lp)
+        assert np.array_equal(got, [1, 7])
+        back = (inputs.reshape(2, 3, 3) * 255.0).round().astype(np.uint8)
         assert np.array_equal(back, images)
-        assert batch.inputs.min() >= 0.0 and batch.inputs.max() <= 1.0
+        assert inputs.min() >= 0.0 and inputs.max() <= 1.0
 
     def test_bad_magic(self, tmp_path):
         import struct
@@ -271,6 +250,23 @@ class TestIdx:
         lp.write_bytes(struct.pack(">ii", 2049, 2) + b"\0\0")
         with pytest.raises(IdxFormatError, match="expected 18 bytes, got 10"):
             load_idx(str(path), str(lp))
+
+    @pytest.mark.parametrize("dims", [(0, 3, 3), (2, 0, 3), (2, 3, 0)])
+    def test_no_pixels(self, tmp_path, capsys, dims):
+        # no images, rows or columns: refused from the header's dims, with
+        # one error line that names the image file, and no trace written
+        ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        write_idx(ip, lp, np.zeros(dims), np.zeros(dims[0]))
+        message = f"{ip}: no pixels, {dims[0]} images of {dims[1]} x {dims[2]}"
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx(ip, lp)
+        assert str(exc.value) == message
+        cfg, out = tmp_path / "mlp.cfg", str(tmp_path / "t.csv")
+        cfg.write_text("problem = mlp\noptimizer = sgd\niterations = 5\n"
+                       f"mlp_images = {ip}\nmlp_labels = {lp}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not os.path.exists(out)
 
     def test_count_mismatch(self, tmp_path):
         import struct
