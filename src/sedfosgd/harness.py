@@ -6,6 +6,7 @@ run is fully determined by its config, including the CSV bytes it writes.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -70,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigError(f"{f.name} must be finite, got {value}")
@@ -122,6 +125,8 @@ class ExperimentConfig:
         for holds, message in checks:
             if not holds:
                 raise ConfigError(message)
+        scale = sed_mod.curvature_scale(self)  # it and its |log| (d_curv's divisor), once a run
+        object.__setattr__(self, "curvature", (scale, abs(np.log(scale))))
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -218,9 +223,10 @@ class _ArDriver:
         return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
 
     def metrics(self, layers, out, last):
+        # the layers of any steps (seeds, steps..., p) into out (seeds, steps..., m)
         err = layers[0] - self.true_coeffs
-        np.abs(err, out=out[:, :-1])
-        out[:, -1] = optim_mod.norm([err])
+        np.abs(err, out=out[..., :-1])
+        out[..., -1] = optim_mod.norm([err])
 
 
 class _QuadraticDriver:
@@ -333,8 +339,8 @@ _DRIVERS = {"ar": _ArDriver, "quadratic": _QuadraticDriver, "mlp": _MlpDriver}
 
 # --- The run loop ---
 
-# sgd and fosgd fold the Fisher diagnostics of up to 256 steps at once:
-_CHUNK_BYTES = 1 << 18  # as many as keep the chunk's operands in this many bytes
+# a run's chunks: up to this many steps, as many as keep their operands in this many bytes
+_CHUNK_STEPS, _CHUNK_BYTES = 256, 1 << 18
 
 @dataclass
 class RunResult:
@@ -351,7 +357,7 @@ def trace_header(driver):
     return cols + ["d_max"] + driver.metric_names()
 
 
-def run(config, seeds=None, *, diagnostics=True):
+def run(config, seeds=None, *, trace=True):
     """Execute one experiment; writes the CSV trace if `out` is set, its rows
     when the run ends, however it ends (up to the step that diverged); the
     summary only lands next to it (as `<out>.summary`) after a success.
@@ -361,8 +367,10 @@ def run(config, seeds=None, *, diagnostics=True):
     GenerationError that ended its run; the other seeds go on. Each result
     has the bits of a run of its seed alone: that run is a stack of one.
 
-    With `diagnostics=False`, sgd and fosgd fold no Fisher block and leave the
-    `dzeta_l*` and `d_max` columns 0; 2sedfosgd's exponents need them.
+    With `trace=False`, it skips what only the trace reads: sgd and fosgd fold
+    no Fisher block, and of the metrics only the quadratic's `gap` and the
+    last row's are filled; the `delta_norm_l*` stay 0, as do sgd's and fosgd's
+    `dzeta_l*` and `d_max` (2sedfosgd's exponents read them).
     """
     stack = [config.seed] if seeds is None else list(seeds)
     if seeds is not None and config.out:
@@ -379,13 +387,19 @@ def run(config, seeds=None, *, diagnostics=True):
     steps = [np.zeros_like(v) for v in layers]
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
-    adaptive = config.optimizer == "2sedfosgd"
+    adaptive, ar = config.optimizer == "2sedfosgd", config.problem == "ar"
     clip_bounds_squares = (config.grad_clip is not None
                            and math.isfinite(config.grad_clip * config.grad_clip))
-    # the gradients of the steps not folded yet: 2sedfosgd folds each step's
-    # at once, sgd and fosgd (which only trace the diagnostics) a chunk
-    pending, width = [], 1 if adaptive else min(256, max(1, _CHUNK_BYTES // (8 * max(
-        alive.size, 1) * sum(b.step_entries for b in blocks))))
+    # what only the trace reads waits for the flush of a chunk of steps, from
+    # row `flushed` on: `chunk` keeps each step's steps (and, for AR, layers),
+    # `pending` its gradients until folded (2sedfosgd's at once, for its exponents)
+    chunk, pending, flushed = [], [], 0
+    entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
+        0 if adaptive else sum(b.step_entries for b in blocks))
+    width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(alive.size, 1) * entries)))
+    # the quadratic's gap is the next loss and the MLP's batch accuracy reads the
+    # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
+    stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
 
     # the rows are the run's record: each step reads its step size and
     # exponents from its row, and a fold the d_max of the row before it
@@ -404,11 +418,11 @@ def run(config, seeds=None, *, diagnostics=True):
     rows[:, 0, 3:metric_col - 1:3] = 1.0
     writer = _TraceWriter(config.out, header) if config.out else None
     # a trace is one seed's rows (in view after it leaves), the first `done` whole
-    trace, done = rows[0] if writer else None, 0
+    trace_rows, done = rows[0] if writer else None, 0
 
     def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
         nonlocal done
-        lo = t - len(pending)  # the chunk's first row; the row before holds d_max
+        lo = t - len(pending)  # the first step's row; the row before holds d_max
         dzeta, peak = optim_mod.fisher_diagnostics(
             pending, blocks, rows[:, lo - 1, metric_col - 1], config)
         rows[:, lo:t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
@@ -416,14 +430,31 @@ def run(config, seeds=None, *, diagnostics=True):
         pending.clear()
         done = t - 1  # the next loss is in
 
-    try:
-        # an overflow or invalid operation leaves inf or nan instead of a
-        # warning; the checks below report it as a divergence at its step
-        with np.errstate(over="ignore", invalid="ignore"):
+    def flush():  # fold the chunk's gradients, then fill its trace-only columns
+        nonlocal flushed
+        lo, hi = flushed, flushed + len(chunk)
+        if pending:
+            diagnose(hi)
+        # (seeds, steps, d) views of contiguous rows, each with the bits of np.dot
+        stacked = [v[0][:, None] if len(v) == 1 else np.array(v).swapaxes(0, 1)
+                   for v in zip(*chunk)]
+        for j, d in enumerate(stacked[:len(blocks)]):
+            rows[:, lo:hi, 5 + 3 * j] = optim_mod.norm([d])
+        if stacked[len(blocks):]:  # AR's layers
+            driver.metrics(stacked[len(blocks):], rows[:, lo:hi, metric_col:],
+                           hi == config.iterations)
+        chunk.clear()
+        flushed = hi
+
+    # an overflow or invalid operation leaves inf or nan instead of a
+    # warning; the checks below report it as a divergence at its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             for t in range(1, config.iterations + 1 if alive.size else 1):
+                last = t == config.iterations
                 row = rows[:, t - 1]
                 row[:, 2], raw = driver.loss_grad(layers, t)
-                # a row is whole once its chunk is folded and the next loss is in
+                # a row is whole once its gradients are folded and the next loss is in
                 if not pending:
                     done = t - 1
                 grads = optim_mod.clip_gradients(raw, config.grad_clip)
@@ -440,23 +471,24 @@ def run(config, seeds=None, *, diagnostics=True):
                     grads = [np.where(blown[:, None], 0.0, g) for g in grads]
                 # every optimizer logs the same Fisher/dimension diagnostics
                 # after the classical first step, which folds nothing
-                if t > 1 and (adaptive or diagnostics):
+                if t > 1 and (adaptive or trace):
                     pending.append(grads)
-                    if len(pending) == width or t == config.iterations:
-                        diagnose(t)
                     if adaptive:
+                        diagnose(t)
                         row[:, 3:metric_col - 1:3] = sed_mod.adapt_alpha(
                             row[:, 4:metric_col - 1:3], row[:, metric_col - 1, None], config)
                 layers, steps = optim_mod.step(layers, steps, grads, row[0, 1],
                                                row[:, 3:metric_col - 1:3], config)
+                if trace:
+                    chunk.append(steps + layers if ar else steps)
 
-                # a seed that diverged at this step leaves the stack
+                # a seed that diverged at this step leaves the stack after the flush
                 failed = optim_mod.diverged(layers, t)
                 failed.update((k, DivergenceError(f"non-finite loss or gradient at step {t}",
                                                   step_index=t)) for k in blown_rows)
+                if failed or last or len(chunk) == width:
+                    flush()
                 if failed:
-                    if pending:  # fold the chunk before its seeds part
-                        diagnose(t)
                     outcomes.update((int(alive[k]), exc) for k, exc in failed.items())
                     keep = ~np.isin(np.arange(alive.size), list(failed))
                     alive, rows = alive[keep], rows[keep]
@@ -466,17 +498,16 @@ def run(config, seeds=None, *, diagnostics=True):
                     if not alive.size:
                         break
                     row = rows[:, t - 1]
-
-                for j, d in enumerate(steps):
-                    row[:, 5 + 3 * j] = optim_mod.norm([d])
-                driver.metrics(layers, row[:, metric_col:], t == config.iterations)
+                if stepwise or last and not trace:
+                    driver.metrics(layers, row[:, metric_col:], last)
             done = config.iterations if alive.size else done
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
-    finally:
-        if writer:
-            writer.close(trace, done)
+        finally:
+            if writer:  # after an error, fill its chunk's columns but fold nothing
+                pending.clear()
+                flush()
+                writer.close(trace_rows, done)
 
-    names = driver.metric_names()
     for k, i in enumerate(alive.tolist()):
         if not np.isfinite(rows[k, -1, metric_col:]).all():
             # the quadratic's last gap is the loss at step T + 1: one that is
@@ -490,7 +521,7 @@ def run(config, seeds=None, *, diagnostics=True):
         summary = {"iterations": float(config.iterations), "final_loss": float(losses[-1]),
                    "min_loss": float(losses[np.argmin(losses)])}
         summary.update((f"final_{name}", float(x))
-                       for name, x in zip(names, rows[k, -1, metric_col:]))
+                       for name, x in zip(header[metric_col:], rows[k, -1, metric_col:]))
         if holdout is not None:
             summary["holdout_accuracy"] = float(holdout[k])
         outcomes[i] = RunResult(header, rows[k], [v[k] for v in layers], summary)
@@ -612,15 +643,15 @@ _STACK = 8
 def _seed_runs(config, n_seeds):
     """(seed, RunResult or the error that ended its run) for `n_seeds`
     derived seeds in index order, run in stacks of up to _STACK seeds
-    without the Fisher diagnostics of sgd and fosgd, which sweeps and rate
-    fits never read: their summaries and gap columns are those of `run`."""
+    without the trace-only columns, which sweeps and rate fits never read:
+    their summaries and gap (or loss) columns are those of `run`."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     seeds = [derive_seed(config.seed, i) for i in range(n_seeds)]
     stacks = (seeds[lo:lo + _STACK] for lo in range(0, n_seeds, _STACK))
     return ((seed, outcome) for chunk in stacks
             for seed, outcome in zip(chunk, run(replace(config, out=None), seeds=chunk,
-                                                  diagnostics=False)))
+                                                  trace=False)))
 
 
 def seed_sweep(config, n_seeds):

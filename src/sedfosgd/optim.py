@@ -114,11 +114,10 @@ def fisher_diagnostics(grads, blocks, d_max, cfg):
     seeds..., layers) and their running maximum from `d_max` on, with the
     bits of one step at a time (sgd and fosgd fold many steps, 2sedfosgd one).
     """
-    s = sed_mod.curvature_scale(cfg)
     dzeta = np.empty((len(grads),) + grads[0][0].shape[:-1] + (len(blocks),))
     for j, block in enumerate(blocks):
         chunk = grads[0][j][None] if len(grads) == 1 else np.array([g[j] for g in grads])
-        dzeta[..., j] = sed_mod.two_sed(
-            fisher_mod.ema_update(block, chunk, s, cfg.normalize_fisher), block.dim, cfg)
+        dzeta[..., j] = sed_mod.two_sed(fisher_mod.ema_update(
+            block, chunk, cfg.curvature[0], cfg.normalize_fisher), block.dim, cfg)
     peak = np.maximum(d_max, dzeta.max(axis=-1))
     return dzeta, peak if len(grads) == 1 else np.maximum.accumulate(peak, axis=0)

@@ -161,8 +161,8 @@ def _read_idx(path, expected_magic, ndim):
     if magic != expected_magic:
         raise IdxFormatError(
             f"{path}: bad magic {magic}, expected {expected_magic}")
-    dims = struct.unpack(f">{ndim}i", raw[4:header])
-    count = int(np.prod(dims))
+    dims = struct.unpack(f">{ndim}I", raw[4:header])  # unsigned, as the format's are
+    count = math.prod(dims)  # exact: np.prod wraps past 2**63
     payload = raw[header:]
     if len(payload) != count:
         raise IdxFormatError(

@@ -19,14 +19,15 @@ import numpy as np
 
 def curvature_scale(cfg):
     """eps^(zeta-1), at least 1 since eps < 1 and zeta < 1; the run's config
-    requires it above 1, which rounding misses when eps or zeta is near 1."""
+    requires it above 1, which rounding misses when eps or zeta is near 1,
+    and holds it and its |log| as `cfg.curvature`."""
     return cfg.epsilon ** (cfg.zeta - 1.0)
 
 
 def d_curv(logdet, cfg):
     """Curvature dimension of one layer from its block's
     logdet_plus(F, curvature_scale(cfg)); zero for a zero block."""
-    return logdet / abs(np.log(curvature_scale(cfg)))
+    return logdet / cfg.curvature[1]
 
 
 def two_sed(logdet, d_nominal, cfg):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -77,6 +78,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ar_coeffs must be non-empty"):
             ExperimentConfig(problem="ar", optimizer="sgd", iterations=10,
                              ar_coeffs=())
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)
+                                      if f.type is int])
+    def test_int_fields_take_only_integers(self, tmp_path, name, value):
+        # a programmatic config cannot carry a float, bool or text where an
+        # integer is meant; a numpy integer is one
+        base = dict(problem="ar", optimizer="sgd", iterations=3)
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**dict(base, **{name: value}))
+        assert str(exc.value) == message
+        path = tmp_path / "exp.cfg"
+        path.write_text("problem = ar\noptimizer = sgd\niterations = 3\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path), {name: value})
+        assert getattr(ExperimentConfig(**dict(base, **{name: np.int64(4)})), name) == 4
 
     def test_overrides(self):
         out = parse_overrides(["mu0=0.5", "seed=9"])
@@ -883,6 +901,66 @@ class TestSeedStack:
                                mlp_batch=8)
         for cfg in (ar, mlp):
             _assert_sweeps_report_stacked_runs(cfg, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_chunk_widths_keep_the_bits_of_width_one(self, synthetic_idx, data):
+        # seeds leave, and a trace run's eigensolver fails, mid-chunk as at width
+        # 1: 2sedfosgd folds every step, so its solver may fail at any step,
+        # while sgd and fosgd fold a chunk at a time, so theirs fails at the first
+        cfg, seeds = data.draw(stacked_configs(synthetic_idx))
+        broken = data.draw(st.one_of(st.none(), st.integers(0, 60) if
+                                     cfg.optimizer == "2sedfosgd" else st.just(0)))
+        width = data.draw(st.integers(1, 5))
+        assert _chunked(cfg, seeds, width, broken) == _chunked(cfg, seeds, 1, broken)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
+    def test_seeds_leave_mid_chunk(self, synthetic_idx, optimizer):
+        # the AR seeds diverge at steps 245, 218, 68 and 231 under sgd, and the
+        # MLP seeds 0, 4 and 5 at step 3; chunks of 5 and 2 steps split there
+        ip, lp = synthetic_idx
+        ar = ExperimentConfig(problem="ar", optimizer=optimizer, noise="stable",
+                              stable_tail=0.8, mu0=0.05, iterations=300)
+        mlp = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=8, mu0=1e150,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=200, mlp_hidden=8,
+                               mlp_batch=8)
+        for cfg, seeds, width in ((ar, [derive_seed(0, i) for i in range(8)], 5),
+                                  (mlp, list(range(6)), 2)):
+            chunked = _chunked(cfg, seeds, width)
+            assert any(o[0] is DivergenceError for o in chunked[0])
+            assert chunked == _chunked(cfg, seeds, 1)
+
+
+def _chunked(cfg, seeds, width, broken=None):
+    """What `run` gives when it fills its trace-only columns `width` steps at a
+    time: per seed of a stack, its trace bytes, summary and final layers or
+    its error; and the files a run of the first seed alone writes, and its
+    error, where with `broken` its eigensolver fails from call `broken` + 1 on."""
+    solver, calls = np.linalg.eigvalsh, itertools.count(1)
+
+    def eigvalsh(m):
+        if broken is not None and next(calls) > broken:
+            raise np.linalg.LinAlgError("did not converge")
+        return solver(m)
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(harness, "_CHUNK_STEPS", width)
+        mp.setattr(harness, "_CHUNK_BYTES", 1 << 40 if width > 1 else 0)
+        stacked = [(csv_bytes(o), repr(o.summary), [v.tobytes() for v in o.final_layers])
+                   if isinstance(o, harness.RunResult) else (type(o), str(o), _index(o))
+                   for o in run(cfg, seeds=seeds)]
+        mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+        path = os.path.join(tmp, "t.csv")
+        try:
+            alone = run(replace(cfg, seed=seeds[0], out=path)).summary
+        except (DivergenceError, GenerationError, NumericalError) as exc:
+            alone = type(exc), str(exc), _index(exc)
+        files = []
+        for name in (path, path + ".summary"):
+            if os.path.exists(name):
+                with open(name, "rb") as fh:
+                    files.append(fh.read())
+    return stacked, alone, files
 
 
 def _assert_sweeps_report_stacked_runs(cfg, n):

@@ -268,6 +268,31 @@ class TestIdx:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("dims, payload", [
+        ((2**32 - 1, 2**32 - 1, 4), 4),  # (-1, -1, 4) read as signed
+        ((2**31, 2**31, 4), 0),  # a count of 2**64, which np.prod wraps to 0
+    ])
+    def test_header_dims_are_unsigned(self, tmp_path, capsys, dims, payload):
+        # the count of a huge header is exact, so the file is refused as
+        # truncated, with one error line that names it, and no trace written
+        import struct
+        ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        with open(ip, "wb") as fh:
+            fh.write(struct.pack(">iIII", 2051, *dims) + b"\0" * payload)
+        with open(lp, "wb") as fh:
+            fh.write(struct.pack(">ii", 2049, 1) + b"\0")
+        message = (f"{ip}: truncated payload, expected {math.prod(dims)} bytes, "
+                   f"got {payload}")
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx(ip, lp)
+        assert str(exc.value) == message
+        cfg, out = tmp_path / "mlp.cfg", str(tmp_path / "t.csv")
+        cfg.write_text("problem = mlp\noptimizer = sgd\niterations = 5\n"
+                       f"mlp_images = {ip}\nmlp_labels = {lp}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not os.path.exists(out)
+
     def test_count_mismatch(self, tmp_path):
         import struct
         ip = tmp_path / "im.idx"
