@@ -88,7 +88,8 @@ def ema_update(block, grads, scale, normalized):
         v = grads[n:]
         ops = (gamma * (v[..., :, None] * v[..., None, :]) if block.mode == "full"
                else gamma * v * v)  # (gamma * v) * v; gamma * (v * v) rounds differently
-        ops[0] += (1.0 - gamma) * block.matrix
+        head = ops[0]  # in place through a view; `ops[0] +=` would also copy it back
+        head += (1.0 - gamma) * block.matrix
         for i in range(1, len(ops)):
             ops[i] += (1.0 - gamma) * ops[i - 1]
         block.matrix = ops[-1]
@@ -113,9 +114,9 @@ def _extend_factor(rows, gram, v, gamma):
 def _logdets(block, ops, scale, normalized):
     """logdet_plus of each of the block's matrices `ops` (any leading axes)."""
     if normalized:
-        tr = (ops.trace(axis1=-2, axis2=-1)[..., None, None] if block.mode == "full"
-              else ops.sum(axis=-1, keepdims=True))
+        full = block.mode == "full"
+        tr = ops.trace(axis1=-2, axis2=-1) if full else ops.sum(axis=-1)
         if min(tr.reshape(-1).tolist()) <= _TRACE_FLOOR:
             tr = np.where(tr > _TRACE_FLOOR, tr, np.inf)  # dim / inf is 0
-        ops = block.dim / tr * ops
+        ops = (block.dim / tr)[(..., None, None) if full else (..., None)] * ops
     return logdet_plus(ops, scale, block.mode == "diagonal")

@@ -16,6 +16,7 @@ from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
 from . import sed as sed_mod
+from .mathkit import NumericalError
 from .noise import RngStream, _mix, alpha_stables, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
@@ -27,6 +28,23 @@ class ConfigError(ValueError):
 
 _PROBLEMS = ("ar", "quadratic", "mlp")
 _OPTIMIZERS = ("sgd", "fosgd", "2sedfosgd")
+
+
+def _real(x):
+    """A finite real number, not a bool (nor an int beyond the float range)."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_KINDS = {  # per field annotation: the test its values pass, and its name
+    int: (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
+    float: (_real, "a finite number"),
+    bool: (lambda x: isinstance(x, (bool, np.bool_)), "true or false"),
+    str: (lambda x: isinstance(x, str), "a string"),
+    tuple: (lambda x: isinstance(x, tuple) and all(map(_real, x)), "a tuple of finite numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,13 +87,11 @@ class ExperimentConfig:
     mlp_limit: int = 0  # 0 means use every example
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in fields(self):  # each value by its annotation; a None default admits None
             value = getattr(self, f.name)
-            if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            for x in value if isinstance(value, tuple) else (value,):
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
+            holds, kind = _KINDS[f.type]
+            if not holds(value) and not (value is None and f.default is None):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         # (holds, message) in the order the checks are reported
         checks = (
             (self.problem in _PROBLEMS,
@@ -126,7 +142,7 @@ class ExperimentConfig:
             if not holds:
                 raise ConfigError(message)
         scale = sed_mod.curvature_scale(self)  # it and its |log| (d_curv's divisor), once a run
-        object.__setattr__(self, "curvature", (scale, abs(np.log(scale))))
+        object.__setattr__(self, "curvature", (scale, float(abs(np.log(scale)))))
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -392,7 +408,7 @@ def run(config, seeds=None, *, trace=True):
                            and math.isfinite(config.grad_clip * config.grad_clip))
     # what only the trace reads waits for the flush of a chunk of steps, from
     # row `flushed` on: `chunk` keeps each step's steps (and, for AR, layers),
-    # `pending` its gradients until folded (2sedfosgd's at once, for its exponents)
+    # `pending` sgd's and fosgd's gradients until folded (2sedfosgd folds at once)
     chunk, pending, flushed = [], [], 0
     entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
         0 if adaptive else sum(b.step_entries for b in blocks))
@@ -409,8 +425,9 @@ def run(config, seeds=None, *, trace=True):
     rows = np.zeros((alive.size, config.iterations, len(header)))
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
-    rows[:, :, 1] = np.concatenate(
+    rows[:, :, 1] = mus = np.concatenate(
         [[config.mu0], optim_mod.step_size(np.arange(1, config.iterations), config.mu0)])
+    mus = mus.tolist()  # as Python floats, for the steps
     # the optimizers differ only in their exponents: 1 at the classical first
     # step and for sgd, alpha0 for fosgd, and for 2sedfosgd the adaptive ones,
     # which each step writes into its row before it steps
@@ -423,8 +440,19 @@ def run(config, seeds=None, *, trace=True):
     def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
         nonlocal done
         lo = t - len(pending)  # the first step's row; the row before holds d_max
-        dzeta, peak = optim_mod.fisher_diagnostics(
-            pending, blocks, rows[:, lo - 1, metric_col - 1], config)
+        # the blocks before the chunk: no fold writes the arrays a block holds
+        state = [replace(b) for b in blocks] if len(pending) > 1 else None
+        try:
+            dzeta, peak = optim_mod.fisher_diagnostics(
+                pending, blocks, rows[:, lo - 1, metric_col - 1], config)
+        except NumericalError:
+            if state is None:
+                raise
+            blocks[:] = state  # refold a step at a time: the error keeps the rows before its step
+            for s, step_grads in enumerate(pending[:], lo + 1):
+                pending[:], done = [step_grads], s - 1
+                diagnose(s)
+            return
         rows[:, lo:t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
         rows[:, lo:t, metric_col - 1] = peak.T
         pending.clear()
@@ -471,13 +499,13 @@ def run(config, seeds=None, *, trace=True):
                     grads = [np.where(blown[:, None], 0.0, g) for g in grads]
                 # every optimizer logs the same Fisher/dimension diagnostics
                 # after the classical first step, which folds nothing
-                if t > 1 and (adaptive or trace):
+                if t > 1 and adaptive:  # from the d_max of the row before
+                    (row[:, 4:metric_col - 1:3], row[:, metric_col - 1],
+                     row[:, 3:metric_col - 1:3]) = optim_mod.adaptive_exponents(
+                        grads, blocks, rows[:, t - 2, metric_col - 1].tolist(), config)
+                elif t > 1 and trace:
                     pending.append(grads)
-                    if adaptive:
-                        diagnose(t)
-                        row[:, 3:metric_col - 1:3] = sed_mod.adapt_alpha(
-                            row[:, 4:metric_col - 1:3], row[:, metric_col - 1, None], config)
-                layers, steps = optim_mod.step(layers, steps, grads, row[0, 1],
+                layers, steps = optim_mod.step(layers, steps, grads, mus[t - 1],
                                                row[:, 3:metric_col - 1:3], config)
                 if trace:
                     chunk.append(steps + layers if ar else steps)

@@ -26,7 +26,8 @@ def logdet_plus(m, s, diagonal=False):
     run's curvature scale, which its config keeps finite and above 1.
     """
     try:
-        w = m if diagonal else np.linalg.eigvalsh(m)[..., ::-1]
+        w = m if diagonal else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    return np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum(axis=-1)
+    terms = np.log1p(s * np.sqrt(np.maximum(w, 0.0)))  # on contiguous rows, reversed to sum
+    return (terms if diagonal else terms[..., ::-1]).sum(axis=-1)

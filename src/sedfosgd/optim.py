@@ -63,7 +63,7 @@ def clip_gradients(grads, bound):
     if bound is None:
         return grads
     total = norm(grads)
-    if total.max() <= bound:
+    if all(x <= bound for x in total.reshape(-1).tolist()):  # a nan norm clips, as with max()
         return grads
     factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
     return [factor[..., None] * g for g in grads]
@@ -112,7 +112,7 @@ def fisher_diagnostics(grads, blocks, d_max, cfg):
     """Fold a chunk of steps' gradients (per step, a list of per-layer
     gradients) into the EMA blocks; returns each step's dimensions (steps,
     seeds..., layers) and their running maximum from `d_max` on, with the
-    bits of one step at a time (sgd and fosgd fold many steps, 2sedfosgd one).
+    bits of one step at a time (`adaptive_exponents`'s too).
     """
     dzeta = np.empty((len(grads),) + grads[0][0].shape[:-1] + (len(blocks),))
     for j, block in enumerate(blocks):
@@ -121,3 +121,12 @@ def fisher_diagnostics(grads, blocks, d_max, cfg):
             block, chunk, cfg.curvature[0], cfg.normalize_fisher), block.dim, cfg)
     peak = np.maximum(d_max, dzeta.max(axis=-1))
     return dzeta, peak if len(grads) == 1 else np.maximum.accumulate(peak, axis=0)
+
+
+def adaptive_exponents(grads, blocks, d_max, cfg):
+    """Fold one step's gradients (per layer, (seeds, d)) into the blocks;
+    returns `sed.exponents` of their log-dets from `d_max` (a list) on."""
+    logdets = zip(*(fisher_mod.ema_update(block, g[None], cfg.curvature[0],
+                                          cfg.normalize_fisher).tolist()[0]
+                    for block, g in zip(blocks, grads)))
+    return sed_mod.exponents(logdets, [block.dim for block in blocks], d_max, cfg)

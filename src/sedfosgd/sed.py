@@ -11,10 +11,9 @@ value into [0, 1], which then lowers the fractional exponent from its base:
 alpha_j = alpha0 - beta * d_zeta_j / d_max, clamped to [alpha_min, alpha0].
 
 The functions read zeta, epsilon, alpha0, beta and alpha_min from `cfg`, the
-run's `ExperimentConfig`, which checks their ranges.
+run's `ExperimentConfig`, which checks their ranges. `two_sed` takes floats
+or arrays; the one-step chain of `exponents` runs on Python floats.
 """
-
-import numpy as np
 
 
 def curvature_scale(cfg):
@@ -35,14 +34,22 @@ def two_sed(logdet, d_nominal, cfg):
 
 
 def adapt_alpha(dzeta, d_max, cfg):
-    """Map the per-layer effective dimensions `dzeta` (layers on the last
-    axis, seeds on any leading ones) and their running maximum `d_max` (one
-    per seed, on a last axis of length 1) to the per-layer exponents.
+    """Map one layer's effective dimension `dzeta` and the running maximum
+    `d_max` (Python floats) to its exponent.
 
     Before any observation (d_max == 0) every layer keeps the base exponent,
     matching the classical first step of the optimizer.
     """
     # d_max >= dzeta >= 0, so d_max == 0 means dzeta == 0: dividing by 1
     # instead keeps alpha0; as beta >= 0 too, no exponent exceeds alpha0
-    return np.maximum(cfg.alpha0 - cfg.beta * dzeta / (d_max + (d_max <= 0.0)),
-                      cfg.alpha_min)
+    return max(cfg.alpha0 - cfg.beta * dzeta / (d_max + (d_max <= 0.0)), cfg.alpha_min)
+
+
+def exponents(logdets, dims, d_max, cfg):
+    """One step's dimensions (seeds x layers), their running maximum from
+    `d_max` on (per seed) and exponents, from each seed's per-layer log-dets
+    and the layers' nominal `dims`. On Python floats: + - * / and max round
+    as they do on arrays, so these have the bits of the array formulas."""
+    dzeta = [[two_sed(x, d, cfg) for x, d in zip(seed, dims)] for seed in logdets]
+    peak = [max(m, *z) for m, z in zip(d_max, dzeta)]
+    return dzeta, peak, [[adapt_alpha(x, m, cfg) for x in z] for z, m in zip(dzeta, peak)]

@@ -3,7 +3,10 @@ against; the run loop never calls them."""
 
 import math
 
+import numpy as np
+
 from sedfosgd.noise import _stable_draws
+from sedfosgd.sed import two_sed
 
 
 def uniform(rng):
@@ -54,3 +57,27 @@ def delta_radius(cfg, grad_bound, alpha_max=None):
             break
         r = r_next
     return r
+
+
+def adapt_alpha(dzeta, d_max, cfg):
+    """`sed.adapt_alpha` as one array formula: the per-layer dimensions
+    `dzeta` on the last axis, seeds on any leading ones, and their running
+    maximum `d_max` (one per seed, on a last axis of length 1)."""
+    return np.maximum(cfg.alpha0 - cfg.beta * dzeta / (d_max + (d_max <= 0.0)),
+                      cfg.alpha_min)
+
+
+def exponents(logdets, dims, d_max, cfg):
+    """`sed.exponents` as array formulas: from log-dets (seeds, layers) and
+    the running maximum before the step (seeds,), the dimensions, the new
+    running maximum and the exponents, as numpy arrays."""
+    dzeta = np.stack([two_sed(logdets[:, j], d, cfg) for j, d in enumerate(dims)], axis=-1)
+    peak = np.maximum(d_max, dzeta.max(axis=-1))
+    return dzeta, peak, adapt_alpha(dzeta, peak[:, None], cfg)
+
+
+def logdet_plus(m, s, diagonal=False):
+    """`mathkit.logdet_plus` in its first order: the eigenvalues reversed
+    into non-increasing order before the elementwise chain, not after."""
+    w = m if diagonal else np.linalg.eigvalsh(m)[..., ::-1]
+    return np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum(axis=-1)

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import io
-import itertools
 import math
 import os
 import re
@@ -95,6 +94,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(str(path), {name: value})
         assert getattr(ExperimentConfig(**dict(base, **{name: np.int64(4)})), name) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_field_refuses_a_value_of_another_type(self, data):
+        # one ConfigError that names the key, from a config built in Python
+        # and from load_config's overrides, before any range check compares it
+        f = data.draw(st.sampled_from(fields(ExperimentConfig)))
+        value = data.draw(wrong_values(f.type, f.default))
+        base = dict(problem="ar", optimizer="sgd", iterations=3)
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**dict(base, **{f.name: value}))
+        assert str(built.value).startswith(f"{f.name} must be ")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("problem = ar\noptimizer = sgd\niterations = 3\n")
+            with pytest.raises(ConfigError) as loaded:
+                load_config(path, {f.name: value})
+        assert str(loaded.value) == str(built.value)
 
     def test_overrides(self):
         out = parse_overrides(["mu0=0.5", "seed=9"])
@@ -701,6 +719,26 @@ class TestReductionProperty:
         assert classical == _outcome(cfg)
 
 
+def wrong_values(annotation, default):
+    """Values that a config field of this annotation and default refuses:
+    another type, a bool for a number, a non-finite float or an int beyond
+    the float range for a float, a non-number in a tuple, and None unless
+    the default is None."""
+    text = st.text(max_size=4)
+    nonfinite = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]),
+                          st.integers(2**1024, 2**1100), st.integers(-2**1100, -2**1024))
+    pool = {
+        int: st.one_of(st.floats(), st.booleans(), text, st.tuples(st.integers())),
+        float: st.one_of(st.booleans(), text, st.tuples(st.floats(-1, 1)), nonfinite),
+        bool: st.one_of(st.integers(0, 1), st.floats(), text),
+        str: st.one_of(st.integers(), st.floats(), st.booleans(), st.tuples(text)),
+        tuple: st.one_of(text, st.floats(), st.lists(st.floats(-1, 1), max_size=2),
+                         st.tuples(st.floats(-1, 1), st.one_of(text, st.booleans(),
+                                                               st.none(), nonfinite))),
+    }[annotation]
+    return pool if default is None else st.one_of(pool, st.none())
+
+
 @st.composite
 def stacked_configs(draw, idx):
     """AR, quadratic and MLP (on the IDX pair `idx`) configs of each
@@ -905,12 +943,11 @@ class TestSeedStack:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_chunk_widths_keep_the_bits_of_width_one(self, synthetic_idx, data):
-        # seeds leave, and a trace run's eigensolver fails, mid-chunk as at width
-        # 1: 2sedfosgd folds every step, so its solver may fail at any step,
-        # while sgd and fosgd fold a chunk at a time, so theirs fails at the first
+        # seeds leave, and a trace run's eigensolver fails, mid-chunk as at
+        # width 1: a failed chunk is refolded a step at a time, so the trace
+        # keeps every row before the step whose solve fails
         cfg, seeds = data.draw(stacked_configs(synthetic_idx))
-        broken = data.draw(st.one_of(st.none(), st.integers(0, 60) if
-                                     cfg.optimizer == "2sedfosgd" else st.just(0)))
+        broken = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
         width = data.draw(st.integers(1, 5))
         assert _chunked(cfg, seeds, width, broken) == _chunked(cfg, seeds, 1, broken)
 
@@ -935,11 +972,15 @@ def _chunked(cfg, seeds, width, broken=None):
     """What `run` gives when it fills its trace-only columns `width` steps at a
     time: per seed of a stack, its trace bytes, summary and final layers or
     its error; and the files a run of the first seed alone writes, and its
-    error, where with `broken` its eigensolver fails from call `broken` + 1 on."""
-    solver, calls = np.linalg.eigvalsh, itertools.count(1)
+    error, where with `broken` (in [0, 1)) its eigensolver cannot converge
+    on any matrix of the last 1 - `broken` of the solves a run of that seed
+    makes at width 1 (whatever stack holds it), as a solver that fails on
+    its input would."""
+    solver, alone = np.linalg.eigvalsh, replace(cfg, seed=seeds[0])
+    poisoned = set() if broken is None else _solved_from(alone, broken)
 
     def eigvalsh(m):
-        if broken is not None and next(calls) > broken:
+        if any(a.tobytes() in poisoned for a in m.reshape(-1, *m.shape[-2:])):
             raise np.linalg.LinAlgError("did not converge")
         return solver(m)
 
@@ -952,7 +993,7 @@ def _chunked(cfg, seeds, width, broken=None):
         mp.setattr(np.linalg, "eigvalsh", eigvalsh)
         path = os.path.join(tmp, "t.csv")
         try:
-            alone = run(replace(cfg, seed=seeds[0], out=path)).summary
+            alone = run(replace(alone, out=path)).summary
         except (DivergenceError, GenerationError, NumericalError) as exc:
             alone = type(exc), str(exc), _index(exc)
         files = []
@@ -961,6 +1002,27 @@ def _chunked(cfg, seeds, width, broken=None):
                 with open(name, "rb") as fh:
                     files.append(fh.read())
     return stacked, alone, files
+
+
+def _solved_from(cfg, share):
+    """The bytes of each matrix that a run of `cfg` at width 1 hands the
+    eigensolver in the last 1 - `share` of its calls."""
+    solver, solved = np.linalg.eigvalsh, []
+
+    def eigvalsh(m):
+        solved.append(m.copy())
+        return solver(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_CHUNK_STEPS", 1)
+        mp.setattr(harness, "_CHUNK_BYTES", 0)
+        mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+        try:
+            run(cfg)
+        except (DivergenceError, GenerationError):
+            pass
+    return {a.tobytes() for m in solved[int(share * len(solved)):]
+            for a in m.reshape(-1, *m.shape[-2:])}
 
 
 def _assert_sweeps_report_stacked_runs(cfg, n):

@@ -12,7 +12,6 @@ from sedfosgd.noise import RngStream, gaussians
 from sedfosgd.optim import (DivergenceError, clip_gradients, fisher_diagnostics, norm,
                             step_size)
 from sedfosgd.problems import ar_generate, ar_loss_grad
-from sedfosgd.sed import adapt_alpha
 
 from reference import delta_radius
 
@@ -50,10 +49,10 @@ def sgd_step(layers, steps, grads, mu):
 
 def adaptive_step(layers, steps, grads, blocks, d_max, c, t):
     """What the harness does for 2sedfosgd at step t >= 2: fold and solve
-    the step's diagnostics (a chunk of one step), then step at the
-    exponents they give."""
-    dzeta, peak = fisher_diagnostics([grads], blocks, d_max, c)
-    d_max, alpha = peak[0], adapt_alpha(dzeta[0], peak[0], c)
+    the step's diagnostics, then step at the exponents they give (a stack
+    of one seed)."""
+    _, (d_max,), (alpha,) = optim.adaptive_exponents([g[None] for g in grads], blocks,
+                                                      [d_max], c)
     layers, steps = step(layers, steps, grads, step_size(t - 1, c.mu0), alpha, c, t)
     return layers, steps, d_max, alpha
 
@@ -173,7 +172,7 @@ def ar_regressors(seed=7, n=300):
 
 
 def fisher_blocks(layers, decay):
-    return [FisherBlock.zeros(j, v.shape[0], decay) for j, v in enumerate(layers)]
+    return [FisherBlock.zeros(j, v.shape[0], decay, stack=(1,)) for j, v in enumerate(layers)]
 
 
 class TestTwoSedFosgdStep:
@@ -359,7 +358,8 @@ def gradient_chunks(draw):
 
 class TestChunkedDiagnostics:
     """Fixed-exponent runs fold their Fisher diagnostics a chunk of steps at
-    a time; every chunk width gives the bits of one step at a time."""
+    a time; every chunk width gives the bits of one step at a time, which
+    are those of 2sedfosgd's one-step fold on Python floats."""
 
     @settings(max_examples=80, deadline=None)
     @given(gradient_chunks())
@@ -367,16 +367,21 @@ class TestChunkedDiagnostics:
         dims, seeds, grads, width, normalized, mode = drawn
         c = cfg(normalize_fisher=normalized)
         results = []
-        for w in (1, width):
+        for w in (1, width, None):  # None: adaptive_exponents
             blocks = [FisherBlock.zeros(j, d, 0.1, mode=mode, stack=(seeds,))
                       for j, d in enumerate(dims)]
             d_max, dzetas, peaks = np.zeros(seeds), [], []
-            for lo in range(0, len(grads), w):
-                dzeta, peak = fisher_diagnostics(grads[lo:lo + w], blocks, d_max, c)
+            for lo in range(0, len(grads), w or 1):
+                if w is None:
+                    dzeta, peak, _ = optim.adaptive_exponents(grads[lo], blocks,
+                                                              d_max.tolist(), c)
+                    dzeta, peak = np.array([dzeta]), np.array([peak])
+                else:
+                    dzeta, peak = fisher_diagnostics(grads[lo:lo + w], blocks, d_max, c)
                 dzetas.append(dzeta)
                 peaks.append(peak)
                 d_max = peak[-1]
             results.append((np.concatenate(dzetas).tobytes(), np.concatenate(peaks).tobytes(),
                             [(b.matrix.tobytes(), None if b.rows is None else b.rows.tobytes())
                              for b in blocks]))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]

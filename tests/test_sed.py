@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from sedfosgd.fisher import FisherBlock, ema_update
 from sedfosgd.harness import ExperimentConfig
 from sedfosgd.mathkit import logdet_plus
 from sedfosgd.optim import fisher_diagnostics
-from sedfosgd.sed import adapt_alpha, curvature_scale, d_curv, two_sed
+from sedfosgd.sed import adapt_alpha, curvature_scale, d_curv, exponents, two_sed
+
+import reference
 
 
 def config(**kw):
@@ -142,49 +146,110 @@ class TestUpdateDmax:
         assert seen == [values[0], values[1], values[1], values[1]]
 
 
+def alphas(dzeta, d_max, cfg):
+    """`adapt_alpha` of each of the layers' dimensions `dzeta`, as an array,
+    after checking it has the bits of the reference's array formula."""
+    got = np.array([adapt_alpha(x, d_max, cfg) for x in dzeta])
+    want = reference.adapt_alpha(np.array(dzeta), np.array([d_max]), cfg)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
 class TestAdaptAlpha:
     def test_ratio_one_gives_base_minus_beta(self):
         cfg = config(alpha0=0.9, beta=0.2)
-        alpha = adapt_alpha(np.array([5.0]), 5.0, cfg)
+        alpha = alphas([5.0], 5.0, cfg)
         assert alpha[0] == pytest.approx(0.7, rel=1e-12)
 
     def test_ratio_zero_gives_base(self):
         cfg = config(alpha0=0.9, beta=0.2)
-        assert adapt_alpha(np.array([0.0]), 5.0, cfg)[0] == 0.9
+        assert alphas([0.0], 5.0, cfg)[0] == 0.9
 
     def test_half_ratio_arithmetic(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        alpha = adapt_alpha(np.array([2.0]), 4.0, cfg)
+        alpha = alphas([2.0], 4.0, cfg)
         assert alpha[0] == pytest.approx(0.975, rel=1e-12)
 
     def test_no_observation_gives_base(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        alpha = adapt_alpha(np.array([0.0, 0.0]), 0.0, cfg)
+        alpha = alphas([0.0, 0.0], 0.0, cfg)
         assert np.all(alpha == 0.98)
 
     def test_clamped_to_floor(self):
         cfg = config(alpha0=0.5, beta=10.0, alpha_min=0.05)
-        assert adapt_alpha(np.array([5.0]), 5.0, cfg)[0] == 0.05
+        assert alphas([5.0], 5.0, cfg)[0] == 0.05
 
     def test_scale_invariance(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        a1 = adapt_alpha(np.array([2.0, 3.0]), 4.0, cfg)
-        a2 = adapt_alpha(np.array([20.0, 30.0]), 40.0, cfg)
+        a1 = alphas([2.0, 3.0], 4.0, cfg)
+        a2 = alphas([20.0, 30.0], 40.0, cfg)
         assert np.allclose(a1, a2, rtol=1e-12)
 
     def test_monotone_in_dimension(self):
         cfg = config(alpha0=0.98, beta=0.01)
-        values = [adapt_alpha(np.array([v]), 10.0, cfg)[0]
-                  for v in (0.0, 2.0, 5.0, 10.0)]
+        values = [alphas([v], 10.0, cfg)[0] for v in (0.0, 2.0, 5.0, 10.0)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_within_bounds(self):
         cfg = config(alpha0=0.98, beta=0.5, alpha_min=0.1)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            per = rng.uniform(0, 10, size=3)
-            alpha = adapt_alpha(per, 10.0, cfg)
+            per = rng.uniform(0, 10, size=3).tolist()
+            alpha = alphas(per, 10.0, cfg)
             assert np.all(alpha >= 0.1) and np.all(alpha <= 0.98)
+
+
+@st.composite
+def exponent_inputs(draw):
+    """Log-dets of a seed x layer stack (some zero, as a zero block's), each
+    seed's running maximum before the step (some 0, as before any fold, some
+    above every dimension) and a config whose beta may be 0 or large enough
+    to clamp exponents at alpha_min."""
+    seeds, layers = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    logdet = st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 1e-300))
+    logdets = draw(st.lists(st.lists(logdet, min_size=layers, max_size=layers),
+                            min_size=seeds, max_size=seeds))
+    d_max = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e5)),
+                          min_size=seeds, max_size=seeds))
+    dims = draw(st.lists(st.integers(1, 25120), min_size=layers, max_size=layers))
+    alpha0 = draw(st.floats(0.05, 1.0))
+    cfg = config(alpha0=alpha0, alpha_min=draw(st.floats(0.01, alpha0)),
+                 beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 100.0))),
+                 zeta=draw(st.floats(2 / 3, 0.99)), epsilon=draw(st.floats(1e-6, 0.9)))
+    return logdets, dims, d_max, cfg
+
+
+class TestScalarTail:
+    """2sedfosgd's one-step chain past the log-det runs on Python floats, with
+    the bits of the array formulas (in tests/reference.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponent_inputs())
+    def test_exponents_have_the_bits_of_the_array_formulas(self, drawn):
+        logdets, dims, d_max, cfg = drawn
+        got = exponents(logdets, dims, d_max, cfg)
+        want = reference.exponents(np.array(logdets), dims, np.array(d_max), cfg)
+        assert all(type(x) is float for row in got[0] + got[2] for x in row)
+        assert [np.array(g).tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 49), stack=st.integers(1, 3), data=st.data())
+    def test_late_reversal_keeps_the_sum_order_of_full_blocks(self, n, stack, data):
+        # above 8 terms numpy's pairwise sum depends on the order it adds in
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = rng.standard_normal((stack, n, n)) * 10.0 ** rng.uniform(-3, 3, (stack, 1, 1))
+        m = a @ a.swapaxes(-1, -2)
+        s = data.draw(st.floats(1.0 + 1e-9, 1e6))
+        assert logdet_plus(m, s).tobytes() == reference.logdet_plus(m, s).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 25120), data=st.data())
+    def test_late_reversal_keeps_the_sum_of_diagonals(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = rng.random((2, n)) ** 2 * 10.0 ** rng.uniform(-3, 3)
+        s = data.draw(st.floats(1.0 + 1e-9, 1e6))
+        assert (logdet_plus(m, s, True).tobytes()
+                == reference.logdet_plus(m, s, True).tobytes())
 
 
 class TestNormalizedPipeline:
