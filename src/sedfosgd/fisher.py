@@ -60,12 +60,6 @@ class FisherBlock:
                        rows=np.zeros(stack + (0, dim)))
         return cls(layer_index, mode, np.zeros(stack + (dim,)), decay)
 
-    def keep(self, mask):
-        """Keep only the seeds of a stacked block where `mask` is true."""
-        self.matrix = self.matrix[mask]
-        if self.rows is not None:
-            self.rows = self.rows[mask]
-
 
 def ema_update(block, grads, scale, normalized):
     """Fold a chunk of gradients (steps, seeds..., d) into the block in order,

@@ -38,6 +38,16 @@ def _real(x):
         return False
 
 
+def _shown(value, text=repr):
+    """text(value), or, for an int past the 4300 digits that text takes, its size"""
+    try:
+        return text(value)
+    except ValueError:  # such an int, or a container holding one
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {abs(value).bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int of over 4300 digits>"
+
+
 _KINDS = {  # per field annotation: the test its values pass, and its name
     int: (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
     float: (_real, "a finite number"),
@@ -91,56 +101,52 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             holds, kind = _KINDS[f.type]
             if not holds(value) and not (value is None and f.default is None):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        # (holds, message) in the order the checks are reported
+                raise ConfigError(f"{f.name} must be {kind}, got {_shown(value)}")
+        # (holds, message) in the order the checks are reported; a message is
+        # formatted from the fields only if its check fails
         checks = (
-            (self.problem in _PROBLEMS,
-             f"problem must be one of {_PROBLEMS}, got {self.problem!r}"),
+            (self.problem in _PROBLEMS, f"problem must be one of {_PROBLEMS}, got {{problem!r}}"),
             (self.optimizer in _OPTIMIZERS,
-             f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}"),
-            (self.iterations >= 1, f"iterations must be >= 1, got {self.iterations}"),
+             f"optimizer must be one of {_OPTIMIZERS}, got {{optimizer!r}}"),
+            (self.iterations >= 1, "iterations must be >= 1, got {iterations}"),
             (self.noise in ("gaussian", "stable"),
-             f"noise must be gaussian or stable, got {self.noise!r}"),
-            (0.0 <= self.mlp_holdout < 1.0,
-             f"mlp_holdout must be in [0, 1), got {self.mlp_holdout}"),
-            (self.mlp_batch >= 1, f"mlp_batch must be >= 1, got {self.mlp_batch}"),
-            (self.mlp_hidden >= 1, f"mlp_hidden must be >= 1, got {self.mlp_hidden}"),
-            (self.noise_std >= 0, f"noise_std must be >= 0, got {self.noise_std}"),
-            (self.quad_noise_std >= 0,
-             f"quad_noise_std must be >= 0, got {self.quad_noise_std}"),
-            (0.0 < self.stable_tail <= 2.0,
-             f"stable_tail must be in (0, 2], got {self.stable_tail}"),
-            (-1.0 <= self.stable_skew <= 1.0,
-             f"stable_skew must be in [-1, 1], got {self.stable_skew}"),
-            (self.stable_scale > 0, f"stable_scale must be > 0, got {self.stable_scale}"),
-            (2.0 / 3.0 <= self.zeta < 1.0, f"zeta must be in [2/3, 1), got {self.zeta}"),
-            (0.0 < self.epsilon < 1.0, f"epsilon must be in (0, 1), got {self.epsilon}"),
+             "noise must be gaussian or stable, got {noise!r}"),
+            (0.0 <= self.mlp_holdout < 1.0, "mlp_holdout must be in [0, 1), got {mlp_holdout}"),
+            (self.mlp_batch >= 1, "mlp_batch must be >= 1, got {mlp_batch}"),
+            (self.mlp_hidden >= 1, "mlp_hidden must be >= 1, got {mlp_hidden}"),
+            (self.noise_std >= 0, "noise_std must be >= 0, got {noise_std}"),
+            (self.quad_noise_std >= 0, "quad_noise_std must be >= 0, got {quad_noise_std}"),
+            (0.0 < self.stable_tail <= 2.0, "stable_tail must be in (0, 2], got {stable_tail}"),
+            (-1.0 <= self.stable_skew <= 1.0, "stable_skew must be in [-1, 1], got {stable_skew}"),
+            (self.stable_scale > 0, "stable_scale must be > 0, got {stable_scale}"),
+            (2.0 / 3.0 <= self.zeta < 1.0, "zeta must be in [2/3, 1), got {zeta}"),
+            (0.0 < self.epsilon < 1.0, "epsilon must be in (0, 1), got {epsilon}"),
             (not (2.0 / 3.0 <= self.zeta < 1.0 and 0.0 < self.epsilon < 1.0)
-             or sed_mod.curvature_scale(self) > 1.0, "epsilon ** (zeta - 1) must exceed 1, "
-             f"got 1.0 at epsilon={self.epsilon}, zeta={self.zeta}"),
-            (0.0 < self.alpha0 <= 1.0, f"alpha0 must be in (0, 1], got {self.alpha0}"),
-            (self.beta >= 0.0, f"beta must be >= 0, got {self.beta}"),
+             or sed_mod.curvature_scale(self) > 1.0,
+             "epsilon ** (zeta - 1) must exceed 1, got 1.0 at epsilon={epsilon}, zeta={zeta}"),
+            (0.0 < self.alpha0 <= 1.0, "alpha0 must be in (0, 1], got {alpha0}"),
+            (self.beta >= 0.0, "beta must be >= 0, got {beta}"),
             (0.0 < self.alpha_min <= self.alpha0,
-             f"alpha_min must be in (0, alpha0], got {self.alpha_min}"),
-            (self.mu0 > 0, f"mu0 must be > 0, got {self.mu0}"),
-            (self.delta > 0, f"delta must be > 0, got {self.delta}"),
+             "alpha_min must be in (0, alpha0], got {alpha_min}"),
+            (self.mu0 > 0, "mu0 must be > 0, got {mu0}"),
+            (self.delta > 0, "delta must be > 0, got {delta}"),
             (self.scaling_mode in ("elementwise", "layer-norm"),
-             f"unknown scaling_mode {self.scaling_mode!r}"),
+             "unknown scaling_mode {scaling_mode!r}"),
             (self.grad_clip is None or self.grad_clip > 0,
-             f"grad_clip must be > 0, got {self.grad_clip}"),
-            (0.0 < self.fisher_decay <= 1.0,
-             f"fisher_decay must be in (0, 1], got {self.fisher_decay}"),
-            (len(self.ar_coeffs) >= 1, f"ar_coeffs must be non-empty, got {self.ar_coeffs}"),
+             "grad_clip must be > 0, got {grad_clip}"),
+            (0.0 < self.fisher_decay <= 1.0, "fisher_decay must be in (0, 1], got {fisher_decay}"),
+            (len(self.ar_coeffs) >= 1, "ar_coeffs must be non-empty, got {ar_coeffs}"),
             (len(self.quad_diag) >= 1 and min(self.quad_diag) >= 0,
-             f"quad_diag must be non-negative, got {self.quad_diag}"),
+             "quad_diag must be non-negative, got {quad_diag}"),
             (self.mlp_limit >= 0,
-             f"mlp_limit must be >= 0 (0 uses every example), got {self.mlp_limit}"),
+             "mlp_limit must be >= 0 (0 uses every example), got {mlp_limit}"),
             (self.problem != "mlp" or bool(self.mlp_images and self.mlp_labels),
              "mlp problem requires mlp_images and mlp_labels paths"),
         )
         for holds, message in checks:
             if not holds:
-                raise ConfigError(message)
+                raise ConfigError(message.format_map(
+                    {f.name: _shown(getattr(self, f.name), str) for f in fields(self)}))
         scale = sed_mod.curvature_scale(self)  # it and its |log| (d_curv's divisor), once a run
         object.__setattr__(self, "curvature", (scale, float(abs(np.log(scale)))))
 
@@ -208,7 +214,7 @@ def parse_overrides(pairs):
 class _ArDriver:
     """Streaming AR identification: one regressor per iteration. Each seed
     simulates its own data; one that blows up is kept in `failed` (by its
-    position in `rngs`) and has no rows here."""
+    position in `rngs`) and has zero rows here."""
 
     def __init__(self, config, rngs):
         self.true_coeffs = np.asarray(config.ar_coeffs, dtype=float)
@@ -223,17 +229,15 @@ class _ArDriver:
                 data.append(problems_mod.ar_generate(self.true_coeffs, noise))
             except GenerationError as exc:
                 self.failed[i] = exc
-        self.phi = np.array([phi for phi, _ in data]).reshape(len(data), n - p, p)
-        self.y = np.array([y for _, y in data]).reshape(len(data), n - p)
+                data.append((np.zeros((n - p, p)), np.zeros(n - p)))
+        self.phi = np.array([phi for phi, _ in data])
+        self.y = np.array([y for _, y in data])
         self.init_layers = [np.zeros((len(data), p))]
 
     def loss_grad(self, layers, t):
         loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[:, t - 1],
                                             self.y[:, t - 1])
         return loss, [g]
-
-    def keep(self, mask):
-        self.phi, self.y = self.phi[mask], self.y[mask]
 
     def metric_names(self):
         return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
@@ -256,7 +260,7 @@ class _QuadraticDriver:
         self.a_mat = np.diag(diag)
         self.b = np.zeros(diag.size)
         self.noise_std = config.quad_noise_std
-        self.failed, self.rngs, self._next_row = {}, list(rngs), 0
+        self.failed, self.rngs, self._next_row = {}, rngs, 0
         self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
         self._gap = np.empty(len(self.rngs))  # the next loss goes here (see metrics)
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
@@ -274,10 +278,6 @@ class _QuadraticDriver:
         noisy = g + self._noise_rows[:, self._next_row]
         self._next_row += 1
         return f, [noisy]
-
-    def keep(self, mask):
-        self.rngs = [rng for rng, kept in zip(self.rngs, mask) if kept]
-        self._noise_rows = self._noise_rows[mask]
 
     def metric_names(self):
         return ["gap"]
@@ -320,10 +320,6 @@ class _MlpDriver:
         rows = self.orders[:, self.n_hold + (start + np.arange(self.batch_size)) % n_train]
         self._step_batch = self.inputs[rows], self.labels[rows]
         return problems_mod.mlp_loss_grad(self.widths, layers, *self._step_batch)
-
-    def keep(self, mask):
-        self.orders = self.orders[mask]
-        self._step_batch = tuple(a[mask] for a in self._step_batch)
 
     def metric_names(self):
         return ["batch_accuracy"]
@@ -380,8 +376,9 @@ def run(config, seeds=None, *, trace=True):
 
     With `seeds` (and no `out`), runs the config once per seed in lock-step
     and returns, per seed, its RunResult or the DivergenceError or
-    GenerationError that ended its run; the other seeds go on. Each result
-    has the bits of a run of its seed alone: that run is a stack of one.
+    GenerationError that ended its run; the other seeds go on, and an ended
+    seed stays in the stack, unread, until they do. Each result has the bits
+    of a run of its seed alone: that run is a stack of one.
 
     With `trace=False`, it skips what only the trace reads: sgd and fosgd fold
     no Fisher block, and of the metrics only the quadratic's `gap` and the
@@ -393,12 +390,11 @@ def run(config, seeds=None, *, trace=True):
         raise ValueError("only a run of one seed writes a trace file")
     driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
     outcomes = dict(driver.failed)  # seed position -> the error that ended it
-    alive = np.array([i for i in range(len(stack)) if i not in outcomes], dtype=int)
     if seeds is None and outcomes:
         raise outcomes[0]
 
-    # the run state, one row per seed of `alive` (no step runs without one):
-    # each layer, its last step and its EMA Fisher block
+    # the run state, one row per seed, an ended one's too (it folds zero
+    # gradients): each layer, its last step and its EMA Fisher block
     layers = list(driver.init_layers)
     steps = [np.zeros_like(v) for v in layers]
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
@@ -412,7 +408,7 @@ def run(config, seeds=None, *, trace=True):
     chunk, pending, flushed = [], [], 0
     entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
         0 if adaptive else sum(b.step_entries for b in blocks))
-    width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(alive.size, 1) * entries)))
+    width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(len(stack), 1) * entries)))
     # the quadratic's gap is the next loss and the MLP's batch accuracy reads the
     # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
     stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
@@ -422,7 +418,7 @@ def run(config, seeds=None, *, trace=True):
     header = trace_header(driver)
     metric_col = 3 * len(layers) + 4
     # step 1 folds nothing, so its dimensions and d_max stay 0
-    rows = np.zeros((alive.size, config.iterations, len(header)))
+    rows = np.zeros((len(stack), config.iterations, len(header)))
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
     rows[:, :, 1] = mus = np.concatenate(
@@ -434,8 +430,7 @@ def run(config, seeds=None, *, trace=True):
     rows[:, :, 3:metric_col - 1:3] = 1.0 if config.optimizer == "sgd" else config.alpha0
     rows[:, 0, 3:metric_col - 1:3] = 1.0
     writer = _TraceWriter(config.out, header) if config.out else None
-    # a trace is one seed's rows (in view after it leaves), the first `done` whole
-    trace_rows, done = rows[0] if writer else None, 0
+    done = 0  # a trace is the first `done` rows of its one seed, the whole ones
 
     def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
         nonlocal done
@@ -478,7 +473,7 @@ def run(config, seeds=None, *, trace=True):
     # warning; the checks below report it as a divergence at its step
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t in range(1, config.iterations + 1 if alive.size else 1):
+            for t in range(1, config.iterations + 1 if len(outcomes) < len(stack) else 1):
                 last = t == config.iterations
                 row = rows[:, t - 1]
                 row[:, 2], raw = driver.loss_grad(layers, t)
@@ -490,7 +485,6 @@ def run(config, seeds=None, *, trace=True):
                 # |g|^2 is finite exactly when every entry is and the squares
                 # do not overflow, as they cannot within an unused clip bound
                 # whose square is finite; a blown seed folds a zero gradient
-                # until it leaves below
                 blown = ~np.isfinite(row[:, 2])
                 for g in grads if grads is not raw or not clip_bounds_squares else ():
                     blown |= ~np.isfinite(np.vecdot(g, g))
@@ -510,38 +504,33 @@ def run(config, seeds=None, *, trace=True):
                 if trace:
                     chunk.append(steps + layers if ar else steps)
 
-                # a seed that diverged at this step leaves the stack after the flush
+                # a seed's first failure ends it; the checks flag it again later
                 failed = optim_mod.diverged(layers, t)
                 failed.update((k, DivergenceError(f"non-finite loss or gradient at step {t}",
                                                   step_index=t)) for k in blown_rows)
-                if failed or last or len(chunk) == width:
+                for k, exc in failed.items():
+                    outcomes.setdefault(k, exc)
+                ended = len(outcomes) == len(stack)
+                if ended or last or len(chunk) == width:
                     flush()
-                if failed:
-                    outcomes.update((int(alive[k]), exc) for k, exc in failed.items())
-                    keep = ~np.isin(np.arange(alive.size), list(failed))
-                    alive, rows = alive[keep], rows[keep]
-                    layers, steps = [v[keep] for v in layers], [v[keep] for v in steps]
-                    for owner in (driver, *blocks):
-                        owner.keep(keep)
-                    if not alive.size:
-                        break
-                    row = rows[:, t - 1]
+                if ended:
+                    break
                 if stepwise or last and not trace:
                     driver.metrics(layers, row[:, metric_col:], last)
-            done = config.iterations if alive.size else done
+            done = config.iterations if len(outcomes) < len(stack) else done
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
         finally:
             if writer:  # after an error, fill its chunk's columns but fold nothing
                 pending.clear()
                 flush()
-                writer.close(trace_rows, done)
+                writer.close(rows[0], done)
 
-    for k, i in enumerate(alive.tolist()):
+    for k in set(range(len(stack))) - set(outcomes):
         if not np.isfinite(rows[k, -1, metric_col:]).all():
             # the quadratic's last gap is the loss at step T + 1: one that is
             # not finite ends the run as that step's loss check would
             t = config.iterations + 1
-            outcomes[i] = DivergenceError(f"non-finite loss or gradient at step {t}",
+            outcomes[k] = DivergenceError(f"non-finite loss or gradient at step {t}",
                                           step_index=t)
             continue
         losses = rows[k, :, 2]
@@ -552,7 +541,7 @@ def run(config, seeds=None, *, trace=True):
                        for name, x in zip(header[metric_col:], rows[k, -1, metric_col:]))
         if holdout is not None:
             summary["holdout_accuracy"] = float(holdout[k])
-        outcomes[i] = RunResult(header, rows[k], [v[k] for v in layers], summary)
+        outcomes[k] = RunResult(header, rows[k], [v[k] for v in layers], summary)
     if seeds is not None:
         return [outcomes[i] for i in range(len(stack))]
     if isinstance(outcomes[0], Exception):

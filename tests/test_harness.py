@@ -114,6 +114,20 @@ class TestConfigParsing:
                 load_config(path, {f.name: value})
         assert str(loaded.value) == str(built.value)
 
+    def test_ints_past_the_text_digit_limit(self):
+        # an int of more digits than Python turns into text (4300) is one
+        # ConfigError naming its key where it is refused, and is taken where it
+        # is in range, also beside another key's refused value
+        base, huge = dict(problem="ar", optimizer="sgd", iterations=3), 10**5000
+        for name, value in (("mu0", huge), ("iterations", -huge), ("ar_coeffs", (huge,)),
+                            ("ar_coeffs", [huge]), ("mlp_batch", -huge), ("problem", huge)):
+            with pytest.raises(ConfigError, match=f"^{name} must be "):
+                ExperimentConfig(**dict(base, **{name: value}))
+        for key in ("iterations", "seed", "mlp_limit"):
+            assert getattr(ExperimentConfig(**dict(base, **{key: huge})), key) == huge
+        with pytest.raises(ConfigError, match="^iterations must be >= 1, got 0$"):
+            ExperimentConfig(**dict(base, iterations=0, mlp_limit=huge))
+
     def test_overrides(self):
         out = parse_overrides(["mu0=0.5", "seed=9"])
         assert out == {"mu0": 0.5, "seed": 9}
@@ -794,7 +808,8 @@ def _same_outcome(stacked, config):
 
 class TestSeedStack:
     """A stack of seeds run in lock-step gives each seed the bits of its own
-    run, and the failures of the seeds that leave it."""
+    run, or the failure that ended it; an ended seed stays in the stack, its
+    rows unread, until the run ends."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -804,15 +819,17 @@ class TestSeedStack:
 
         def spy(block, chunk, *args):
             # the loop owns the fold's invariant: a finite (steps, seeds, d)
-            # chunk, a blown seed's gradient zeroed until the seed leaves
-            assert chunk.shape == (len(chunk), block.matrix.shape[0], block.dim)
+            # chunk, a blown seed's gradient zeroed, every seed of the stack
+            # in it until the run ends
+            assert chunk.shape == (len(chunk), len(seeds), block.dim)
             assert np.isfinite(chunk).all()
             return ema_update(block, chunk, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fisher, "ema_update", spy)
-            for seed, outcome in zip(seeds, run(cfg, seeds=seeds)):
-                _same_outcome(outcome, replace(cfg, seed=seed))
+            outcomes = run(cfg, seeds=seeds)
+        for seed, outcome in zip(seeds, outcomes):
+            _same_outcome(outcome, replace(cfg, seed=seed))
 
     @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
     def test_mlp_mixed_divergence(self, synthetic_idx, optimizer):
@@ -847,6 +864,24 @@ class TestSeedStack:
         assert str(err.value) == "seed=0 non-finite loss or gradient at step 245"
         assert err.value.step_index == 245
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
+    def test_mixed_setup_failures(self, optimizer):
+        # half of ten derived seeds blow up their AR data at set-up; in the
+        # stacks of 8 and 2 a sweep runs, they keep their zero rows and the
+        # other five run to the end, each as it runs alone
+        cfg = ExperimentConfig(problem="ar", optimizer=optimizer, iterations=20,
+                               noise="stable", stable_tail=0.005, stable_scale=1e-300,
+                               ar_coeffs=(0.1,), mu0=0.001, grad_clip=1.0)
+        seeds = [derive_seed(0, i) for i in range(10)]
+        outcomes = run(cfg, seeds=seeds[:8]) + run(cfg, seeds=seeds[8:])
+        failed = [(seed, o.sample_index) for seed, o in zip(seeds, outcomes)
+                  if isinstance(o, GenerationError)]
+        assert [index for _, index in failed] == [2, 10, 3, 7, 9]
+        assert sum(isinstance(o, harness.RunResult) for o in outcomes) == 5
+        for seed, outcome in zip(seeds, outcomes):
+            _same_outcome(outcome, replace(cfg, seed=seed))
+        assert [(f.seed, f.index) for f in seed_sweep(cfg, 10).failed] == failed
+
     @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
     def test_empty_stack(self, synthetic_idx, optimizer):
         ip, lp = synthetic_idx
@@ -871,7 +906,7 @@ class TestSeedStack:
     @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
     def test_quadratic_gap_is_the_next_loss(self, optimizer):
         # the gap of row t is the loss that step t + 1 evaluates, bit for bit,
-        # also after other seeds left the stack (five of these six diverge
+        # also after other seeds of the stack ended (five of these six diverge
         # under 2sedfosgd); the last one is evaluated at the final layers
         cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=200,
                                quad_diag=(1.0, 4.0, 9.0), quad_noise_std=3.0, mu0=0.3,
@@ -943,7 +978,7 @@ class TestSeedStack:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_chunk_widths_keep_the_bits_of_width_one(self, synthetic_idx, data):
-        # seeds leave, and a trace run's eigensolver fails, mid-chunk as at
+        # seeds end, and a trace run's eigensolver fails, mid-chunk as at
         # width 1: a failed chunk is refolded a step at a time, so the trace
         # keeps every row before the step whose solve fails
         cfg, seeds = data.draw(stacked_configs(synthetic_idx))
