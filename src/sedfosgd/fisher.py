@@ -80,8 +80,8 @@ def ema_update(block, grads, scale, normalized):
             block.rows = None
     if n < len(grads):  # the dense or diagonal steps, each in its own row of the stack
         v = grads[n:]
-        ops = (gamma * (v[..., :, None] * v[..., None, :]) if block.mode == "full"
-               else gamma * v * v)  # (gamma * v) * v; gamma * (v * v) rounds differently
+        ops = v[..., :, None] * v[..., None, :] if block.mode == "full" else np.multiply(v, gamma)
+        ops *= gamma if block.mode == "full" else v  # (gamma * v) * v; gamma * (v * v) rounds apart
         head = ops[0]  # in place through a view; `ops[0] +=` would also copy it back
         head += (1.0 - gamma) * block.matrix
         for i in range(1, len(ops)):
@@ -92,17 +92,18 @@ def ema_update(block, grads, scale, normalized):
 
 
 def _extend_factor(rows, gram, v, gamma):
-    """Rows sqrt(1-gamma) U plus sqrt(gamma) v, and their Gram in O(k d)."""
+    """Rows sqrt(1-gamma) U plus sqrt(gamma) v, and their Gram in O(k d), as new arrays."""
     k = rows.shape[-2]
-    new_row = np.sqrt(gamma) * v
-    rows = np.concatenate([np.sqrt(1.0 - gamma) * rows, new_row[..., None, :]], axis=-2)
-    cross = np.matmul(rows[..., :k, :], new_row[..., :, None])[..., 0]
+    grown = np.empty(rows.shape[:-2] + (k + 1, rows.shape[-1]))
+    np.multiply(rows, np.sqrt(1.0 - gamma), out=grown[..., :k, :])
+    new_row = np.multiply(v, np.sqrt(gamma), out=grown[..., k, :])
+    cross = np.matmul(grown[..., :k, :], new_row[..., :, None])[..., 0]
     out = np.empty(gram.shape[:-2] + (k + 1, k + 1))
-    out[..., :k, :k] = (1.0 - gamma) * gram
+    np.multiply(gram, 1.0 - gamma, out=out[..., :k, :k])
     out[..., :k, k] = cross
     out[..., k, :k] = cross
     out[..., k, k] = np.vecdot(new_row, new_row)
-    return rows, out
+    return grown, out
 
 
 def _logdets(block, ops, scale, normalized):

@@ -293,8 +293,8 @@ class _QuadraticDriver:
 class _MlpDriver:
     """Mini-batch classification over an IDX image/label pair. Each seed
     shuffles the examples its own way: `orders` holds one index order per
-    seed into the one copy of the data, and a step gathers the stack's
-    batches from it for one gradient call."""
+    seed into the one copy of the uint8 pixel rows, and a step gathers the
+    stack's batches from it for one gradient call, as `rows / 255.0`."""
 
     def __init__(self, config, rngs):
         inputs, labels = problems_mod.load_idx(config.mlp_images, config.mlp_labels)
@@ -318,7 +318,7 @@ class _MlpDriver:
         n_train = len(self.labels) - self.n_hold
         start = ((t - 1) * self.batch_size) % n_train
         rows = self.orders[:, self.n_hold + (start + np.arange(self.batch_size)) % n_train]
-        self._step_batch = self.inputs[rows], self.labels[rows]
+        self._step_batch = self.inputs[rows] / 255.0, self.labels[rows]
         return problems_mod.mlp_loss_grad(self.widths, layers, *self._step_batch)
 
     def metric_names(self):
@@ -333,7 +333,7 @@ class _MlpDriver:
 
     def holdout_accuracy(self, layers):
         rows = self.orders[:, :self.n_hold]
-        return self._accuracies(layers, self.inputs[rows], self.labels[rows])
+        return self._accuracies(layers, self.inputs[rows] / 255.0, self.labels[rows])
 
 
 def _shuffled_indices(n, rng):
@@ -388,7 +388,14 @@ def run(config, seeds=None, *, trace=True):
     stack = [config.seed] if seeds is None else list(seeds)
     if seeds is not None and config.out:
         raise ValueError("only a run of one seed writes a trace file")
-    driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
+    try:  # the iteration-sized arrays: AR's data and the rows, the run's record
+        driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
+        header = trace_header(driver)
+        rows = np.zeros((len(stack), config.iterations, len(header)))
+    except (ConfigError, problems_mod.IdxFormatError):
+        raise
+    except (MemoryError, ValueError) as exc:  # numpy's size errors
+        raise ConfigError(f"iterations={config.iterations} is too large to allocate") from exc
     outcomes = dict(driver.failed)  # seed position -> the error that ended it
     if seeds is None and outcomes:
         raise outcomes[0]
@@ -413,12 +420,9 @@ def run(config, seeds=None, *, trace=True):
     # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
     stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
 
-    # the rows are the run's record: each step reads its step size and
-    # exponents from its row, and a fold the d_max of the row before it
-    header = trace_header(driver)
+    # a step reads its step size and exponents from its row, a fold the d_max of
+    # the row before it; step 1 folds nothing, so its dimensions and d_max stay 0
     metric_col = 3 * len(layers) + 4
-    # step 1 folds nothing, so its dimensions and d_max stay 0
-    rows = np.zeros((len(stack), config.iterations, len(header)))
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
     rows[:, :, 1] = mus = np.concatenate(

@@ -21,13 +21,14 @@ def logdet_plus(m, s, diagonal=False):
     square root and always non-negative. Zero eigenvalues add log1p(0) = 0,
     so any PSD matrix with the same nonzero spectrum gives the same value.
 
-    Neither input is checked here: `m` is finite and exactly symmetric, as
-    every EMA Fisher block and its Gram are by construction, and `s` is the
-    run's curvature scale, which its config keeps finite and above 1.
+    Neither input is checked here: `m` is finite and exactly symmetric (a
+    diagonal >= +0, so it takes no max), as every EMA Fisher block and its
+    Gram are by construction, and `s` is the run's finite curvature scale.
     """
-    try:
+    try:  # from the roots on, in place on a new array: `m` is never written
         w = m if diagonal else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    terms = np.log1p(s * np.sqrt(np.maximum(w, 0.0)))  # on contiguous rows, reversed to sum
-    return (terms if diagonal else terms[..., ::-1]).sum(axis=-1)
+    w = np.sqrt(w) if diagonal else np.sqrt(np.maximum(w, 0.0, out=w), out=w)
+    np.log1p(np.multiply(w, s, out=w), out=w)  # on contiguous rows, reversed to sum
+    return (w if diagonal else w[..., ::-1]).sum(axis=-1)

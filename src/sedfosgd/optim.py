@@ -77,23 +77,28 @@ def step(layers, steps, grads, mu, alphas, cfg):
     (seeds, layers) the exponents, all 1 at a run's classical first step.
     `math.gamma`, and a power whose exponent differs between seeds, are taken
     seed by seed, so each seed gets the bits of a run of its own. Returns the
-    new layers and their steps; `diverged` finds the seeds whose parameters
-    are non-finite.
+    new layers and steps as new arrays, writing none it was given; `diverged`
+    finds the seeds whose parameters are non-finite.
     """
     new_layers, new_steps = [], []
     for th, d, g, a in zip(layers, steps, grads, alphas.T.tolist()):
         shared = len(set(a)) == 1  # one exponent for every seed
         coef = (mu / math.gamma(2.0 - a[0]) if shared
                 else np.array([[mu / math.gamma(2.0 - x)] for x in a]))
-        if cfg.scaling_mode == "layer-norm":
-            power = np.array([[b ** (1.0 - x)] for b, x in zip(norm([d]) + cfg.delta, a)])
-        elif shared:
-            power = (np.abs(d) + cfg.delta) ** (1.0 - a[0])
-        else:
-            power = np.array([b ** (1.0 - x) for b, x in zip(np.abs(d) + cfg.delta, a)])
-        new = th - coef * (power * g)
+        if shared and a[0] == 1.0:  # the factor is exactly 1, and 1.0 * g is g
+            buf = g.copy()
+        elif cfg.scaling_mode == "layer-norm":
+            buf = np.array([[b ** (1.0 - x)] for b, x in zip(norm([d]) + cfg.delta, a)]) * g
+        else:  # the factor, then its product with g, in one new buffer
+            buf = np.abs(d)
+            buf += cfg.delta
+            for row, x in [(buf, a[0])] if shared else zip(buf, a):  # `**=` keeps `**`'s bits
+                row **= 1.0 - x
+            buf *= g
+        buf *= coef
+        new = th - buf
         new_layers.append(new)
-        new_steps.append(new - th)
+        new_steps.append(np.subtract(new, th, out=buf))
     return new_layers, new_steps
 
 

@@ -129,11 +129,11 @@ def mlp_loss_grad(widths, layers, inputs, labels):
     delta = expz / total
     delta -= onehot
     delta /= labels.shape[-1]
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        gw = acts[i].mT @ delta
-        grads[i] = np.concatenate([gw.reshape(*gw.shape[:-2], -1), delta.sum(axis=-2)],
-                                  axis=-1)
+    grads = [np.empty(v.shape) for v in layers]
+    for i in range(len(layers) - 1, -1, -1):  # into views of each flat gradient
+        gw, gb = _unpack(widths, grads[i], i)
+        np.matmul(acts[i].mT, delta, out=gw)
+        np.sum(delta, axis=-2, keepdims=True, out=gb)
         if i > 0:
             w, _ = _unpack(widths, layers[i], i)
             delta = (delta @ w.mT) * (acts[i] > 0.0)
@@ -163,16 +163,15 @@ def _read_idx(path, expected_magic, ndim):
             f"{path}: bad magic {magic}, expected {expected_magic}")
     dims = struct.unpack(f">{ndim}I", raw[4:header])  # unsigned, as the format's are
     count = math.prod(dims)  # exact: np.prod wraps past 2**63
-    payload = raw[header:]
-    if len(payload) != count:
+    if len(raw) - header != count:
         raise IdxFormatError(
-            f"{path}: truncated payload, expected {count} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+            f"{path}: truncated payload, expected {count} bytes, got {len(raw) - header}")
+    return np.frombuffer(raw, np.uint8, count, offset=header).reshape(dims)
 
 
 def load_idx(images_path, labels_path):
-    """Load an IDX image/label pair as its (inputs, labels) batch, each image
-    a row of pixels scaled to [0, 1]."""
+    """Load an IDX image/label pair as its uint8 pixel rows, one image a row
+    (a read-only view of the file's bytes), and its int labels."""
     images = _read_idx(images_path, _IMAGE_MAGIC, ndim=3)
     labels = _read_idx(labels_path, _LABEL_MAGIC, ndim=1)
     if images.shape[0] != labels.shape[0]:
@@ -181,7 +180,7 @@ def load_idx(images_path, labels_path):
     if 0 in images.shape:  # the header's dims, as _read_idx shaped the pixels
         raise IdxFormatError(f"{images_path}: no pixels, {images.shape[0]} images "
                              f"of {images.shape[1]} x {images.shape[2]}")
-    return images.reshape(images.shape[0], -1).astype(float) / 255.0, labels.astype(int)
+    return images.reshape(images.shape[0], -1), labels.astype(int)
 
 
 def write_idx(images_path, labels_path, images, labels):

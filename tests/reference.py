@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from sedfosgd.noise import _stable_draws
+from sedfosgd.optim import norm
 from sedfosgd.sed import two_sed
 
 
@@ -81,3 +82,20 @@ def logdet_plus(m, s, diagonal=False):
     into non-increasing order before the elementwise chain, not after."""
     w = m if diagonal else np.linalg.eigvalsh(m)[..., ::-1]
     return np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum(axis=-1)
+
+
+def step(layers, steps, grads, mu, alphas, cfg):
+    """`optim.step` out of place, one seed and layer at a time: theta -
+    (mu / Gamma(2 - alpha)) * ((|Delta theta| + delta)^(1 - alpha) * g), or
+    with the layer's step norm in "layer-norm" mode; returns the new layers
+    and their steps new - theta."""
+    new_layers, new_steps = [], []
+    for j, (th, d, g) in enumerate(zip(layers, steps, grads)):
+        new = np.empty_like(th)
+        for k in range(len(th)):
+            a = float(alphas[k, j])
+            base = (norm([d[k]]) if cfg.scaling_mode == "layer-norm" else np.abs(d[k]))
+            new[k] = th[k] - (mu / math.gamma(2.0 - a)) * ((base + cfg.delta) ** (1.0 - a) * g[k])
+        new_layers.append(new)
+        new_steps.append(new - th)
+    return new_layers, new_steps

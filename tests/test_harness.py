@@ -537,6 +537,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and bad.split("=")[0] in err
 
+    @pytest.mark.parametrize("iterations", [10**17, 2**63 - 1, 10**20])
+    @pytest.mark.parametrize("problem", ["ar", "quadratic", "mlp"])
+    def test_unallocatable_iterations_exit_one(self, tmp_path, capsys, synthetic_idx,
+                                               problem, iterations):
+        # a count that parses but whose arrays no host can allocate: one error
+        # line that names the key, from every command, and no trace file
+        ip, lp = synthetic_idx
+        cfg = self._write_cfg(tmp_path, f"problem = {problem}\noptimizer = 2sedfosgd\n"
+                              f"iterations = {iterations}\nmlp_images = {ip}\n"
+                              f"mlp_labels = {lp}\n")
+        out = str(tmp_path / "trace.csv")
+        for argv in (["run", "--out", out], ["sweep", "--seeds", "3"], ["ratefit"]):
+            assert cli.main(argv + ["--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: iterations={iterations} ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("case", ["missing_config", "out_is_a_directory",
                                       "missing_mlp_images"])
     def test_file_error_exits_one(self, tmp_path, capsys, synthetic_idx, case):

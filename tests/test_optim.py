@@ -13,6 +13,7 @@ from sedfosgd.optim import (DivergenceError, clip_gradients, fisher_diagnostics,
                             step_size)
 from sedfosgd.problems import ar_generate, ar_loss_grad
 
+import reference
 from reference import delta_radius
 
 
@@ -385,3 +386,56 @@ class TestChunkedDiagnostics:
                             [(b.matrix.tobytes(), None if b.rows is None else b.rows.tobytes())
                              for b in blocks]))
         assert results[0] == results[1] == results[2]
+
+
+def wild(rng, shape, share):
+    """Normal entries across six decades, about `share` of them replaced by
+    a huge, infinite, nan or signed-zero value."""
+    v = 10.0 ** rng.uniform(-3, 3, size=shape) * rng.standard_normal(shape)
+    odd = rng.random(shape) < share
+    v[odd] = rng.choice([1e300, -1e300, np.inf, -np.inf, np.nan, 0.0, -0.0], size=odd.sum())
+    return v
+
+
+@st.composite
+def step_inputs(draw):
+    """A stack of 1 to 4 seeds of 1 to 3 layers (1 to 20 parameters each),
+    with huge or non-finite steps and gradients in some draws, exponents in
+    (0, 1] shared by the seeds, per seed, all 1 or mixed with 1, a scaling
+    mode and a delta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    share = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    layers = [wild(rng, (seeds, d), 0.0) for d in dims]
+    steps = [wild(rng, (seeds, d), share) for d in dims]
+    grads = [wild(rng, (seeds, d), share) for d in dims]
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    kind = draw(st.sampled_from(["shared", "per seed", "one", "mixed"]))
+    if kind == "shared":
+        alphas = np.tile([draw(unit) for _ in dims], (seeds, 1))
+    elif kind == "one":
+        alphas = np.ones((seeds, len(dims)))
+    else:
+        alphas = np.array([[draw(unit) for _ in dims] for _ in range(seeds)])
+        if kind == "mixed":
+            alphas[rng.random(alphas.shape) < 0.5] = 1.0
+    c = cfg(scaling_mode=draw(st.sampled_from(["elementwise", "layer-norm"])),
+            delta=draw(st.sampled_from([1e-6, 0.118, 3.0])))
+    return layers, steps, grads, draw(st.sampled_from([0.01, 0.5, 62.9])), alphas, c
+
+
+class TestStepBits:
+    """`optim.step` computes in one buffer per layer and skips the power of
+    exponents that are all 1; it keeps the bits of the out-of-place formula
+    taken a seed at a time, non-finite values included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_inputs())
+    def test_equals_the_out_of_place_formula(self, drawn):
+        layers, steps, grads, mu, alphas, c = drawn
+        with np.errstate(all="ignore"):
+            got = optim.step(layers, steps, grads, mu, alphas, c)
+            want = reference.step(layers, steps, grads, mu, alphas, c)
+        for g, w in zip(got, want):
+            assert [v.tobytes() for v in g] == [v.tobytes() for v in w]

@@ -4,13 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from sedfosgd import cli
+from sedfosgd import cli, harness
 from sedfosgd.noise import RngStream, alpha_stables, gaussians
 from sedfosgd.problems import (WEIGHT_SCALE, GenerationError, IdxFormatError,
                                ar_generate, ar_loss_grad, load_idx, mlp_init_layers,
                                mlp_loss_grad, mlp_predict, quadratic_loss_grad,
                                write_idx)
 
+from conftest import make_synthetic_digits
 from reference import uniform
 
 AR_COEFFS = np.array([1.5, -0.7])
@@ -219,10 +220,36 @@ class TestIdx:
         ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
         write_idx(ip, lp, images, labels)
         inputs, got = load_idx(ip, lp)
-        assert np.array_equal(got, [1, 7])
-        back = (inputs.reshape(2, 3, 3) * 255.0).round().astype(np.uint8)
-        assert np.array_equal(back, images)
-        assert inputs.min() >= 0.0 and inputs.max() <= 1.0
+        # the pixels come back as the bytes written, one image a row, the labels as ints
+        assert got.dtype.kind == "i" and np.array_equal(got, [1, 7])
+        assert inputs.dtype == np.uint8 and inputs.shape == (2, 9)
+        assert np.array_equal(inputs, images.reshape(2, 9))
+
+    def test_driver_scales_each_batch(self, tmp_path, monkeypatch):
+        # the MLP driver's batches and holdout are astype(float) / 255.0 of
+        # the uint8 rows they gather, bit for bit, over every byte value
+        images, labels = make_synthetic_digits(n=300)
+        images.reshape(-1)[:256] = np.arange(256)
+        ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        write_idx(ip, lp, images, labels)
+        pixels, _ = load_idx(ip, lp)
+        config = harness.ExperimentConfig(problem="mlp", optimizer="sgd", iterations=3,
+                                          mlp_images=ip, mlp_labels=lp, mlp_batch=256)
+        driver = harness._MlpDriver(config, [RngStream(0), RngStream(1)])
+        seen = []
+        monkeypatch.setattr(harness.problems_mod, "mlp_loss_grad",
+                            lambda widths, layers, inputs, labels: seen.append(inputs))
+        monkeypatch.setattr(harness.problems_mod, "mlp_predict",
+                            lambda widths, layers, inputs: seen.append(inputs) or labels[:1])
+        for t in (1, 2):
+            driver.loss_grad(driver.init_layers, t)
+        driver.holdout_accuracy(driver.init_layers)
+        n_train, batch = len(labels) - driver.n_hold, np.arange(256)
+        wanted = [driver.orders[:, driver.n_hold + (t * 256 + batch) % n_train] for t in (0, 1)]
+        wanted.append(driver.orders[:, :driver.n_hold])
+        assert len(seen) == 3 and set(range(256)) <= set(pixels[wanted[0]].reshape(-1).tolist())
+        for got, rows in zip(seen, wanted):
+            assert got.tobytes() == (pixels[rows].astype(float) / 255.0).tobytes()
 
     def test_bad_magic(self, tmp_path):
         import struct
