@@ -80,8 +80,12 @@ def ema_update(block, grads, scale, normalized):
             block.rows = None
     if n < len(grads):  # the dense or diagonal steps, each in its own row of the stack
         v = grads[n:]
-        ops = v[..., :, None] * v[..., None, :] if block.mode == "full" else np.multiply(v, gamma)
-        ops *= gamma if block.mode == "full" else v  # (gamma * v) * v; gamma * (v * v) rounds apart
+        if block.mode == "full":
+            ops = v[..., :, None] * v[..., None, :]
+            ops *= gamma
+        else:  # (gamma * v) * v; gamma * (v * v) rounds apart
+            ops = np.multiply(v, gamma)
+            ops *= v
         head = ops[0]  # in place through a view; `ops[0] +=` would also copy it back
         head += (1.0 - gamma) * block.matrix
         for i in range(1, len(ops)):

@@ -5,6 +5,7 @@ Configs are flat `key = value` text files (`#` starts a comment). Every
 run is fully determined by its config, including the CSV bytes it writes.
 """
 
+import contextlib
 import math
 import numbers
 import os
@@ -211,6 +212,14 @@ def parse_overrides(pairs):
 
 # --- Problem drivers ---
 
+@contextlib.contextmanager
+def _iteration_sized(config):  # numpy's size errors, from arrays of a row per iteration
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"iterations={config.iterations} is too large to allocate") from exc
+
+
 class _ArDriver:
     """Streaming AR identification: one regressor per iteration. Each seed
     simulates its own data; one that blows up is kept in `failed` (by its
@@ -221,17 +230,18 @@ class _ArDriver:
         p = self.true_coeffs.size
         n = config.iterations + p
         self.failed, data = {}, []
-        for i, rng in enumerate(rngs):
-            noise = (gaussians(rng, n, 0.0, config.noise_std) if config.noise == "gaussian"
-                     else alpha_stables(rng, n, config.stable_tail, config.stable_skew,
-                                        config.stable_scale, config.stable_location))
-            try:
-                data.append(problems_mod.ar_generate(self.true_coeffs, noise))
-            except GenerationError as exc:
-                self.failed[i] = exc
-                data.append((np.zeros((n - p, p)), np.zeros(n - p)))
-        self.phi = np.array([phi for phi, _ in data])
-        self.y = np.array([y for _, y in data])
+        with _iteration_sized(config):
+            for i, rng in enumerate(rngs):
+                noise = (gaussians(rng, n, 0.0, config.noise_std) if config.noise == "gaussian"
+                         else alpha_stables(rng, n, config.stable_tail, config.stable_skew,
+                                            config.stable_scale, config.stable_location))
+                try:
+                    data.append(problems_mod.ar_generate(self.true_coeffs, noise))
+                except GenerationError as exc:
+                    self.failed[i] = exc
+                    data.append((np.zeros((n - p, p)), np.zeros(n - p)))
+            self.phi = np.array([phi for phi, _ in data])
+            self.y = np.array([y for _, y in data])
         self.init_layers = [np.zeros((len(data), p))]
 
     def loss_grad(self, layers, t):
@@ -388,14 +398,10 @@ def run(config, seeds=None, *, trace=True):
     stack = [config.seed] if seeds is None else list(seeds)
     if seeds is not None and config.out:
         raise ValueError("only a run of one seed writes a trace file")
-    try:  # the iteration-sized arrays: AR's data and the rows, the run's record
-        driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
-        header = trace_header(driver)
+    driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
+    header = trace_header(driver)
+    with _iteration_sized(config):  # the rows are the run's record
         rows = np.zeros((len(stack), config.iterations, len(header)))
-    except (ConfigError, problems_mod.IdxFormatError):
-        raise
-    except (MemoryError, ValueError) as exc:  # numpy's size errors
-        raise ConfigError(f"iterations={config.iterations} is too large to allocate") from exc
     outcomes = dict(driver.failed)  # seed position -> the error that ended it
     if seeds is None and outcomes:
         raise outcomes[0]

@@ -85,9 +85,7 @@ def step(layers, steps, grads, mu, alphas, cfg):
         shared = len(set(a)) == 1  # one exponent for every seed
         coef = (mu / math.gamma(2.0 - a[0]) if shared
                 else np.array([[mu / math.gamma(2.0 - x)] for x in a]))
-        if shared and a[0] == 1.0:  # the factor is exactly 1, and 1.0 * g is g
-            buf = g.copy()
-        elif cfg.scaling_mode == "layer-norm":
+        if cfg.scaling_mode == "layer-norm":
             buf = np.array([[b ** (1.0 - x)] for b, x in zip(norm([d]) + cfg.delta, a)]) * g
         else:  # the factor, then its product with g, in one new buffer
             buf = np.abs(d)

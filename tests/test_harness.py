@@ -554,6 +554,18 @@ class TestCli:
             assert err.startswith(f"error: iterations={iterations} ") and err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("hidden", [10**12, 10**20])
+    def test_unallocatable_hidden_width_does_not_blame_iterations(self, tmp_path, capsys,
+                                                                  synthetic_idx, hidden):
+        # the MLP's weights, not its rows, cannot be allocated: numpy's one line
+        ip, lp = synthetic_idx
+        cfg = self._write_cfg(tmp_path, f"problem = mlp\noptimizer = sgd\niterations = 20\n"
+                              f"mlp_hidden = {hidden}\n"
+                              f"mlp_images = {ip}\nmlp_labels = {lp}\n")
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "iterations" not in err
+
     @pytest.mark.parametrize("case", ["missing_config", "out_is_a_directory",
                                       "missing_mlp_images"])
     def test_file_error_exits_one(self, tmp_path, capsys, synthetic_idx, case):

@@ -426,9 +426,9 @@ def step_inputs(draw):
 
 
 class TestStepBits:
-    """`optim.step` computes in one buffer per layer and skips the power of
-    exponents that are all 1; it keeps the bits of the out-of-place formula
-    taken a seed at a time, non-finite values included."""
+    """`optim.step` computes in one buffer per layer; it keeps the bits of the
+    out-of-place formula taken a seed at a time, non-finite values and
+    exponent 1 included."""
 
     @settings(max_examples=150, deadline=None)
     @given(step_inputs())
