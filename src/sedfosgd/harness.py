@@ -266,9 +266,7 @@ class _QuadraticDriver:
     if it were drawn one number at a time."""
 
     def __init__(self, config, rngs):
-        diag = np.asarray(config.quad_diag, dtype=float)
-        self.a_mat = np.diag(diag)
-        self.b = np.zeros(diag.size)
+        self.diag = diag = np.asarray(config.quad_diag, dtype=float)
         self.noise_std = config.quad_noise_std
         self.failed, self.rngs, self._next_row = {}, rngs, 0
         self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
@@ -278,7 +276,7 @@ class _QuadraticDriver:
     def loss_grad(self, layers, t):
         # the previous row's gap is evaluated here, not in metrics, as
         # bench/tracer.py counts a step per oracle call made from loss_grad
-        f, g = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)
+        f, g = problems_mod.quadratic_loss_grad(layers[0], self.diag)
         self._gap[:] = f
         if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
             rows, d = max(1, 2048 // g.shape[1]), g.shape[1]
@@ -293,11 +291,11 @@ class _QuadraticDriver:
         return ["gap"]
 
     def metrics(self, layers, out, last):
-        # b = 0, so the minimum is 0 at the origin and the gap is f itself:
+        # quad_diag >= 0, so the minimum is 0 at the origin and the gap is f itself:
         # the next step's loss_grad evaluates it on these layers and fills it in
         self._gap = out[:, 0]
         if last:
-            self._gap[:] = problems_mod.quadratic_loss_grad(layers[0], self.a_mat, self.b)[0]
+            self._gap[:] = problems_mod.quadratic_loss_grad(layers[0], self.diag)[0]
 
 
 class _MlpDriver:
@@ -426,8 +424,8 @@ def run(config, seeds=None, *, trace=True):
     # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
     stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
 
-    # a step reads its step size and exponents from its row, a fold the d_max of
-    # the row before it; step 1 folds nothing, so its dimensions and d_max stay 0
+    # a fold reads the d_max of the row before it; step 1 folds nothing, so
+    # its dimensions and d_max stay 0
     metric_col = 3 * len(layers) + 4
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
@@ -436,9 +434,12 @@ def run(config, seeds=None, *, trace=True):
     mus = mus.tolist()  # as Python floats, for the steps
     # the optimizers differ only in their exponents: 1 at the classical first
     # step and for sgd, alpha0 for fosgd, and for 2sedfosgd the adaptive ones,
-    # which each step writes into its row before it steps
-    rows[:, :, 3:metric_col - 1:3] = 1.0 if config.optimizer == "sgd" else config.alpha0
+    # which each step writes into its row; a step takes per-layer lists of
+    # per-seed floats, sgd's and fosgd's built once (step 1's, then the rest's)
+    alpha = 1.0 if config.optimizer == "sgd" else config.alpha0
+    rows[:, :, 3:metric_col - 1:3] = alpha
     rows[:, 0, 3:metric_col - 1:3] = 1.0
+    fixed = [[[x] * len(stack)] * len(layers) for x in (1.0, alpha)]
     writer = _TraceWriter(config.out, header) if config.out else None
     done = 0  # a trace is the first `done` rows of its one seed, the whole ones
 
@@ -495,22 +496,25 @@ def run(config, seeds=None, *, trace=True):
                 # |g|^2 is finite exactly when every entry is and the squares
                 # do not overflow, as they cannot within an unused clip bound
                 # whose square is finite; a blown seed folds a zero gradient
-                blown = ~np.isfinite(row[:, 2])
+                checked = row[:, 2].tolist()  # as Python floats: the losses, then the |g|^2
                 for g in grads if grads is not raw or not clip_bounds_squares else ():
-                    blown |= ~np.isfinite(np.vecdot(g, g))
-                blown_rows = blown.nonzero()[0].tolist()
-                if blown_rows:
+                    checked += np.vecdot(g, g).tolist()
+                blown_rows = []
+                if not all(map(math.isfinite, checked)):
+                    blown = ~np.isfinite(np.reshape(checked, (-1, len(stack)))).all(axis=0)
+                    blown_rows = blown.nonzero()[0].tolist()
                     grads = [np.where(blown[:, None], 0.0, g) for g in grads]
                 # every optimizer logs the same Fisher/dimension diagnostics
                 # after the classical first step, which folds nothing
+                exponents = fixed[t > 1]
                 if t > 1 and adaptive:  # from the d_max of the row before
-                    (row[:, 4:metric_col - 1:3], row[:, metric_col - 1],
-                     row[:, 3:metric_col - 1:3]) = optim_mod.adaptive_exponents(
+                    dzeta, peak, alphas = optim_mod.adaptive_exponents(
                         grads, blocks, rows[:, t - 2, metric_col - 1].tolist(), config)
+                    row[:, 4:metric_col - 1:3], row[:, metric_col - 1] = dzeta, peak
+                    row[:, 3:metric_col - 1:3], exponents = alphas, list(zip(*alphas))
                 elif t > 1 and trace:
                     pending.append(grads)
-                layers, steps = optim_mod.step(layers, steps, grads, mus[t - 1],
-                                               row[:, 3:metric_col - 1:3], config)
+                layers, steps = optim_mod.step(layers, steps, grads, mus[t - 1], exponents, config)
                 if trace:
                     chunk.append(steps + layers if ar else steps)
 

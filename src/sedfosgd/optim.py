@@ -63,9 +63,10 @@ def clip_gradients(grads, bound):
     if bound is None:
         return grads
     total = norm(grads)
-    if all(x <= bound for x in total.reshape(-1).tolist()):  # a nan norm clips, as with max()
+    norms = total.reshape(-1).tolist()
+    if all(x <= bound for x in norms):  # a nan norm clips, as with max()
         return grads
-    factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
+    factor = np.reshape([bound / max(x, bound) for x in norms], total.shape)  # 1 within the bound
     return [factor[..., None] * g for g in grads]
 
 
@@ -73,15 +74,15 @@ def step(layers, steps, grads, mu, alphas, cfg):
     """One step of a stack of runs: per seed and layer,
     theta - (mu / Gamma(2 - alpha)) * (|Delta theta| + delta)^(1 - alpha) * g,
     where each layer and its gradient is a (seeds, d) array, `steps` holds
-    its last step Delta theta = theta_t - theta_{t-1} and the array `alphas`
-    (seeds, layers) the exponents, all 1 at a run's classical first step.
+    its last step Delta theta = theta_t - theta_{t-1}, and `alphas` holds per
+    layer a list of per-seed exponents, all 1 at a run's classical first step.
     `math.gamma`, and a power whose exponent differs between seeds, are taken
     seed by seed, so each seed gets the bits of a run of its own. Returns the
     new layers and steps as new arrays, writing none it was given; `diverged`
     finds the seeds whose parameters are non-finite.
     """
     new_layers, new_steps = [], []
-    for th, d, g, a in zip(layers, steps, grads, alphas.T.tolist()):
+    for th, d, g, a in zip(layers, steps, grads, alphas):
         shared = len(set(a)) == 1  # one exponent for every seed
         coef = (mu / math.gamma(2.0 - a[0]) if shared
                 else np.array([[mu / math.gamma(2.0 - x)] for x in a]))

@@ -65,13 +65,12 @@ def ar_loss_grad(theta_hat, phi, y):
 
 # --- Convex quadratic ---
 
-def quadratic_loss_grad(theta, a_mat, b):
-    """f = 0.5 theta' A theta - b' theta and its gradient, for one theta or
-    a stack of them (one per seed, along the leading axes)."""
-    with np.errstate(over="ignore"):  # overflow -> inf, callers treat as divergence
-        a_theta = np.matmul(a_mat, theta[..., None])[..., 0]
-        f = 0.5 * np.vecdot(theta, a_theta) - np.vecdot(b, theta)
-        return f, a_theta - b
+def quadratic_loss_grad(theta, diag):
+    """f = 0.5 theta' diag(d) theta and its gradient d * theta, for one theta
+    or a stack of them (one per seed, along the leading axes). An overflow
+    gives inf (callers own the errstate and treat it as divergence)."""
+    a_theta = diag * theta
+    return 0.5 * np.vecdot(theta, a_theta), a_theta
 
 
 # --- Tiny MLP classifier ---

@@ -41,6 +41,15 @@ def alpha_stable(rng, tail, skew=0.0, scale=1.0, location=0.0):
     return _stable_draws(tail, skew, scale, location, [angle], [_open_uniform(rng)])[0]
 
 
+def quadratic_loss_grad(theta, a_mat, b):
+    """The dense quadratic f = 0.5 theta' A theta - b' theta and its gradient
+    A theta - b, for one theta or a stack of them (one per seed, along the
+    leading axes); `problems.quadratic_loss_grad` is its case A = diag(d),
+    b = 0, the one quadratic a config builds."""
+    a_theta = np.matmul(a_mat, theta[..., None])[..., 0]
+    return 0.5 * np.vecdot(theta, a_theta) - np.vecdot(b, theta), a_theta - b
+
+
 def delta_radius(cfg, grad_bound, alpha_max=None):
     """Fixed point R = mu0 * max(1, (delta + R)^(1 - alpha_max)) * G.
 
@@ -93,7 +102,7 @@ def step(layers, steps, grads, mu, alphas, cfg):
     for j, (th, d, g) in enumerate(zip(layers, steps, grads)):
         new = np.empty_like(th)
         for k in range(len(th)):
-            a = float(alphas[k, j])
+            a = alphas[j][k]
             base = (norm([d[k]]) if cfg.scaling_mode == "layer-norm" else np.abs(d[k]))
             new[k] = th[k] - (mu / math.gamma(2.0 - a)) * ((base + cfg.delta) ** (1.0 - a) * g[k])
         new_layers.append(new)

@@ -191,14 +191,12 @@ def test_criterion_08_gradient_oracles():
             _, g = ar_loss_grad(theta, phi, y)
             assert _fd_close(g, _central_diff(
                 lambda x: ar_loss_grad(x, phi, y)[0], theta))
-        for _ in range(100):
-            a = nprng.standard_normal((3, 3))
-            a_mat = a @ a.T
-            b = nprng.standard_normal(3)
+        for _ in range(100):  # non-negative diagonals, the quadratic a config builds
+            diag = nprng.exponential(size=3)
             theta = nprng.standard_normal(3)
-            _, g = quadratic_loss_grad(theta, a_mat, b)
+            _, g = quadratic_loss_grad(theta, diag)
             assert _fd_close(g, _central_diff(
-                lambda x: quadratic_loss_grad(x, a_mat, b)[0], theta))
+                lambda x: quadratic_loss_grad(x, diag)[0], theta))
         widths = (6, 8, 4)
         for k in range(100):
             layers = mlp_init_layers(widths, RngStream(1000 + k))

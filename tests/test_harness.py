@@ -264,7 +264,7 @@ class TestStreamConsumers:
         theta = np.linspace(-1.0, 1.0, dim)
         for t in range(1, steps + 1):
             (f,), ((g,),) = driver.loss_grad([theta[None]], t)
-            f_ref, g_ref = quadratic_loss_grad(theta, driver.a_mat, driver.b)
+            f_ref, g_ref = quadratic_loss_grad(theta, np.array(diag))
             noise = np.array([gaussian(ref, 0.0, 2.5) for _ in range(dim)])
             assert f == f_ref
             assert g.tobytes() == (g_ref + noise).tobytes()
@@ -912,6 +912,49 @@ class TestSeedStack:
         assert [(f.seed, f.index) for f in seed_sweep(cfg, 10).failed] == failed
 
     @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
+    @pytest.mark.parametrize("clip", [None, 1.0, 1e300])
+    def test_blown_seeds_end_as_they_do_alone(self, monkeypatch, optimizer, clip):
+        # seeds whose loss overflows, whose gradient has a nan entry, or whose
+        # finite gradient has overflowing squares, at different steps, beside
+        # clean ones: the loop checks them on Python floats, each seed alone.
+        # A clip bound of 1 shrinks the huge gradient, so that seed runs on; a
+        # bound of 1e300 leaves it unclipped and, as 1e300 squared overflows,
+        # does not spare its squares the check
+        spikes = {1: ("loss", 3), 2: ("nan", 5), 3: ("huge", 4), 5: ("loss", 7),
+                  6: ("huge", 2), 7: ("nan", 2)}
+
+        class Seeded(RngStream):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.seed = seed
+
+        class Spiked(_QuadraticDriver):
+            def loss_grad(self, layers, t):
+                f, (g,) = super().loss_grad(layers, t)
+                for k, rng in enumerate(self.rngs):
+                    kind, step = spikes.get(rng.seed, (None, None))
+                    if step == t and kind == "loss":
+                        f[k] = np.inf
+                    elif step == t:
+                        g[k] = 1e200
+                        g[k, 0] = np.nan if kind == "nan" else 1e200
+                return f, [g]
+
+        monkeypatch.setattr(harness, "RngStream", Seeded)
+        monkeypatch.setattr(harness, "_DRIVERS", {**harness._DRIVERS, "quadratic": Spiked})
+        cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=12,
+                               quad_diag=(1.0, 4.0, 9.0), mu0=0.05, grad_clip=clip)
+        outcomes = run(cfg, seeds=range(8))
+        want = {k: t for k, (kind, t) in spikes.items() if kind != "huge" or clip != 1.0}
+        assert {k: o.step_index for k, o in enumerate(outcomes)
+                if isinstance(o, DivergenceError)} == want
+        for seed, outcome in enumerate(outcomes):
+            _same_outcome(outcome, replace(cfg, seed=seed))
+        for stacked, untraced in zip(outcomes, run(cfg, seeds=range(8), trace=False)):
+            assert (repr(stacked) if isinstance(stacked, Exception) else stacked.summary) == (
+                repr(untraced) if isinstance(untraced, Exception) else untraced.summary)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
     def test_empty_stack(self, synthetic_idx, optimizer):
         ip, lp = synthetic_idx
         mlp = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=3,
@@ -945,8 +988,7 @@ class TestSeedStack:
         for r in results:
             gap, loss = (r.rows[:, r.header.index(name)] for name in ("gap", "loss"))
             assert gap[:-1].tobytes() == loss[1:].tobytes()
-            last, _ = quadratic_loss_grad(r.final_layers[0], np.diag(cfg.quad_diag),
-                                          np.zeros(3))
+            last, _ = quadratic_loss_grad(r.final_layers[0], np.array(cfg.quad_diag))
             assert gap[-1] == last
 
     def test_trace_file_needs_one_seed(self, tmp_path):

@@ -27,7 +27,7 @@ def step(layers, steps, grads, mu, alphas, c, t):
     DivergenceError as a run of one seed does."""
     new, moved = optim.step([v[None] for v in layers], [d[None] for d in steps],
                             [g[None] for g in grads], mu,
-                            np.reshape(alphas, (1, -1)), c)
+                            [[float(a)] for a in alphas], c)
     for exc in optim.diverged(new, t).values():
         raise exc
     return [v[0] for v in new], [d[0] for d in moved]
@@ -401,8 +401,8 @@ def wild(rng, shape, share):
 def step_inputs(draw):
     """A stack of 1 to 4 seeds of 1 to 3 layers (1 to 20 parameters each),
     with huge or non-finite steps and gradients in some draws, exponents in
-    (0, 1] shared by the seeds, per seed, all 1 or mixed with 1, a scaling
-    mode and a delta."""
+    (0, 1] shared by the seeds, per seed, all 1 or mixed with 1 (per layer a
+    list of per-seed floats, as a run passes them), a scaling mode and a delta."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seeds = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
@@ -422,7 +422,7 @@ def step_inputs(draw):
             alphas[rng.random(alphas.shape) < 0.5] = 1.0
     c = cfg(scaling_mode=draw(st.sampled_from(["elementwise", "layer-norm"])),
             delta=draw(st.sampled_from([1e-6, 0.118, 3.0])))
-    return layers, steps, grads, draw(st.sampled_from([0.01, 0.5, 62.9])), alphas, c
+    return layers, steps, grads, draw(st.sampled_from([0.01, 0.5, 62.9])), alphas.T.tolist(), c
 
 
 class TestStepBits:

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedfosgd import cli, harness
 from sedfosgd.noise import RngStream, alpha_stables, gaussians
@@ -12,6 +14,7 @@ from sedfosgd.problems import (WEIGHT_SCALE, GenerationError, IdxFormatError,
                                write_idx)
 
 from conftest import make_synthetic_digits
+import reference
 from reference import uniform
 
 AR_COEFFS = np.array([1.5, -0.7])
@@ -115,28 +118,53 @@ class TestArLossGrad:
 
 class TestQuadratic:
     def test_origin(self):
-        f, g = quadratic_loss_grad(np.zeros(2), np.eye(2), np.zeros(2))
+        f, g = quadratic_loss_grad(np.zeros(2), np.ones(2))
         assert f == 0.0 and np.all(g == 0.0)
 
     def test_hand_arithmetic(self):
-        f, g = quadratic_loss_grad(np.ones(2), np.diag([2.0, 8.0]), np.zeros(2))
+        f, g = quadratic_loss_grad(np.ones(2), np.array([2.0, 8.0]))
         assert f == 5.0
         assert np.array_equal(g, [2.0, 8.0])
 
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            a = rng.standard_normal((3, 3))
-            a_mat = a @ a.T
-            b = rng.standard_normal(3)
+            diag = rng.exponential(size=3)
             theta = rng.standard_normal(3)
-            _, g = quadratic_loss_grad(theta, a_mat, b)
-            fd = central_diff(lambda x: quadratic_loss_grad(x, a_mat, b)[0], theta)
+            _, g = quadratic_loss_grad(theta, diag)
+            fd = central_diff(lambda x: quadratic_loss_grad(x, diag)[0], theta)
             assert np.allclose(g, fd, rtol=1e-6, atol=1e-7)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            quadratic_loss_grad(np.ones(2), np.eye(3), np.zeros(3))
+            quadratic_loss_grad(np.ones(2), np.ones(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (3,), (2, 2)]),
+           st.integers(1, 8), st.sampled_from([0.0, 0.0, 0.2, 0.5]))
+    def test_equals_the_dense_form(self, seed, stack, dim, odd):
+        # against 0.5 theta' A theta - b' theta and A theta - b with A = diag(d),
+        # b = 0, on stacks with zero, tiny, huge and overflowing entries of d
+        # and theta: where theta is finite, f has its bits and the gradient has
+        # them up to the sign of a zero, which the driver's noise row erases (a
+        # noise draw is never -0.0, so adding it is adding +0.0 or a nonzero);
+        # elsewhere both are non-finite in the same seeds (the dense form's
+        # 0 * inf spreads nan over the seed's gradient)
+        rng = np.random.default_rng(seed)
+        diag = rng.exponential(size=dim) * rng.choice([0.0, 1e-300, 1.0, 1e150, 1e300], dim)
+        theta = rng.standard_normal(stack + (dim,)) * rng.choice(
+            [-0.0, 0.0, 1e-310, 1.0, 1e155, 1e300], stack + (dim,))
+        odd_entries = rng.random(theta.shape) < odd
+        theta[odd_entries] = rng.choice([np.inf, -np.inf, np.nan], odd_entries.sum())
+        with np.errstate(all="ignore"):
+            f, g = quadratic_loss_grad(theta, diag)
+            f_ref, g_ref = reference.quadratic_loss_grad(theta, np.diag(diag), np.zeros(dim))
+        finite = np.isfinite(theta).all(axis=-1)
+        assert f.shape == f_ref.shape and g.shape == g_ref.shape
+        assert f[finite].tobytes() == f_ref[finite].tobytes()
+        assert (g[finite] + 0.0).tobytes() == (g_ref[finite] + 0.0).tobytes()
+        assert np.array_equal(np.isfinite(f), np.isfinite(f_ref))
+        assert np.array_equal(np.isfinite(g).all(axis=-1), np.isfinite(g_ref).all(axis=-1))
 
 
 class TestMlp:
