@@ -63,10 +63,9 @@ def clip_gradients(grads, bound):
     if bound is None:
         return grads
     total = norm(grads)
-    norms = total.reshape(-1).tolist()
-    if all(x <= bound for x in norms):  # a nan norm clips, as with max()
+    if all(x <= bound for x in total.reshape(-1).tolist()):  # a nan norm clips, as with max()
         return grads
-    factor = np.reshape([bound / max(x, bound) for x in norms], total.shape)  # 1 within the bound
+    factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
     return [factor[..., None] * g for g in grads]
 
 
