@@ -67,9 +67,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         config = _load(args)
         if args.command == "run":
-            result = harness.run(config)
-            for key, value in result.summary.items():
-                print(f"{key} = {value}")
+            print(harness.summary_text(harness.run(config).summary), end="")
         elif args.command == "sweep":
             sweep = harness.seed_sweep(config, args.seeds)
             print(f"seeds = {len(sweep.seeds)}  failures = {sweep.failures}")

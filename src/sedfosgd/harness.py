@@ -27,7 +27,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
-_PROBLEMS = ("ar", "quadratic", "mlp")
 _OPTIMIZERS = ("sgd", "fosgd", "2sedfosgd")
 
 
@@ -49,12 +48,17 @@ def _shown(value, text=repr):
         return f"<{type(value).__name__} holding an int of over 4300 digits>"
 
 
-_KINDS = {  # per field annotation: the test its values pass, and its name
-    int: (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
-    float: (_real, "a finite number"),
-    bool: (lambda x: isinstance(x, (bool, np.bool_)), "true or false"),
-    str: (lambda x: isinstance(x, str), "a string"),
-    tuple: (lambda x: isinstance(x, tuple) and all(map(_real, x)), "a tuple of finite numbers"),
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+_KINDS = {  # per field annotation: the test its values pass, its name, its parse from text
+    int: (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer",
+          int),
+    float: (_real, "a finite number", float),
+    bool: (lambda x: isinstance(x, (bool, np.bool_)), "true or false",
+           lambda raw: _BOOLS[raw.lower()]),
+    str: (lambda x: isinstance(x, str), "a string", str),
+    tuple: (lambda x: isinstance(x, tuple) and all(map(_real, x)), "a tuple of finite numbers",
+            lambda raw: tuple(float(x) for x in raw.split(","))),
 }
 
 
@@ -100,13 +104,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):  # each value by its annotation; a None default admits None
             value = getattr(self, f.name)
-            holds, kind = _KINDS[f.type]
+            holds, kind, _ = _KINDS[f.type]
             if not holds(value) and not (value is None and f.default is None):
                 raise ConfigError(f"{f.name} must be {kind}, got {_shown(value)}")
         # (holds, message) in the order the checks are reported; a message is
         # formatted from the fields only if its check fails
         checks = (
-            (self.problem in _PROBLEMS, f"problem must be one of {_PROBLEMS}, got {{problem!r}}"),
+            (self.problem in _DRIVERS,
+             f"problem must be one of {tuple(_DRIVERS)}, got {{problem!r}}"),
             (self.optimizer in _OPTIMIZERS,
              f"optimizer must be one of {_OPTIMIZERS}, got {{optimizer!r}}"),
             (self.iterations >= 1, "iterations must be >= 1, got {iterations}"),
@@ -153,30 +158,21 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
 
 
 def _typed_pair(text, where):
-    """Split `key = value` and type the value by the key's field annotation:
-    `int`, `float`, `str`, `bool` or `tuple` (of floats); a `float` key whose
-    default is None also takes `none`."""
+    """Split `key = value` and parse the value by its key's annotation (`_KINDS`);
+    a `float` key whose default is None also takes `none`."""
     key, sep, raw = (part.strip() for part in text.partition("="))
     if not sep:
         raise ConfigError(f"{where}: expected key = value, got {text!r}")
     f = _FIELDS.get(key)
     if f is None:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    if f.type is str:
-        return key, raw
     if f.type is float and f.default is None and raw.lower() == "none":
         return key, None
     try:
-        if f.type is bool:
-            return key, _BOOLS[raw.lower()]
-        if f.type is tuple:
-            return key, tuple(float(x) for x in raw.split(","))
-        return key, f.type(raw)
+        return key, _KINDS[f.type][2](raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(
             f"{key}: could not parse {raw!r} as {f.type.__name__}") from exc
@@ -243,14 +239,12 @@ class _ArDriver:
             self.phi = np.array([phi for phi, _ in data])
             self.y = np.array([y for _, y in data])
         self.init_layers = [np.zeros((len(data), p))]
+        self.metric_names = (*(f"err_a{i + 1}" for i in range(p)), "err_norm")
 
     def loss_grad(self, layers, t):
         loss, g = problems_mod.ar_loss_grad(layers[0], self.phi[:, t - 1],
                                             self.y[:, t - 1])
         return loss, [g]
-
-    def metric_names(self):
-        return [f"err_a{i + 1}" for i in range(self.true_coeffs.size)] + ["err_norm"]
 
     def metrics(self, layers, out, last):
         # the layers of any steps (seeds, steps..., p) into out (seeds, steps..., m)
@@ -269,6 +263,7 @@ class _QuadraticDriver:
         self.diag = diag = np.asarray(config.quad_diag, dtype=float)
         self.noise_std = config.quad_noise_std
         self.failed, self.rngs, self._next_row = {}, rngs, 0
+        self.metric_names = ("gap",)
         self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
         self._gap = np.empty(len(self.rngs))  # the next loss goes here (see metrics)
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
@@ -286,9 +281,6 @@ class _QuadraticDriver:
         noisy = g + self._noise_rows[:, self._next_row]
         self._next_row += 1
         return f, [noisy]
-
-    def metric_names(self):
-        return ["gap"]
 
     def metrics(self, layers, out, last):
         # quad_diag >= 0, so the minimum is 0 at the origin and the gap is f itself:
@@ -315,6 +307,7 @@ class _MlpDriver:
         self.inputs, self.labels = inputs[:n], labels[:n]
         self.widths = widths = (inputs.shape[1], config.mlp_hidden, int(labels.max()) + 1)
         self.batch_size, self.failed = config.mlp_batch, {}
+        self.metric_names = ("batch_accuracy",)
         self.orders = np.empty((len(rngs), n), dtype=np.intp)
         self.init_layers = [np.empty((len(rngs), (a + 1) * b)) for a, b in zip(widths, widths[1:])]
         for k, rng in enumerate(rngs):
@@ -328,9 +321,6 @@ class _MlpDriver:
         rows = self.orders[:, self.n_hold + (start + np.arange(self.batch_size)) % n_train]
         self._step_batch = self.inputs[rows] / 255.0, self.labels[rows]
         return problems_mod.mlp_loss_grad(self.widths, layers, *self._step_batch)
-
-    def metric_names(self):
-        return ["batch_accuracy"]
 
     def _accuracies(self, layers, inputs, labels):
         return np.mean(problems_mod.mlp_predict(self.widths, layers, inputs) == labels,
@@ -370,13 +360,6 @@ class RunResult:
     summary: dict
 
 
-def trace_header(driver):
-    cols = ["t", "mu", "loss"]
-    for j in range(len(driver.init_layers)):
-        cols += [f"alpha_l{j}", f"dzeta_l{j}", f"delta_norm_l{j}"]
-    return cols + ["d_max"] + driver.metric_names()
-
-
 def run(config, seeds=None, *, trace=True):
     """Execute one experiment; writes the CSV trace if `out` is set, its rows
     when the run ends, however it ends (up to the step that diverged); the
@@ -397,7 +380,12 @@ def run(config, seeds=None, *, trace=True):
     if seeds is not None and config.out:
         raise ValueError("only a run of one seed writes a trace file")
     driver = _DRIVERS[config.problem](config, [RngStream(seed) for seed in stack])
-    header = trace_header(driver)
+    # t, mu, loss, each layer's alpha, dzeta and delta_norm, d_max (a fold reads the row
+    # before's; step 1 folds nothing) and, from metric_col on, the driver's metrics
+    header = ["t", "mu", "loss", *(f"{name}_l{j}" for j in range(len(driver.init_layers))
+                                   for name in ("alpha", "dzeta", "delta_norm")),
+              "d_max", *driver.metric_names]
+    metric_col = 3 * len(driver.init_layers) + 4
     with _iteration_sized(config):  # the rows are the run's record
         rows = np.zeros((len(stack), config.iterations, len(header)))
     outcomes = dict(driver.failed)  # seed position -> the error that ended it
@@ -424,9 +412,6 @@ def run(config, seeds=None, *, trace=True):
     # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
     stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
 
-    # a fold reads the d_max of the row before it; step 1 folds nothing, so
-    # its dimensions and d_max stay 0
-    metric_col = 3 * len(layers) + 4
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
     rows[:, :, 1] = mus = np.concatenate(
@@ -562,9 +547,13 @@ def run(config, seeds=None, *, trace=True):
         raise outcomes[0]
     if writer:
         with open(config.out + ".summary", "w", encoding="utf-8") as fh:
-            fh.writelines(f"{key} = {value!r}\n"
-                          for key, value in outcomes[0].summary.items())
+            fh.write(summary_text(outcomes[0].summary))
     return outcomes[0]
+
+
+def summary_text(summary):
+    """A run's summary as `<out>.summary` holds it and `sedfosgd run` prints it."""
+    return "".join(f"{key} = {value!r}\n" for key, value in summary.items())
 
 
 class _TraceWriter:
@@ -624,7 +613,8 @@ def rate_fit(running_min_gaps):
     if series.size < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} points, got {series.size}")
     if np.any(series <= 0):
-        raise ValueError("series must be strictly positive")
+        t = int(np.argmax(series <= 0))
+        raise ValueError(f"the running minimum is {series[t]} at t={t + 1}; it must be > 0")
     t = np.arange(1, series.size + 1)
     lo = max(1, series.size // 10)
     x = np.log(t[lo - 1:])
@@ -685,14 +675,19 @@ def _seed_runs(config, n_seeds):
                                                   trace=False)))
 
 
+def _ending(error):
+    """(kind, index) of the DivergenceError or GenerationError that ended a seed's run"""
+    if isinstance(error, DivergenceError):
+        return "step", error.step_index
+    return "sample", error.sample_index
+
+
 def seed_sweep(config, n_seeds):
     seeds, summaries, failed = [], [], []
     for seed, outcome in _seed_runs(config, n_seeds):
         seeds.append(seed)
-        if isinstance(outcome, DivergenceError):
-            failed.append(SweepFailure(seed, "step", outcome.step_index, str(outcome)))
-        elif isinstance(outcome, GenerationError):
-            failed.append(SweepFailure(seed, "sample", outcome.sample_index, str(outcome)))
+        if isinstance(outcome, Exception):
+            failed.append(SweepFailure(seed, *_ending(outcome), str(outcome)))
         else:
             summaries.append(outcome.summary)
     aggregate = {}
@@ -719,8 +714,7 @@ def seed_rate_fit(config, n_seeds):
     total = shares = 0.0
     for seed, outcome in runs:
         if isinstance(outcome, Exception):
-            index = getattr(outcome, "step_index", getattr(outcome, "sample_index", None))
-            raise type(outcome)(f"seed={seed} {outcome}", index) from outcome
+            raise type(outcome)(f"seed={seed} {outcome}", _ending(outcome)[1]) from outcome
         gaps = outcome.rows[:, outcome.header.index("gap" if "gap" in outcome.header
                                                     else "loss")]
         with np.errstate(over="ignore"):  # the sum of finite gaps can overflow,

@@ -72,8 +72,6 @@ def gaussians(rng, n, mean=0.0, std=1.0):
     beyond the float range (possible for a std near the float maximum) is an
     infinity of its sign."""
     u = rng.uniforms(2 * n)
-    if std == 0.0:
-        return np.full(n, mean, dtype=np.float64)
     radius = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, n)
     radius *= -2.0
     np.sqrt(radius, out=radius)

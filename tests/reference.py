@@ -20,8 +20,6 @@ def gaussian(rng, mean=0.0, std=1.0):
     u1 = uniform(rng)
     u2 = uniform(rng)
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    if std == 0.0:
-        return mean
     return mean + std * z
 
 

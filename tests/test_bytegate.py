@@ -1,0 +1,29 @@
+"""The byte gate's tiny matrix, run twice on the package of HEAD, writes the
+same bytes each time: the matrix is deterministic and the gate compares what
+it should. Outside a git checkout there is no HEAD to take out."""
+
+import os
+import subprocess
+
+import pytest
+
+import bytegate
+
+
+def _checkout():
+    """Whether the repository is the top of a git checkout with a HEAD commit."""
+    try:
+        top = subprocess.run(["git", "-C", bytegate.ROOT, "rev-parse", "--show-toplevel",
+                              "--verify", "HEAD"], capture_output=True, check=True, text=True)
+    except (OSError, subprocess.CalledProcessError):
+        return False
+    return os.path.realpath(top.stdout.splitlines()[0]) == os.path.realpath(bytegate.ROOT)
+
+
+@pytest.mark.skipif(not _checkout(), reason="not a git checkout with a HEAD commit")
+def test_head_against_head_is_identical(tmp_path):
+    tree = bytegate.archive("HEAD", str(tmp_path / "head"))
+    assert os.path.isfile(os.path.join(tree, "src", "sedfosgd", "cli.py"))
+    cases = bytegate.matrix(tiny=True)
+    assert 10 <= len(cases) < len(bytegate.matrix())
+    assert bytegate.compare(tree, tree, tiny=True) == []

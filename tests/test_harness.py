@@ -141,6 +141,14 @@ class TestConfigParsing:
         assert cfg.optimizer == "fosgd"
         assert cfg.seed == 3
 
+    def test_load_config_refuses_an_unknown_override_key(self, tmp_path):
+        # the CLI's overrides pass the key check of parse_overrides first; a
+        # caller's dict meets ExperimentConfig's TypeError, as a ConfigError
+        path = tmp_path / "exp.cfg"
+        path.write_text("problem = ar\noptimizer = fosgd\niterations = 20\n")
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(str(path), {"bogus": 1})
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_every_key_round_trips_as_text(self, data):
@@ -624,6 +632,19 @@ class TestCli:
         with open(out, encoding="utf-8") as fh:
             assert len(fh.read().splitlines()) == 1
         assert not os.path.exists(out + ".summary")
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
+    @pytest.mark.parametrize("gap", ["quad_diag = 0\n",
+                                     "quad_diag = 1,0\nquad_noise_std = 0\nmu0 = 1\n"])
+    def test_ratefit_of_a_gap_that_reaches_zero(self, tmp_path, capsys, optimizer, gap):
+        # each seed's gap is 0 from its first row (the classical first step
+        # lands on the minimum): the fit cannot take its log, and says where
+        cfg = self._write_cfg(tmp_path, f"problem = quadratic\noptimizer = {optimizer}\n"
+                              f"iterations = 60\n{gap}")
+        assert cli.main(["ratefit", "--config", cfg, "--seeds", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the running minimum is 0.0 at t=1; it must be > 0\n"
 
     def test_ratefit_divergence_names_its_seed(self, tmp_path, capsys):
         cfg = self._write_cfg(

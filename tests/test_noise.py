@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -61,6 +61,11 @@ class TestBlockStream:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300),
            mean=st.floats(-1e6, 1e6), std=st.floats(0.0, 1e6))
+    # std 0 takes the general path: each draw is mean + 0 * z
+    @example(seed=3, n=300, mean=0.0, std=0.0)
+    @example(seed=2**64 - 1, n=300, mean=1.5, std=0.0)
+    @example(seed=2**63 + 5, n=300, mean=-2.0, std=0.0)
+    @example(seed=0, n=300, mean=-0.0, std=0.0)
     def test_gaussians_equal_scalar_calls(self, seed, n, mean, std):
         block, scalar = RngStream(seed), RngStream(seed)
         got = gaussians(block, n, mean, std)

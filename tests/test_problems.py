@@ -348,6 +348,12 @@ class TestIdx:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not os.path.exists(out)
 
+    def test_write_refuses_images_that_are_not_a_stack(self, tmp_path):
+        ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+        with pytest.raises(ValueError, match="expected"):
+            write_idx(ip, lp, np.zeros((2, 9)), np.zeros(2))
+        assert not os.path.exists(ip) and not os.path.exists(lp)
+
     def test_count_mismatch(self, tmp_path):
         import struct
         ip = tmp_path / "im.idx"
