@@ -246,7 +246,7 @@ class _ArDriver:
                                             self.y[:, t - 1])
         return loss, [g]
 
-    def metrics(self, layers, out, last):
+    def metrics(self, layers, out):
         # the layers of any steps (seeds, steps..., p) into out (seeds, steps..., m)
         err = layers[0] - self.true_coeffs
         np.abs(err, out=out[..., :-1])
@@ -265,14 +265,10 @@ class _QuadraticDriver:
         self.failed, self.rngs, self._next_row = {}, rngs, 0
         self.metric_names = ("gap",)
         self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
-        self._gap = np.empty(len(self.rngs))  # the next loss goes here (see metrics)
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
 
     def loss_grad(self, layers, t):
-        # the previous row's gap is evaluated here, not in metrics, as
-        # bench/tracer.py counts a step per oracle call made from loss_grad
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.diag)
-        self._gap[:] = f
         if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
             rows, d = max(1, 2048 // g.shape[1]), g.shape[1]
             self._noise_rows = np.array([gaussians(rng, rows * d, 0.0, self.noise_std)
@@ -282,12 +278,10 @@ class _QuadraticDriver:
         self._next_row += 1
         return f, [noisy]
 
-    def metrics(self, layers, out, last):
-        # quad_diag >= 0, so the minimum is 0 at the origin and the gap is f itself:
-        # the next step's loss_grad evaluates it on these layers and fills it in
-        self._gap = out[:, 0]
-        if last:
-            self._gap[:] = problems_mod.quadratic_loss_grad(layers[0], self.diag)[0]
+    def metrics(self, layers, out):
+        # quad_diag >= 0, so the minimum is 0 at the origin and the gap is f itself;
+        # `run` asks for the last row's only, as each row before's is the next loss
+        out[:, 0] = problems_mod.quadratic_loss_grad(layers[0], self.diag)[0]
 
 
 class _MlpDriver:
@@ -326,7 +320,7 @@ class _MlpDriver:
         return np.mean(problems_mod.mlp_predict(self.widths, layers, inputs) == labels,
                        axis=-1)
 
-    def metrics(self, layers, out, last):
+    def metrics(self, layers, out):
         out[:, 0] = self._accuracies(layers, *self._step_batch)
 
     def holdout_accuracy(self, layers):
@@ -408,9 +402,9 @@ def run(config, seeds=None, *, trace=True):
     entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
         0 if adaptive else sum(b.step_entries for b in blocks))
     width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(len(stack), 1) * entries)))
-    # the quadratic's gap is the next loss and the MLP's batch accuracy reads the
-    # step's batch, so they are taken per step (the MLP's if traced), AR's flushed
-    stepwise = config.problem == "quadratic" or trace and config.problem == "mlp"
+    # the MLP's traced batch accuracy reads the step's batch, so it is taken per
+    # step; AR's traced metrics are flushed, and every run's last row is taken last
+    stepwise = trace and config.problem == "mlp"
 
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
     rows[:, :, 0] = np.arange(1, config.iterations + 1)
@@ -460,8 +454,7 @@ def run(config, seeds=None, *, trace=True):
         for j, d in enumerate(stacked[:len(blocks)]):
             rows[:, lo:hi, 5 + 3 * j] = optim_mod.norm([d])
         if stacked[len(blocks):]:  # AR's layers
-            driver.metrics(stacked[len(blocks):], rows[:, lo:hi, metric_col:],
-                           hi == config.iterations)
+            driver.metrics(stacked[len(blocks):], rows[:, lo:hi, metric_col:])
         chunk.clear()
         flushed = hi
 
@@ -514,11 +507,13 @@ def run(config, seeds=None, *, trace=True):
                     flush()
                 if ended:
                     break
-                if stepwise or last and not trace:
-                    driver.metrics(layers, row[:, metric_col:], last)
+                if stepwise or last:
+                    driver.metrics(layers, row[:, metric_col:])
             done = config.iterations if len(outcomes) < len(stack) else done
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
         finally:
+            if config.problem == "quadratic":  # its gap is the next row's loss
+                rows[:, :-1, metric_col] = rows[:, 1:, 2]
             if writer:  # after an error, fill its chunk's columns but fold nothing
                 pending.clear()
                 flush()
@@ -562,6 +557,8 @@ class _TraceWriter:
     def __init__(self, path, header):
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):  # an older run's summary
+            os.remove(path + ".summary")
         self._fh = open(path, "w", encoding="utf-8", newline="")
         self._fh.write(",".join(header) + "\n")
 

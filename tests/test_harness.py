@@ -216,10 +216,13 @@ class TestRun:
         assert err.value.step_index is not None
 
     def test_aborted_run_leaves_no_summary(self, tmp_path):
+        # nor the summary an earlier run at the same path left
         path = str(tmp_path / "diverge.csv")
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
                                iterations=400, seed=1, mu0=1e150,
                                quad_noise_std=1.0, out=path)
+        run(replace(cfg, mu0=0.01))
+        assert os.path.exists(path + ".summary")
         with pytest.raises(DivergenceError):
             run(cfg)
         assert not os.path.exists(path + ".summary")
@@ -997,20 +1000,33 @@ class TestSeedStack:
         assert sum(stacks, []) == sweep.seeds
 
     @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
-    def test_quadratic_gap_is_the_next_loss(self, optimizer):
+    def test_quadratic_gap_is_the_next_loss(self, optimizer, tmp_path):
         # the gap of row t is the loss that step t + 1 evaluates, bit for bit,
         # also after other seeds of the stack ended (five of these six diverge
-        # under 2sedfosgd); the last one is evaluated at the final layers
+        # under 2sedfosgd) and without the trace-only columns (as rate fits
+        # run); the last one is evaluated at the final layers
         cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=200,
                                quad_diag=(1.0, 4.0, 9.0), quad_noise_std=3.0, mu0=0.3,
                                alpha0=0.5)
-        results = [r for r in run(cfg, seeds=range(6)) if isinstance(r, harness.RunResult)]
-        assert results
-        for r in results:
-            gap, loss = (r.rows[:, r.header.index(name)] for name in ("gap", "loss"))
-            assert gap[:-1].tobytes() == loss[1:].tobytes()
-            last, _ = quadratic_loss_grad(r.final_layers[0], np.array(cfg.quad_diag))
-            assert gap[-1] == last
+        for trace in (True, False):
+            results = [r for r in run(cfg, seeds=range(6), trace=trace)
+                       if isinstance(r, harness.RunResult)]
+            assert results
+            for r in results:
+                gap, loss = (r.rows[:, r.header.index(name)] for name in ("gap", "loss"))
+                assert gap[:-1].tobytes() == loss[1:].tobytes()
+                last, _ = quadratic_loss_grad(r.final_layers[0], np.array(cfg.quad_diag))
+                assert gap[-1] == last
+        # the trace of a run that diverges at step 10 keeps its 9 rows, each
+        # but the last with the next one's loss as its gap (cells are reprs)
+        path = str(tmp_path / "d.csv")
+        with pytest.raises(DivergenceError, match="at step 10$"):
+            run(ExperimentConfig(problem="quadratic", optimizer="fosgd", iterations=400,
+                                 seed=1, quad_diag=(1.0,), mu0=11.0, alpha0=0.25, out=path))
+        with open(path, encoding="utf-8") as fh:
+            kept = list(csv.DictReader(fh))
+        assert len(kept) == 9
+        assert [r["gap"] for r in kept[:-1]] == [r["loss"] for r in kept[1:]]
 
     def test_trace_file_needs_one_seed(self, tmp_path):
         with pytest.raises(ValueError, match="one seed"):
