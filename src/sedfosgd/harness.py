@@ -621,7 +621,7 @@ def rate_fit(running_min_gaps):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid ** 2)) / ss_tot)
     return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=min(1.0, r2), window_start=lo, points=x.size)
+                   r_squared=r2, window_start=lo, points=x.size)
 
 
 def derive_seed(base_seed, index):

@@ -8,8 +8,10 @@ directory) and once with the working tree's `src/`. Each tree runs in its own
 process with `PYTHONPATH=<tree>/src`, each invocation in a fresh directory.
 The gate compares the sha256 of every file an invocation leaves, its stdout,
 its stderr (warnings as `Category: message`, without the file and line they
-come from) and its exit code. It prints each invocation that differs, then one
-`identical N/M` line, and exits 1 when any differs.
+come from) and its exit code. An invocation that runs longer than `LIMIT`
+seconds is stopped and differs, whatever the other tree does. The gate prints
+each invocation that differs, then one `identical N/M` line, and exits 1 when
+any differs.
 
 Both trees run on one host, with the same Python, numpy and BLAS, because
 those can change the last bits of a trace between hosts whatever the code.
@@ -23,6 +25,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -32,6 +35,9 @@ import warnings
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 MATRIX = os.path.join(TESTS, "bytegate_matrix.txt")
+# seconds one invocation may run; the slowest line of the matrix takes a few
+LIMIT = 60
+TIMED_OUT = "timed out"
 
 
 def matrix(tiny=False):
@@ -87,22 +93,39 @@ def compare(old_tree, new_tree, tiny=False):
         old, new = [_finish(proc, d) for proc, d in zip(procs, dirs)]
     differs = []
     for (lineno, argv, config), a, b in zip(matrix(tiny), old, new):
-        parts = [(key, a[key], b[key]) for key in ("code", "stdout", "stderr", "files")
-                 if a[key] != b[key]]
+        parts = _parts(a, b)
         if parts:
             differs.append((lineno, argv, config, parts))
     return differs
 
 
+def _parts(a, b):
+    """The (part, old, new) in which two results of one invocation differ; a
+    timed-out invocation differs in its code, as it wrote nothing to compare."""
+    return [(key, a[key], b[key]) for key in ("code", "stdout", "stderr", "files")
+            if a[key] != b[key] or (key == "code" and a[key] == TIMED_OUT)]
+
+
+class _Overran(BaseException):
+    """Raised in an invocation that runs past `LIMIT`; not an `Exception`, so
+    the package's own handlers do not catch it."""
+
+
+def _overrun(signum, frame):
+    raise _Overran
+
+
 def _invoke(cli, argv):
     """(exit code, stdout, stderr) of one in-process `cli.main` call."""
     out, err = io.StringIO(), io.StringIO()
+    handler = signal.signal(signal.SIGALRM, _overrun)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         # shown as in a fresh process: once per place, here without that place
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, category, *_, **__: sys.stderr.write(
             f"{category.__name__}: {message}\n")
+        signal.setitimer(signal.ITIMER_REAL, LIMIT)
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's --help
@@ -110,6 +133,11 @@ def _invoke(cli, argv):
         except Exception as exc:  # a traceback: the contract allows none
             code = f"raised {type(exc).__name__}"
             err.write(f"{type(exc).__name__}: {exc}\n")
+        except _Overran:
+            code = TIMED_OUT
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
     return code, out.getvalue(), err.getvalue()
 
 

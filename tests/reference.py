@@ -16,11 +16,16 @@ def uniform(rng):
 
 
 def gaussian(rng, mean=0.0, std=1.0):
-    """One N(mean, std^2) draw via Box-Muller (two uniforms consumed)."""
-    u1 = uniform(rng)
-    u2 = uniform(rng)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return mean + std * z
+    """One N(mean, std^2) draw by Leva's ratio of uniforms: (u, u2) pairs
+    until one is accepted, whose v / u is the draw."""
+    while True:
+        u = uniform(rng)
+        v = 1.7156 * (uniform(rng) - 0.5)
+        x = u - 0.449871
+        y = abs(v) + 0.386595
+        q = x * x + y * (0.19600 * y - 0.25472 * x)
+        if q <= 0.27597 or (q <= 0.27846 and v * v <= -4.0 * math.log(u) * u * u):
+            return mean + std * (v / u)
 
 
 def _open_uniform(rng):

@@ -34,10 +34,12 @@ def _verdict_channel(capsys):
 
 
 class _Budget:
-    """Times a criterion and emits its single PASS/FAIL line."""
+    """Times a criterion and emits its single PASS/FAIL line, which ends with
+    the `margin` a criterion sets: its measured values against its bound."""
 
     def __init__(self, number, label, seconds):
         self.number, self.label, self.seconds = number, label, seconds
+        self.margin = ""
 
     def __enter__(self):
         self.start = time.perf_counter()
@@ -47,7 +49,8 @@ class _Budget:
         elapsed = time.perf_counter() - self.start
         verdict = "PASS" if exc_type is None and elapsed < self.seconds else "FAIL"
         line = (f"[criterion {self.number:2d}] {verdict} "
-                f"({elapsed:.2f}s / {self.seconds:.0f}s budget) {self.label}")
+                f"({elapsed:.2f}s / {self.seconds:.0f}s budget) {self.label}"
+                + (f": {self.margin}" if self.margin else ""))
         if _CAPSYS is not None:
             with _CAPSYS.disabled():
                 print(line, flush=True)
@@ -77,7 +80,7 @@ def test_criterion_01_reduction_identities():
 
 
 def test_criterion_02_ar_recovery_gaussian():
-    with _Budget(2, "AR coefficient recovery under Gaussian noise", 30.0):
+    with _Budget(2, "AR coefficient recovery under Gaussian noise", 30.0) as budget:
         truth = np.array(AR_BASE.ar_coeffs)
         seeds = [derive_seed(AR_BASE.seed, i) for i in range(20)]
         # least-squares oracle on the identical regressor streams
@@ -89,12 +92,14 @@ def test_criterion_02_ar_recovery_gaussian():
             ls_errs.append(np.abs(theta_ls - truth))
         med = np.median(np.stack(errs), axis=0)
         med_ls = np.median(np.stack(ls_errs), axis=0)
+        budget.margin = (f"median errors {'/'.join(f'{e:.3f}' for e in med)} "
+                         f"(oracle {'/'.join(f'{e:.3f}' for e in med_ls)}) < 0.05")
         assert np.all(med < 0.05), f"median errors {med}"
         assert np.all(med_ls < 0.05), f"oracle median errors {med_ls}"
 
 
 def test_criterion_03_ar_stable_paired_dominance():
-    with _Budget(3, "adaptive beats fixed exponent under heavy tails", 60.0):
+    with _Budget(3, "adaptive beats fixed exponent under heavy tails", 60.0) as budget:
         # larger base rate + stronger adaptation: the exponent rule earns its
         # keep by damping the heavy-tail noise floor, not the transient
         base = replace(AR_BASE, noise="stable", grad_clip=10.0,
@@ -104,12 +109,15 @@ def test_criterion_03_ar_stable_paired_dominance():
                     for result in run(base, seeds=seeds)]
         fixed = [result.summary["final_err_norm"]
                  for result in run(replace(base, optimizer="fosgd"), seeds=seeds)]
+        wins = sum(a < f for a, f in zip(adaptive, fixed))
+        budget.margin = (f"median final_err_norm {np.median(adaptive):.4f} <= "
+                         f"{np.median(fixed):.4f}; lower in {wins}/{len(seeds)} pairs")
         assert np.median(adaptive) <= np.median(fixed), (
             f"median {np.median(adaptive)} vs {np.median(fixed)}")
 
 
 def test_criterion_04_rate_check_quadratic():
-    with _Budget(4, "log-log rate on the clipped noisy quadratic", 60.0):
+    with _Budget(4, "log-log rate on the clipped noisy quadratic", 60.0) as budget:
         base = ExperimentConfig(problem="quadratic", optimizer="2sedfosgd",
                                 iterations=2000, seed=11, mu0=0.3,
                                 quad_noise_std=5.0, grad_clip=10.0)
@@ -119,6 +127,7 @@ def test_criterion_04_rate_check_quadratic():
             gap_traces.append([row[col] for row in result.rows])
         mean_gap = np.mean(np.array(gap_traces), axis=0)
         fit = rate_fit(running_min(mean_gap))
+        budget.margin = f"slope {fit.slope:.3f} in [-0.75, -0.35]"
         assert -0.75 <= fit.slope <= -0.35, f"slope {fit.slope}"
 
 

@@ -513,6 +513,7 @@ class TestCli:
         ("ar", ["iterations=abc"]),
         ("ar", ["normalize_fisher=maybe"]),
         ("quadratic", ["quad_diag=1,x"]),
+        ("quadratic", ["mu0=0"]),
     ])
     def test_invalid_value_exits_before_trace(self, tmp_path, capsys, problem,
                                               overrides):
@@ -529,6 +530,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert overrides[-1].split("=")[0] in err
         assert not os.path.exists(out)
+
+    def test_sweep_from_a_negative_seed_lists_seeds_in_range(self, tmp_path, capsys):
+        # a negative base seed is taken mod 2^64, as the stream takes it: the
+        # failed seeds listed are those of the base 2^64 - 5
+        cfg = self._write_cfg(
+            tmp_path, "problem = ar\noptimizer = sgd\nnoise = stable\nstable_tail = 0.8\n"
+            "mu0 = 0.05\niterations = 300\n")
+        assert cli.main(["sweep", "--config", cfg, "--seeds", "8", "--seed", "-5"]) == 0
+        failed = [int(line.split()[1].removeprefix("seed="))
+                  for line in capsys.readouterr().out.splitlines() if line.startswith("failed:")]
+        assert len(failed) == 4
+        assert set(failed) <= {derive_seed(2**64 - 5, i) for i in range(8)}
 
     @pytest.mark.parametrize("command", ["sweep", "ratefit"])
     def test_config_error_stops_before_first_seed(self, tmp_path, capsys,
@@ -612,7 +625,7 @@ class TestCli:
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
 
     def test_huge_finite_step_has_a_finite_delta_norm(self, tmp_path, capsys):
-        # the steps grow past 1e154 before the run diverges at step 10
+        # the steps grow past 1e154 before the run diverges at step 11
         cfg = self._write_cfg(
             tmp_path, "problem = quadratic\noptimizer = fosgd\nalpha0 = 0.05\n"
             "mu0 = 0.28\niterations = 16\n")
@@ -620,7 +633,7 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", out]) == 2
         with open(out, encoding="utf-8") as fh:
             deltas = [float(row["delta_norm_l0"]) for row in csv.DictReader(fh)]
-        assert len(deltas) == 9 and max(deltas) > 1e154
+        assert len(deltas) == 10 and max(deltas) > 1e154
         assert all(math.isfinite(d) for d in deltas)
 
     def test_parameter_blowup_reports_its_step(self, tmp_path, capsys):
@@ -656,7 +669,7 @@ class TestCli:
         assert cli.main(["ratefit", "--config", cfg, "--seeds", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and err.count("\n") == 1
-        assert err == "diverged: seed=0 non-finite loss or gradient at step 10\n"
+        assert err == "diverged: seed=0 non-finite loss or gradient at step 11\n"
 
     @pytest.mark.parametrize("seed,index", [(1, 15), (2, 22), (3, 44)])
     def test_stable_draw_beyond_float_range_diverges(self, tmp_path, capsys,
@@ -1002,16 +1015,16 @@ class TestSeedStack:
     @pytest.mark.parametrize("optimizer", ["sgd", "2sedfosgd"])
     def test_quadratic_gap_is_the_next_loss(self, optimizer, tmp_path):
         # the gap of row t is the loss that step t + 1 evaluates, bit for bit,
-        # also after other seeds of the stack ended (five of these six diverge
+        # also after other seeds of the stack ended (four of these six diverge
         # under 2sedfosgd) and without the trace-only columns (as rate fits
         # run); the last one is evaluated at the final layers
         cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=200,
-                               quad_diag=(1.0, 4.0, 9.0), quad_noise_std=3.0, mu0=0.3,
+                               quad_diag=(1.0, 4.0, 9.0), quad_noise_std=3.0, mu0=0.2,
                                alpha0=0.5)
         for trace in (True, False):
             results = [r for r in run(cfg, seeds=range(6), trace=trace)
                        if isinstance(r, harness.RunResult)]
-            assert results
+            assert len(results) == (2 if optimizer == "2sedfosgd" else 6)
             for r in results:
                 gap, loss = (r.rows[:, r.header.index(name)] for name in ("gap", "loss"))
                 assert gap[:-1].tobytes() == loss[1:].tobytes()

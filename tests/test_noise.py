@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,9 @@ from reference import alpha_stable, gaussian, uniform
 # seeds at 0, at the top of the range and past 2^63, where the state and the
 # counter arithmetic wrap
 WRAP_SEEDS = [0, 2**64 - 1, 2**63 + 5]
+# a seed whose first Gaussian block of 1000 draws falls short of 1000
+# accepted candidates, so the sampler draws a second block
+SHORT_SEED = 13
 
 
 class TestRngStream:
@@ -59,27 +63,52 @@ class TestBlockStream:
         assert block._state == scalar._state
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300),
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000),
            mean=st.floats(-1e6, 1e6), std=st.floats(0.0, 1e6))
     # std 0 takes the general path: each draw is mean + 0 * z
     @example(seed=3, n=300, mean=0.0, std=0.0)
     @example(seed=2**64 - 1, n=300, mean=1.5, std=0.0)
     @example(seed=2**63 + 5, n=300, mean=-2.0, std=0.0)
     @example(seed=0, n=300, mean=-0.0, std=0.0)
+    @example(seed=7, n=0, mean=1.0, std=2.0)
+    @example(seed=2**64 - 1, n=5000, mean=0.0, std=1.0)
+    @example(seed=SHORT_SEED, n=1000, mean=0.5, std=3.0)
     def test_gaussians_equal_scalar_calls(self, seed, n, mean, std):
         block, scalar = RngStream(seed), RngStream(seed)
         got = gaussians(block, n, mean, std)
         want = np.array([gaussian(scalar, mean, std) for _ in range(n)],
                         dtype=np.float64)
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
         assert block._state == scalar._state
 
-    def test_zero_std_is_exact_after_2n_draws(self):
+    def test_zero_std_is_exact_and_ends_after_its_last_pair(self):
+        # the 7 draws of seed 3 take 10 candidate pairs; the stream is set
+        # back to just after the 10th, not left at the end of the block
         rng, ref = RngStream(3), RngStream(3)
         got = gaussians(rng, 7, 3.25, 0.0)
         assert got.tolist() == [3.25] * 7
-        ref.uniforms(14)
+        ref.uniforms(20)
         assert rng.next_u64() == ref.next_u64()
+
+    def test_a_short_first_block_draws_another(self):
+        # the first block for 1000 draws holds int(1.38 * 1000) + 16 = 1396
+        # candidate pairs; at SHORT_SEED the 1000th accepted pair is pair 1406
+        # (`test_gaussians_equal_scalar_calls` checks the draws at this seed)
+        block, after = RngStream(SHORT_SEED), RngStream(SHORT_SEED)
+        gaussians(block, 1000)
+        after.uniforms(2 * 1406)
+        assert block._state == after._state
+
+    def test_pinned_block(self):
+        # the bits of a long block and the stream after it; numpy's float
+        # arithmetic and the stream's integer arithmetic decide all but the
+        # 0.85 % of candidates near the boundary, which take `math.log`
+        rng = RngStream(1)
+        z = gaussians(rng, 100_000)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == (
+            "6b618df911a1cb30d46826f33acfa053039a737c2e210ec5e9d0321aa291259e")
+        assert rng._state == 5229663311418843853
 
     def test_draw_beyond_float_range_is_infinite(self):
         # at std = 1e308 a standard draw z overflows once |z| > 1.79, and
