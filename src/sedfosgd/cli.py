@@ -6,8 +6,9 @@
 
 Exit codes: 0 success; 1 malformed command line, validation error, file
 error (OSError), failed eigensolve (NumericalError) or a run too large to
-allocate (MemoryError); 2 divergence of the optimizer or of the simulated
-data (GenerationError).
+allocate (MemoryError), which leaves no trace file; 2 divergence of the
+optimizer (the trace keeps the rows before the diverging step) or of the
+simulated data (GenerationError).
 """
 
 import argparse

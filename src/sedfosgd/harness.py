@@ -17,7 +17,6 @@ from . import fisher as fisher_mod
 from . import optim as optim_mod
 from . import problems as problems_mod
 from . import sed as sed_mod
-from .mathkit import NumericalError
 from .noise import RngStream, _mix, alpha_stables, gaussians
 from .optim import DivergenceError
 from .problems import GenerationError
@@ -356,8 +355,9 @@ class RunResult:
 
 def run(config, seeds=None, *, trace=True):
     """Execute one experiment; writes the CSV trace if `out` is set, its rows
-    when the run ends, however it ends (up to the step that diverged); the
-    summary only lands next to it (as `<out>.summary`) after a success.
+    when the run returns or diverges (then up to the step that diverged); any
+    other error removes the file. The summary only lands next to it (as
+    `<out>.summary`) after a success.
 
     With `seeds` (and no `out`), runs the config once per seed in lock-step
     and returns, per seed, its RunResult or the DivergenceError or
@@ -419,35 +419,17 @@ def run(config, seeds=None, *, trace=True):
     rows[:, :, 3:metric_col - 1:3] = alpha
     rows[:, 0, 3:metric_col - 1:3] = 1.0
     fixed = [[[x] * len(stack)] * len(layers) for x in (1.0, alpha)]
-    writer = _TraceWriter(config.out, header) if config.out else None
-    done = 0  # a trace is the first `done` rows of its one seed, the whole ones
-
-    def diagnose(t):  # the pending steps' (up to t) diagnostics, into their rows
-        nonlocal done
-        lo = t - len(pending)  # the first step's row; the row before holds d_max
-        # the blocks before the chunk: no fold writes the arrays a block holds
-        state = [replace(b) for b in blocks] if len(pending) > 1 else None
-        try:
-            dzeta, peak = optim_mod.fisher_diagnostics(
-                pending, blocks, rows[:, lo - 1, metric_col - 1], config)
-        except NumericalError:
-            if state is None:
-                raise
-            blocks[:] = state  # refold a step at a time: the error keeps the rows before its step
-            for s, step_grads in enumerate(pending[:], lo + 1):
-                pending[:], done = [step_grads], s - 1
-                diagnose(s)
-            return
-        rows[:, lo:t, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
-        rows[:, lo:t, metric_col - 1] = peak.T
-        pending.clear()
-        done = t - 1  # the next loss is in
 
     def flush():  # fold the chunk's gradients, then fill its trace-only columns
         nonlocal flushed
         lo, hi = flushed, flushed + len(chunk)
-        if pending:
-            diagnose(hi)
+        if pending:  # the rows of steps first + 1 .. hi; the row before holds d_max
+            first = hi - len(pending)
+            dzeta, peak = optim_mod.fisher_diagnostics(
+                pending, blocks, rows[:, first - 1, metric_col - 1], config)
+            rows[:, first:hi, 4:metric_col - 1:3] = dzeta.swapaxes(0, 1)
+            rows[:, first:hi, metric_col - 1] = peak.T
+            pending.clear()
         # (seeds, steps, d) views of contiguous rows, each with the bits of np.dot
         stacked = [v[0][:, None] if len(v) == 1 else np.array(v).swapaxes(0, 1)
                    for v in zip(*chunk)]
@@ -458,17 +440,16 @@ def run(config, seeds=None, *, trace=True):
         chunk.clear()
         flushed = hi
 
-    # an overflow or invalid operation leaves inf or nan instead of a
-    # warning; the checks below report it as a divergence at its step
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
+    # a trace file is left only by a run that returns or diverges
+    writer = _TraceWriter(config.out, header) if config.out else None
+    try:
+        # an overflow or invalid operation leaves inf or nan instead of a
+        # warning; the checks below report it as a divergence at its step
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in range(1, config.iterations + 1 if len(outcomes) < len(stack) else 1):
                 last = t == config.iterations
                 row = rows[:, t - 1]
                 row[:, 2], raw = driver.loss_grad(layers, t)
-                # a row is whole once its gradients are folded and the next loss is in
-                if not pending:
-                    done = t - 1
                 grads = optim_mod.clip_gradients(raw, config.grad_clip)
                 # catch blow-ups before the Fisher outer product can overflow:
                 # |g|^2 is finite exactly when every entry is and the squares
@@ -509,15 +490,15 @@ def run(config, seeds=None, *, trace=True):
                     break
                 if stepwise or last:
                     driver.metrics(layers, row[:, metric_col:])
-            done = config.iterations if len(outcomes) < len(stack) else done
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
-        finally:
-            if config.problem == "quadratic":  # its gap is the next row's loss
-                rows[:, :-1, metric_col] = rows[:, 1:, 2]
-            if writer:  # after an error, fill its chunk's columns but fold nothing
-                pending.clear()
-                flush()
-                writer.close(rows[0], done)
+        if config.problem == "quadratic":  # its gap is the next row's loss
+            rows[:, :-1, metric_col] = rows[:, 1:, 2]
+        if writer:  # a run that diverged at step s keeps rows 1 .. s - 1
+            writer.close(rows[0], outcomes[0].step_index - 1 if outcomes else config.iterations)
+    except BaseException:  # a failed solve or allocation, an interrupt: no trace
+        if writer:
+            writer.discard()
+        raise
 
     for k in set(range(len(stack))) - set(outcomes):
         if not np.isfinite(rows[k, -1, metric_col:]).all():
@@ -552,7 +533,8 @@ def summary_text(summary):
 
 
 class _TraceWriter:
-    """CSV trace file: the header when the run starts, its rows at the end."""
+    """CSV trace file: the header when the run starts, its rows at the end;
+    `discard` removes it instead."""
 
     def __init__(self, path, header):
         parent = os.path.dirname(os.path.abspath(path))
@@ -572,6 +554,11 @@ class _TraceWriter:
         with self._fh:
             for row in rows[:n]:  # one row's floats at a time, not the whole trace's
                 self.write_row(row.tolist())
+
+    def discard(self):
+        """Closes the file and removes it."""
+        self._fh.close()
+        os.remove(self._fh.name)
 
 
 def _row_line(row):

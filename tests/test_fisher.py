@@ -194,6 +194,13 @@ class TestNormalize:
             assert normalized_logdet("full", scale * np.eye(4)) == 0.0
             assert normalized_logdet("diagonal", scale * np.ones(4)) == 0.0
 
+    def test_trace_at_the_floor_maps_to_zero(self):
+        # the floor is not above itself: a block whose trace is exactly 1e-12
+        # is not rescaled to trace dim
+        half = fisher._TRACE_FLOOR / 2
+        assert normalized_logdet("full", half * np.eye(2)) == 0.0
+        assert normalized_logdet("diagonal", [half, half]) == 0.0
+
     def test_rescales_trace(self):
         assert normalized_logdet("full", np.diag([1.0, 3.0])) == logdet_plus(
             np.diag([0.5, 1.5]), SCALE)

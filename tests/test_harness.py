@@ -228,16 +228,20 @@ class TestRun:
         assert not os.path.exists(path + ".summary")
 
     def test_trace_closed_on_any_error(self, tmp_path, monkeypatch):
-        # the first step needs no spectral solve, so its row is written
-        # before the failing eigensolve; the file must be flushed and closed
-        _break_eigensolvers(monkeypatch)
+        # a failed eigensolve leaves no trace file, in sgd's and fosgd's
+        # chunked fold and in 2sedfosgd's per-step one, and the trace and
+        # summary an earlier run at the same path left are gone too
         path = str(tmp_path / "t.csv")
-        # holding the traceback keeps the run's frame, and so its writer, alive
-        with pytest.raises(NumericalError) as info:
-            run(replace(AR_CFG, out=path))
-        with open(path, "rb") as fh:
-            assert fh.read().count(b"\n") == 2
-        assert not os.path.exists(path + ".summary")
+        for optimizer in ("sgd", "fosgd", "2sedfosgd"):
+            cfg = replace(AR_CFG, optimizer=optimizer, out=path)
+            run(cfg)
+            assert os.path.exists(path) and os.path.exists(path + ".summary")
+            with monkeypatch.context() as mp:
+                _break_eigensolvers(mp)
+                with pytest.raises(NumericalError):
+                    run(cfg)
+            assert not os.path.exists(path), optimizer
+            assert not os.path.exists(path + ".summary"), optimizer
 
     def test_mlp_run(self, synthetic_idx):
         ip, lp = synthetic_idx
@@ -745,12 +749,38 @@ class TestCli:
         assert float(row["err_norm"]) == pytest.approx(math.hypot(*errs), rel=1e-15)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        _break_eigensolvers(monkeypatch)
+        # exit 1 leaves no trace, nor the files an earlier run at `--out` left
+        cfg = self._write_cfg(tmp_path, "problem = ar\niterations = 5\n")
+        out = str(tmp_path / "trace.csv")
+        for optimizer in ("sgd", "fosgd", "2sedfosgd"):
+            argv = ["run", "--config", cfg, "--out", out, "--override", f"optimizer={optimizer}"]
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            with monkeypatch.context() as mp:
+                _break_eigensolvers(mp)
+                assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not os.path.exists(out) and not os.path.exists(out + ".summary")
+
+    def test_allocation_failure_leaves_no_trace(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError at step 3, after two whole rows, ends in exit 1 with no trace
         cfg = self._write_cfg(tmp_path,
                               "problem = ar\noptimizer = 2sedfosgd\niterations = 5\n")
-        assert cli.main(["run", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        loss_grad = _ArDriver.loss_grad
+
+        def failing(driver, layers, t):
+            if t == 3:
+                raise MemoryError
+            return loss_grad(driver, layers, t)
+
+        monkeypatch.setattr(_ArDriver, "loss_grad", failing)
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not os.path.exists(out) and not os.path.exists(out + ".summary")
 
 
 def _outcome(config):
@@ -1100,12 +1130,34 @@ class TestSeedStack:
     @given(data=st.data())
     def test_chunk_widths_keep_the_bits_of_width_one(self, synthetic_idx, data):
         # seeds end, and a trace run's eigensolver fails, mid-chunk as at
-        # width 1: a failed chunk is refolded a step at a time, so the trace
-        # keeps every row before the step whose solve fails
+        # width 1: the failure's type, message and index are the same at
+        # every width, and it leaves no trace file at any
         cfg, seeds = data.draw(stacked_configs(synthetic_idx))
         broken = data.draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
         width = data.draw(st.integers(1, 5))
         assert _chunked(cfg, seeds, width, broken) == _chunked(cfg, seeds, 1, broken)
+
+    def test_chunk_widths_the_readme_states(self, synthetic_idx, monkeypatch):
+        # up to 256 steps, as many as keep a chunk's operands within 256 KiB
+        ip, lp = synthetic_idx
+        ema_update, folded = fisher.ema_update, []
+
+        def spy(block, grads, *args):
+            folded.append(len(grads))
+            return ema_update(block, grads, *args)
+
+        monkeypatch.setattr(fisher, "ema_update", spy)
+        ar = ExperimentConfig(problem="ar", optimizer="sgd", iterations=600, noise="stable",
+                              stable_tail=1.8, stable_scale=0.5, grad_clip=10.0, mu0=0.5,
+                              beta=0.05)
+        quad = ExperimentConfig(problem="quadratic", optimizer="sgd", iterations=20,
+                                quad_diag=tuple(1.0 + k for k in range(32)))
+        mlp = ExperimentConfig(problem="mlp", optimizer="sgd", iterations=4,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=200)
+        for cfg, seeds, width in ((ar, [0], 256), (quad, list(range(6)), 5), (mlp, [0], 1)):
+            folded.clear()
+            run(cfg, seeds=seeds)
+            assert max(folded) == width, cfg.problem
 
     @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
     def test_seeds_leave_mid_chunk(self, synthetic_idx, optimizer):

@@ -1,6 +1,7 @@
-"""Nothing writes an array it was given: the run loop's refold restores
-Fisher blocks from shallow copies, and a step's inputs are kept for the trace
-flush, so a fold, a log-det and a step may write only arrays they made."""
+"""Nothing writes an array it was given: a step's gradients feed both its
+fold and its step, its inputs are kept for the trace flush, and a block's
+matrix is a view of the stack its log-det read, so a fold, a log-det and a
+step may write only arrays they made."""
 
 import numpy as np
 from hypothesis import given, settings
