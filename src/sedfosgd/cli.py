@@ -8,7 +8,7 @@ Exit codes: 0 success; 1 malformed command line, validation error, file
 error (OSError), failed eigensolve (NumericalError) or a run too large to
 allocate (MemoryError), which leaves no trace file; 2 divergence of the
 optimizer (the trace keeps the rows before the diverging step) or of the
-simulated data (GenerationError).
+simulated data (GenerationError; the trace keeps its header alone).
 """
 
 import argparse

@@ -181,7 +181,7 @@ def parse_config_text(text):
     """Parse `key = value` lines into a typed key/value dict."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = line.partition("#")[0].strip()
         if stripped:
             key, value = _typed_pair(stripped, f"line {lineno}")
             out[key] = value
@@ -254,28 +254,29 @@ class _ArDriver:
 
 class _QuadraticDriver:
     """Convex quadratic with additive Gaussian gradient noise. Each seed draws
-    its noise a block of rows (about 2048 numbers) at a time from its own
-    stream, which feeds nothing else, so a step's noise row is the same as
-    if it were drawn one number at a time."""
+    its noise into its part of one buffer, a block of rows (about 4096
+    numbers, no more rows than the run has left) at step 1 and after each
+    full block, from its own stream; that feeds nothing else, so a step's
+    noise row is the same as if it were drawn one number at a time."""
 
     def __init__(self, config, rngs):
         self.diag = diag = np.asarray(config.quad_diag, dtype=float)
-        self.noise_std = config.quad_noise_std
-        self.failed, self.rngs, self._next_row = {}, rngs, 0
+        self.noise_std, self.iterations = config.quad_noise_std, config.iterations
+        self.failed, self.rngs = {}, rngs
         self.metric_names = ("gap",)
-        self._noise_rows = np.empty((len(self.rngs), 0, diag.size))
+        self._noise = np.empty((len(rngs), min(max(1, 4096 // diag.size), self.iterations),
+                                diag.size))
         self.init_layers = [np.ones((len(self.rngs), diag.size))]
 
     def loss_grad(self, layers, t):
         f, g = problems_mod.quadratic_loss_grad(layers[0], self.diag)
-        if self._next_row == self._noise_rows.shape[1]:  # the seeds run out together
-            rows, d = max(1, 2048 // g.shape[1]), g.shape[1]
-            self._noise_rows = np.array([gaussians(rng, rows * d, 0.0, self.noise_std)
-                                         .reshape(rows, d) for rng in self.rngs])
-            self._next_row = 0
-        noisy = g + self._noise_rows[:, self._next_row]
-        self._next_row += 1
-        return f, [noisy]
+        i = (t - 1) % self._noise.shape[1]
+        if i == 0:  # the seeds run out together
+            rows = min(self._noise.shape[1], self.iterations - t + 1)
+            for k, rng in enumerate(self.rngs):
+                self._noise[k, :rows] = gaussians(rng, rows * self.diag.size, 0.0,
+                                                  self.noise_std).reshape(rows, -1)
+        return f, [g + self._noise[:, i]]
 
     def metrics(self, layers, out):
         # quad_diag >= 0, so the minimum is 0 at the origin and the gap is f itself;
@@ -355,9 +356,9 @@ class RunResult:
 
 def run(config, seeds=None, *, trace=True):
     """Execute one experiment; writes the CSV trace if `out` is set, its rows
-    when the run returns or diverges (then up to the step that diverged); any
-    other error removes the file. The summary only lands next to it (as
-    `<out>.summary`) after a success.
+    when the run returns or diverges (then up to the step that diverged, and
+    none when its AR data blows up at set-up); any other error removes it.
+    The summary only lands next to it (as `<out>.summary`) after a success.
 
     With `seeds` (and no `out`), runs the config once per seed in lock-step
     and returns, per seed, its RunResult or the DivergenceError or
@@ -383,8 +384,6 @@ def run(config, seeds=None, *, trace=True):
     with _iteration_sized(config):  # the rows are the run's record
         rows = np.zeros((len(stack), config.iterations, len(header)))
     outcomes = dict(driver.failed)  # seed position -> the error that ended it
-    if seeds is None and outcomes:
-        raise outcomes[0]
 
     # the run state, one row per seed, an ended one's too (it folds zero
     # gradients): each layer, its last step and its EMA Fisher block
@@ -393,8 +392,9 @@ def run(config, seeds=None, *, trace=True):
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
     adaptive, ar = config.optimizer == "2sedfosgd", config.problem == "ar"
-    clip_bounds_squares = (config.grad_clip is not None
-                           and math.isfinite(config.grad_clip * config.grad_clip))
+    bound = config.grad_clip
+    bound_squares = bound is not None and math.isfinite(bound * bound)
+    bound_margin = bound is not None and math.isfinite(2 * bound * bound)
     # what only the trace reads waits for the flush of a chunk of steps, from
     # row `flushed` on: `chunk` keeps each step's steps (and, for AR, layers),
     # `pending` sgd's and fosgd's gradients until folded (2sedfosgd folds at once)
@@ -450,14 +450,17 @@ def run(config, seeds=None, *, trace=True):
                 last = t == config.iterations
                 row = rows[:, t - 1]
                 row[:, 2], raw = driver.loss_grad(layers, t)
-                grads = optim_mod.clip_gradients(raw, config.grad_clip)
+                grads, norms = optim_mod.clip_gradients(raw, bound)
                 # catch blow-ups before the Fisher outer product can overflow:
                 # |g|^2 is finite exactly when every entry is and the squares
                 # do not overflow, as they cannot within an unused clip bound
-                # whose square is finite; a blown seed folds a zero gradient
+                # whose square is finite, nor after a clip from a finite norm
+                # to a b whose 2 b^2 is (a margin for the rounding; an infinite
+                # norm zeroes finite entries); a blown seed folds a zero gradient
                 checked = row[:, 2].tolist()  # as Python floats: the losses, then the |g|^2
-                for g in grads if grads is not raw or not clip_bounds_squares else ():
-                    checked += np.vecdot(g, g).tolist()
+                if not (bound_margin and all(map(math.isfinite, norms))):
+                    for g in grads if grads is not raw or not bound_squares else ():
+                        checked += np.vecdot(g, g).tolist()
                 blown_rows = []
                 if not all(map(math.isfinite, checked)):
                     blown = ~np.isfinite(np.reshape(checked, (-1, len(stack)))).all(axis=0)
@@ -493,8 +496,10 @@ def run(config, seeds=None, *, trace=True):
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
         if config.problem == "quadratic":  # its gap is the next row's loss
             rows[:, :-1, metric_col] = rows[:, 1:, 2]
-        if writer:  # a run that diverged at step s keeps rows 1 .. s - 1
-            writer.close(rows[0], outcomes[0].step_index - 1 if outcomes else config.iterations)
+        if writer:  # a run that diverged at step s keeps rows 1 .. s - 1; one whose
+            # data blew up at set-up (a GenerationError, no step) keeps none
+            writer.close(rows[0], config.iterations if not outcomes
+                         else getattr(outcomes[0], "step_index", 1) - 1)
     except BaseException:  # a failed solve or allocation, an interrupt: no trace
         if writer:
             writer.discard()

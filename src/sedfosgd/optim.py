@@ -59,14 +59,17 @@ def step_size(t, mu0):
 
 
 def clip_gradients(grads, bound):
-    """Scale each seed's whole gradient so its global norm is at most `bound`."""
+    """Scale each seed's whole gradient so its global norm is at most `bound`;
+    returns the gradients (`grads` itself if none is scaled) and the norms,
+    one Python float per seed (None with no bound)."""
     if bound is None:
-        return grads
+        return grads, None
     total = norm(grads)
-    if all(x <= bound for x in total.reshape(-1).tolist()):  # a nan norm clips, as with max()
-        return grads
+    norms = total.reshape(-1).tolist()
+    if all(x <= bound for x in norms):  # a nan norm clips, as with max()
+        return grads, norms
     factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
-    return [factor[..., None] * g for g in grads]
+    return [factor[..., None] * g for g in grads], norms
 
 
 def step(layers, steps, grads, mu, alphas, cfg):
@@ -76,24 +79,28 @@ def step(layers, steps, grads, mu, alphas, cfg):
     its last step Delta theta = theta_t - theta_{t-1}, and `alphas` holds per
     layer a list of per-seed exponents, all 1 at a run's classical first step.
     `math.gamma`, and a power whose exponent differs between seeds, are taken
-    seed by seed, so each seed gets the bits of a run of its own. Returns the
-    new layers and steps as new arrays, writing none it was given; `diverged`
-    finds the seeds whose parameters are non-finite.
+    seed by seed, so each seed gets the bits of a run of its own; a layer
+    whose exponents are all 1 takes no power, as its factor is exactly 1.
+    Returns the new layers and steps as new arrays, writing none it was
+    given; `diverged` finds the seeds whose parameters are non-finite.
     """
     new_layers, new_steps = [], []
     for th, d, g, a in zip(layers, steps, grads, alphas):
         shared = len(set(a)) == 1  # one exponent for every seed
         coef = (mu / math.gamma(2.0 - a[0]) if shared
                 else np.array([[mu / math.gamma(2.0 - x)] for x in a]))
-        if cfg.scaling_mode == "layer-norm":
+        if shared and a[0] == 1.0:  # the factor is x ** 0.0, exactly 1, and 1 * g is g
+            buf = g * coef
+        elif cfg.scaling_mode == "layer-norm":
             buf = np.array([[b ** (1.0 - x)] for b, x in zip(norm([d]) + cfg.delta, a)]) * g
-        else:  # the factor, then its product with g, in one new buffer
+            buf *= coef
+        else:  # the factor, then its products with g and the coefficient, in one new buffer
             buf = np.abs(d)
             buf += cfg.delta
             for row, x in [(buf, a[0])] if shared else zip(buf, a):  # `**=` keeps `**`'s bits
                 row **= 1.0 - x
             buf *= g
-        buf *= coef
+            buf *= coef
         new = th - buf
         new_layers.append(new)
         new_steps.append(np.subtract(new, th, out=buf))
@@ -103,7 +110,8 @@ def step(layers, steps, grads, mu, alphas, cfg):
 def diverged(layers, t):
     """{seed row: DivergenceError} for the seeds of a stack whose parameters
     are non-finite after step `t`, naming each one's first such layer."""
-    if all(np.isfinite(v).all() for v in layers):
+    # a ufunc reduce: `ndarray.all`'s Python wrapper costs more than a small stack's check
+    if all(np.logical_and.reduce(np.isfinite(v), axis=None) for v in layers):
         return {}
     finite = np.array([np.isfinite(v).all(axis=-1) for v in layers])
     return {k: DivergenceError(

@@ -19,8 +19,8 @@ from sedfosgd.harness import (ConfigError, ExperimentConfig, SweepFailure, _ArDr
                               parse_overrides, rate_fit, run, running_min,
                               seed_rate_fit, seed_sweep)
 from sedfosgd.mathkit import NumericalError
-from sedfosgd.noise import RngStream
-from sedfosgd.optim import DivergenceError
+from sedfosgd.noise import RngStream, gaussians
+from sedfosgd.optim import DivergenceError, clip_gradients
 from sedfosgd.problems import GenerationError, ar_generate, quadratic_loss_grad
 
 from reference import gaussian
@@ -283,6 +283,33 @@ class TestStreamConsumers:
             noise = np.array([gaussian(ref, 0.0, 2.5) for _ in range(dim)])
             assert f == f_ref
             assert g.tobytes() == (g_ref + noise).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 64), blocks=st.integers(0, 2), offset=st.integers(-1, 1),
+           data=st.data())
+    def test_quadratic_noise_rows_equal_rows_drawn_one_at_a_time(self, dim, blocks, offset,
+                                                                  data):
+        # a run of about `blocks` blocks of 4096 draws a seed, ending just
+        # before, at or just after a block's end, with 1 to 8 seeds (fewer on
+        # the longest runs, for time): each seed's stream ends where its last
+        # row does, as no more rows are drawn than the run has left
+        steps = max(1, blocks * (4096 // dim) + offset)
+        seeds = data.draw(st.integers(1, min(8, max(1, 2000 // steps))), label="seeds")
+        std = data.draw(st.sampled_from([0.0, 1.0, 2.5, 1e300]), label="std")
+        diag = tuple(float(k % 5) for k in range(dim))
+        cfg = ExperimentConfig(problem="quadratic", optimizer="sgd", iterations=steps,
+                               quad_diag=diag, quad_noise_std=std)
+        rngs = [RngStream(derive_seed(7, k)) for k in range(seeds)]
+        refs = [RngStream(derive_seed(7, k)) for k in range(seeds)]
+        driver = _QuadraticDriver(cfg, rngs)
+        theta = np.linspace(-1.0, 1.0, seeds * dim).reshape(seeds, dim)
+        g_ref = quadratic_loss_grad(theta, np.array(diag))[1]
+        with np.errstate(over="ignore"):
+            for t in range(1, steps + 1):
+                (g,) = driver.loss_grad([theta], t)[1]
+                want = g_ref + [gaussians(ref, dim, 0.0, std) for ref in refs]
+                assert g.tobytes() == want.tobytes()
+        assert [rng.next_u64() for rng in rngs] == [ref.next_u64() for ref in refs]
 
     @pytest.mark.parametrize("coeffs,std", [((1.5, -0.7), math.sqrt(0.5)),
                                             ((0.5, -0.2, 0.1), 3.0), ((0.9,), 0.0)])
@@ -694,7 +721,30 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and err.count("\n") == 1
-        assert not os.path.exists(out)
+        # a divergence keeps the rows before it: here the header alone
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == ("t,mu,loss,alpha_l0,dzeta_l0,delta_norm_l0,d_max,"
+                                 "err_a1,err_norm\n")
+        assert not os.path.exists(out + ".summary")
+
+    @pytest.mark.parametrize("override", ["stable_tail=0.001", "noise_std=1e308"])
+    def test_setup_divergence_replaces_an_earlier_trace(self, tmp_path, capsys, override):
+        # data that blows up at set-up is a divergence before step 1: the
+        # trace keeps its header alone, and an earlier run's summary is gone
+        cfg = self._write_cfg(tmp_path, "problem = ar\noptimizer = sgd\niterations = 50\n"
+                                        "noise = stable\n")
+        out = str(tmp_path / "t.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+        assert os.path.exists(out + ".summary")
+        capsys.readouterr()
+        noise = "gaussian" if override.startswith("noise_std") else "stable"
+        assert cli.main(["run", "--config", cfg, "--out", out, "--override", override,
+                         "--override", f"noise={noise}"]) == 2
+        assert capsys.readouterr().err.startswith("diverged: non-finite output at index ")
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == ("t,mu,loss,alpha_l0,dzeta_l0,delta_norm_l0,d_max,"
+                                 "err_a1,err_a2,err_norm\n")
+        assert not os.path.exists(out + ".summary")
 
     @pytest.mark.parametrize("args", [
         [], ["run"], ["run", "--config"], ["run", "--config", "CFG", "--seed", "abc"],
@@ -1020,6 +1070,49 @@ class TestSeedStack:
         for stacked, untraced in zip(outcomes, run(cfg, seeds=range(8), trace=False)):
             assert (repr(stacked) if isinstance(stacked, Exception) else stacked.summary) == (
                 repr(untraced) if isinstance(untraced, Exception) else untraced.summary)
+
+    @settings(max_examples=40, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "fosgd", "2sedfosgd"]),
+           bound=st.sampled_from([None, 1.0, 9e153, 1e154, 1e300]),
+           spikes=st.dictionaries(st.integers(0, 7), st.tuples(
+               st.sampled_from(["loss", "nan", "inf", "huge", "past"]), st.integers(1, 10))))
+    def test_blown_check_read_off_the_clip_norms(self, optimizer, bound, spikes):
+        # the loop reads a clipped seed's blow-up off its clip norm when twice
+        # the bound's square is finite (1 and 9e153), and takes the squares of
+        # its gradient otherwise (no bound, 1e154, 1e300) or when that norm is
+        # not finite. Each seed ends as it does when the driver clips and the
+        # loop, with no bound, takes the squares of every gradient: spikes of
+        # a nan or an infinite entry, of finite entries whose squares overflow
+        # ("huge") or whose norm does too ("past", which a finite bound clips
+        # to zero), and of an infinite loss
+        class Spiked(_QuadraticDriver):
+            def loss_grad(self, layers, t):
+                f, (g,) = super().loss_grad(layers, t)
+                for k, (kind, step) in spikes.items():
+                    if step == t and kind == "loss":
+                        f[k] = np.inf
+                    elif step == t:
+                        g[k] = {"nan": 1.0, "inf": 1.0, "huge": 1e200, "past": 1.5e308}[kind]
+                        g[k, 0] = {"nan": np.nan, "inf": -np.inf}.get(kind, g[k, 0])
+                return f, [g]
+
+        class Clipped(Spiked):
+            def loss_grad(self, layers, t):
+                f, grads = super().loss_grad(layers, t)
+                return f, clip_gradients(grads, bound)[0]
+
+        cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=10,
+                               quad_diag=(1.0, 4.0, 9.0), mu0=0.05, grad_clip=bound)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_DRIVERS", {**harness._DRIVERS, "quadratic": Spiked})
+            got = run(cfg, seeds=range(8))
+            mp.setattr(harness, "_DRIVERS", {**harness._DRIVERS, "quadratic": Clipped})
+            want = run(replace(cfg, grad_clip=None), seeds=range(8))
+        for g, w in zip(got, want):
+            if isinstance(w, Exception):
+                assert (type(g), str(g), g.step_index) == (type(w), str(w), w.step_index)
+            else:
+                assert csv_bytes(g) == csv_bytes(w) and g.summary == w.summary
 
     @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
     def test_empty_stack(self, synthetic_idx, optimizer):

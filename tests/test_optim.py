@@ -308,14 +308,14 @@ class TestBoundedIterates:
         c = cfg(mu0=0.1, alpha0=0.98, beta=0.01, grad_clip=10.0)
         layers, steps = start(np.zeros(2))
         _, g = ar_loss_grad(layers[0], phi[0], y[0])
-        layers, steps = sgd_step(layers, steps, clip_gradients([g], 10.0), c.mu0)
+        layers, steps = sgd_step(layers, steps, clip_gradients([g], 10.0)[0], c.mu0)
         blocks = fisher_blocks(layers, 0.1)
         d_max = 0.0
         traj = [steps]
         for t in range(1, 200):
             _, g = ar_loss_grad(layers[0], phi[t], y[t])
             layers, steps, d_max, _ = adaptive_step(
-                layers, steps, clip_gradients([g], 10.0), blocks, d_max, c, t + 1)
+                layers, steps, clip_gradients([g], 10.0)[0], blocks, d_max, c, t + 1)
             traj.append(steps)
         bound = delta_radius(c, 10.0) * (1 + 1e-12)
         assert all(d <= bound for s in traj for d in deltas(s))
@@ -324,17 +324,20 @@ class TestBoundedIterates:
 class TestClip:
     def test_noop_below_bound(self):
         g = [np.array([0.3, 0.4])]
-        assert clip_gradients(g, 1.0) is g
+        out, norms = clip_gradients(g, 1.0)
+        assert out is g and norms == [float(np.linalg.norm(g[0]))]
+        assert clip_gradients(g, None) == (g, None)
 
     def test_scales_to_bound(self):
-        out = clip_gradients([np.array([3.0, 4.0])], 1.0)
+        out, norms = clip_gradients([np.array([3.0, 4.0])], 1.0)
         assert np.linalg.norm(out[0]) == pytest.approx(1.0, rel=1e-12)
+        assert norms == [5.0]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
     def test_global_norm_of_overflowing_squares(self):
         # |g|^2 overflows to inf although g is finite; bound / inf would zero it
         g = [np.array([1e200, 1.0]), np.array([-1e200])]
-        out = clip_gradients(g, 10.0)
+        out, _ = clip_gradients(g, 10.0)
         assert out[0][0] == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
         assert out[1][0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
 
@@ -400,22 +403,25 @@ def wild(rng, shape, share):
 @st.composite
 def step_inputs(draw):
     """A stack of 1 to 4 seeds of 1 to 3 layers (1 to 20 parameters each),
-    with huge or non-finite steps and gradients in some draws, exponents in
-    (0, 1] shared by the seeds, per seed, all 1 or mixed with 1 (per layer a
-    list of per-seed floats, as a run passes them), a scaling mode and a delta."""
+    with huge, non-finite or signed-zero layers, steps and gradients in some
+    draws, exponents in (0, 1] shared by the seeds, per seed, all 1, all 1 on
+    some layers (which take no power), or mixed with 1 (per layer a list of
+    per-seed floats, as a run passes them), a scaling mode and a delta."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seeds = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
     share = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
-    layers = [wild(rng, (seeds, d), 0.0) for d in dims]
+    layers = [wild(rng, (seeds, d), share) for d in dims]
     steps = [wild(rng, (seeds, d), share) for d in dims]
     grads = [wild(rng, (seeds, d), share) for d in dims]
     unit = st.floats(0.0, 1.0, exclude_min=True)
-    kind = draw(st.sampled_from(["shared", "per seed", "one", "mixed"]))
+    kind = draw(st.sampled_from(["shared", "per seed", "one", "one per layer", "mixed"]))
     if kind == "shared":
         alphas = np.tile([draw(unit) for _ in dims], (seeds, 1))
     elif kind == "one":
         alphas = np.ones((seeds, len(dims)))
+    elif kind == "one per layer":
+        alphas = np.tile([draw(st.sampled_from([1.0, draw(unit)])) for _ in dims], (seeds, 1))
     else:
         alphas = np.array([[draw(unit) for _ in dims] for _ in range(seeds)])
         if kind == "mixed":
