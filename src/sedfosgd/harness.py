@@ -392,13 +392,10 @@ def run(config, seeds=None, *, trace=True):
     blocks = [fisher_mod.FisherBlock.zeros(j, v.shape[1], config.fisher_decay,
                                            stack=v.shape[:1]) for j, v in enumerate(layers)]
     adaptive, ar = config.optimizer == "2sedfosgd", config.problem == "ar"
-    bound = config.grad_clip
-    bound_squares = bound is not None and math.isfinite(bound * bound)
-    bound_margin = bound is not None and math.isfinite(2 * bound * bound)
-    # what only the trace reads waits for the flush of a chunk of steps, from
-    # row `flushed` on: `chunk` keeps each step's steps (and, for AR, layers),
-    # `pending` sgd's and fosgd's gradients until folded (2sedfosgd folds at once)
-    chunk, pending, flushed = [], [], 0
+    # what only the trace reads waits for the flush of a chunk of steps:
+    # `chunk` keeps each step's steps (and, for AR, layers), `pending` sgd's
+    # and fosgd's gradients until folded (2sedfosgd folds at once)
+    chunk, pending = [], []
     entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
         0 if adaptive else sum(b.step_entries for b in blocks))
     width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(len(stack), 1) * entries)))
@@ -420,9 +417,8 @@ def run(config, seeds=None, *, trace=True):
     rows[:, 0, 3:metric_col - 1:3] = 1.0
     fixed = [[[x] * len(stack)] * len(layers) for x in (1.0, alpha)]
 
-    def flush():  # fold the chunk's gradients, then fill its trace-only columns
-        nonlocal flushed
-        lo, hi = flushed, flushed + len(chunk)
+    def flush(t):  # fold the chunk's gradients, then fill its trace-only columns
+        lo, hi = t - len(chunk), t  # the rows of steps lo + 1 .. t
         if pending:  # the rows of steps first + 1 .. hi; the row before holds d_max
             first = hi - len(pending)
             dzeta, peak = optim_mod.fisher_diagnostics(
@@ -438,7 +434,6 @@ def run(config, seeds=None, *, trace=True):
         if stacked[len(blocks):]:  # AR's layers
             driver.metrics(stacked[len(blocks):], rows[:, lo:hi, metric_col:])
         chunk.clear()
-        flushed = hi
 
     # a trace file is left only by a run that returns or diverges
     writer = _TraceWriter(config.out, header) if config.out else None
@@ -449,23 +444,9 @@ def run(config, seeds=None, *, trace=True):
             for t in range(1, config.iterations + 1 if len(outcomes) < len(stack) else 1):
                 last = t == config.iterations
                 row = rows[:, t - 1]
-                row[:, 2], raw = driver.loss_grad(layers, t)
-                grads, norms = optim_mod.clip_gradients(raw, bound)
-                # catch blow-ups before the Fisher outer product can overflow:
-                # |g|^2 is finite exactly when every entry is and the squares
-                # do not overflow, as they cannot within an unused clip bound
-                # whose square is finite, nor after a clip from a finite norm
-                # to a b whose 2 b^2 is (a margin for the rounding; an infinite
-                # norm zeroes finite entries); a blown seed folds a zero gradient
-                checked = row[:, 2].tolist()  # as Python floats: the losses, then the |g|^2
-                if not (bound_margin and all(map(math.isfinite, norms))):
-                    for g in grads if grads is not raw or not bound_squares else ():
-                        checked += np.vecdot(g, g).tolist()
-                blown_rows = []
-                if not all(map(math.isfinite, checked)):
-                    blown = ~np.isfinite(np.reshape(checked, (-1, len(stack)))).all(axis=0)
-                    blown_rows = blown.nonzero()[0].tolist()
-                    grads = [np.where(blown[:, None], 0.0, g) for g in grads]
+                row[:, 2], grads = driver.loss_grad(layers, t)
+                grads, blown = optim_mod.clip_gradients(grads, row[:, 2].tolist(),
+                                                        config.grad_clip, t)
                 # every optimizer logs the same Fisher/dimension diagnostics
                 # after the classical first step, which folds nothing
                 exponents = fixed[t > 1]
@@ -480,15 +461,13 @@ def run(config, seeds=None, *, trace=True):
                 if trace:
                     chunk.append(steps + layers if ar else steps)
 
-                # a seed's first failure ends it; the checks flag it again later
-                failed = optim_mod.diverged(layers, t)
-                failed.update((k, DivergenceError(f"non-finite loss or gradient at step {t}",
-                                                  step_index=t)) for k in blown_rows)
-                for k, exc in failed.items():
+                # a seed's first failure ends it (its loss or gradient's before
+                # its parameters'); the checks flag it again later
+                for k, exc in {**optim_mod.diverged(layers, t), **blown}.items():
                     outcomes.setdefault(k, exc)
                 ended = len(outcomes) == len(stack)
                 if ended or last or len(chunk) == width:
-                    flush()
+                    flush(t)
                 if ended:
                     break
                 if stepwise or last:

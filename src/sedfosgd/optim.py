@@ -58,18 +58,30 @@ def step_size(t, mu0):
     return mu0 / np.sqrt(t)
 
 
-def clip_gradients(grads, bound):
-    """Scale each seed's whole gradient so its global norm is at most `bound`;
-    returns the gradients (`grads` itself if none is scaled) and the norms,
-    one Python float per seed (None with no bound)."""
-    if bound is None:
-        return grads, None
-    total = norm(grads)
-    norms = total.reshape(-1).tolist()
-    if all(x <= bound for x in norms):  # a nan norm clips, as with max()
-        return grads, norms
-    factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
-    return [factor[..., None] * g for g in grads], norms
+def clip_gradients(grads, losses, bound, t):
+    """Scale each seed's whole gradient (per layer, (seeds, d)) so its global
+    norm is at most `bound` (None: no bound), then zero the gradient of each
+    seed whose loss (one Python float per seed) or clipped gradient is not
+    finite, or whose |g|^2 overflows; returns the gradients (`grads` itself
+    if none changed) and {seed row: its DivergenceError at step `t`}."""
+    checked = list(losses)  # as Python floats: the losses, then any |g|^2
+    if bound is not None:
+        total = norm(grads)
+        norms = total.reshape(-1).tolist()
+        if not all(x <= bound for x in norms):  # a nan norm clips, as with max()
+            factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
+            grads = [factor[..., None] * g for g in grads]
+    # no square overflows within, or after a clip to, a b whose 2 b^2 is finite (a
+    # margin for the rounding), from a finite norm (an infinite one zeroes finite entries)
+    if bound is None or not (math.isfinite(2 * bound * bound) and all(map(math.isfinite, norms))):
+        for g in grads:
+            checked += np.vecdot(g, g).tolist()
+    if all(map(math.isfinite, checked)):
+        return grads, {}
+    blown = ~np.isfinite(np.reshape(checked, (-1, len(losses)))).all(axis=0)
+    return [np.where(blown[:, None], 0.0, g) for g in grads], {
+        k: DivergenceError(f"non-finite loss or gradient at step {t}", step_index=t)
+        for k in blown.nonzero()[0].tolist()}
 
 
 def step(layers, steps, grads, mu, alphas, cfg):
@@ -131,7 +143,7 @@ def fisher_diagnostics(grads, blocks, d_max, cfg):
         dzeta[..., j] = sed_mod.two_sed(fisher_mod.ema_update(
             block, chunk, cfg.curvature[0], cfg.normalize_fisher), block.dim, cfg)
     peak = np.maximum(d_max, dzeta.max(axis=-1))
-    return dzeta, peak if len(grads) == 1 else np.maximum.accumulate(peak, axis=0)
+    return dzeta, np.maximum.accumulate(peak, axis=0)
 
 
 def adaptive_exponents(grads, blocks, d_max, cfg):

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 
-from sedfosgd.noise import _stable_draws
-from sedfosgd.optim import norm
+from sedfosgd.noise import RngStream, _stable_draws
+from sedfosgd.optim import DivergenceError, norm
+from sedfosgd.problems import ar_generate
 from sedfosgd.sed import two_sed
 
 
@@ -111,3 +112,80 @@ def step(layers, steps, grads, mu, alphas, cfg):
         new_layers.append(new)
         new_steps.append(new - th)
     return new_layers, new_steps
+
+
+def run_one(config):
+    """The trace rows of `harness.run(config)`, a run of one seed of the AR
+    or quadratic problem, from the equations, one step at a time. Step t
+    takes the loss and gradient at theta_{t-1}, clips the gradient to
+    global norm `grad_clip`, and from step 2 on folds it into a dense EMA
+    Fisher block F <- (1 - gamma) F + gamma g g^T (the classical first step
+    folds nothing). The block's two-scale dimension comes from the
+    eigenvalues of F scaled to trace d (if `normalize_fisher`), d_max is the
+    running maximum from the row before, and the exponent is 1 at step 1 and
+    for sgd, alpha0 for fosgd and alpha0 - beta * d_zeta / d_max, at least
+    alpha_min, for 2sedfosgd. Then the out-of-place step (`step`). Raises
+    the DivergenceError of a run whose loss, gradient or parameters turn
+    non-finite, or whose |g|^2 overflows."""
+    rng, t_max = RngStream(config.seed), config.iterations
+    if config.problem == "ar":
+        coeffs = np.asarray(config.ar_coeffs, dtype=float)
+        draw = ((lambda: gaussian(rng, 0.0, config.noise_std)) if config.noise == "gaussian"
+                else lambda: alpha_stable(rng, config.stable_tail, config.stable_skew,
+                                          config.stable_scale, config.stable_location))
+        phi, y = ar_generate(coeffs, [draw() for _ in range(t_max + coeffs.size)])
+        theta = np.zeros(coeffs.size)
+
+        def loss_grad(theta, t):
+            e = y[t - 1] - phi[t - 1] @ theta
+            return 0.5 * e * e, -e * phi[t - 1]
+
+        def metrics(theta):
+            return [*np.abs(theta - coeffs), np.linalg.norm(theta - coeffs)]
+    else:
+        diag = np.asarray(config.quad_diag, dtype=float)
+        noise = [[gaussian(rng, 0.0, config.quad_noise_std) for _ in diag] for _ in range(t_max)]
+        theta = np.ones(diag.size)
+
+        def loss_grad(theta, t):
+            return 0.5 * theta @ (diag * theta), diag * theta + noise[t - 1]
+
+        def metrics(theta):  # the gap: the minimum is 0, at the origin
+            return [0.5 * theta @ (diag * theta)]
+
+    d, gamma = theta.size, config.fisher_decay
+    s = config.epsilon ** (config.zeta - 1.0)
+    fisher, last_step, d_max, rows = np.zeros((d, d)), np.zeros(d), 0.0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, t_max + 1):
+            mu = config.mu0 if t == 1 else config.mu0 / math.sqrt(t - 1)
+            loss, g = loss_grad(theta, t)
+            if config.grad_clip is not None:
+                g = g * (config.grad_clip / max(np.linalg.norm(g), config.grad_clip))
+            if not (math.isfinite(loss) and math.isfinite(g @ g)):
+                raise DivergenceError(f"non-finite loss or gradient at step {t}", t)
+            alpha, dzeta = 1.0, 0.0
+            if t > 1:
+                fisher = (1.0 - gamma) * fisher + gamma * np.outer(g, g)
+                trace = np.trace(fisher)
+                m = fisher if not config.normalize_fisher else (
+                    d / trace * fisher if trace > 1e-12 else 0.0 * fisher)
+                # after k < d folds from zero F has rank k: its d - k least
+                # eigenvalues are 0, which a dense solve leaves at about eps |F|
+                w = np.linalg.eigvalsh(m)[::-1][:t - 1]
+                d_curv = np.log1p(s * np.sqrt(np.maximum(w, 0.0))).sum() / abs(math.log(s))
+                dzeta = config.zeta * d + (1.0 - config.zeta) * d_curv
+                d_max = max(d_max, dzeta)
+                alpha = {"sgd": 1.0, "fosgd": config.alpha0}.get(
+                    config.optimizer, max(config.alpha0 - config.beta * dzeta / d_max,
+                                          config.alpha_min))
+            (new,), (moved,) = step([theta[None]], [last_step[None]], [g[None]], mu,
+                                    [[alpha]], config)
+            theta, last_step = new[0], moved[0]
+            if not np.isfinite(theta).all():
+                raise DivergenceError(f"non-finite parameters in layer 0 at step {t}", t)
+            rows.append([t, mu, loss, alpha, dzeta, np.linalg.norm(last_step), d_max,
+                         *metrics(theta)])
+    if not math.isfinite(rows[-1][-1]):  # the quadratic's last gap is the loss at T + 1
+        raise DivergenceError(f"non-finite loss or gradient at step {t_max + 1}", t_max + 1)
+    return np.array(rows)

@@ -20,9 +20,10 @@ from sedfosgd.harness import (ConfigError, ExperimentConfig, SweepFailure, _ArDr
                               seed_rate_fit, seed_sweep)
 from sedfosgd.mathkit import NumericalError
 from sedfosgd.noise import RngStream, gaussians
-from sedfosgd.optim import DivergenceError, clip_gradients
+from sedfosgd.optim import DivergenceError, norm
 from sedfosgd.problems import GenerationError, ar_generate, quadratic_loss_grad
 
+import reference
 from reference import gaussian
 
 AR_CFG = ExperimentConfig(problem="ar", optimizer="2sedfosgd", iterations=100,
@@ -879,6 +880,61 @@ class TestReductionProperty:
         assert classical == _outcome(cfg)
 
 
+@st.composite
+def oracle_configs(draw):
+    """AR and quadratic configs of each optimizer at the default rates, of
+    1 to 12 dimensions and 1 to 60 steps (so the Fisher Gram turns dense
+    inside many runs), clipped or not, and 1 to 3 seeds."""
+    dim = draw(st.integers(1, 12))
+    common = dict(
+        optimizer=draw(st.sampled_from(["sgd", "fosgd", "2sedfosgd"])),
+        iterations=draw(st.integers(1, 60)),
+        grad_clip=draw(st.sampled_from([None, 1.0, 10.0])),
+        normalize_fisher=draw(st.booleans()),
+        scaling_mode=draw(st.sampled_from(["elementwise", "layer-norm"])),
+    )
+    if draw(st.booleans()):  # coefficients of absolute sum below 1: a stable filter
+        coeffs = draw(st.lists(st.floats(-0.9 / dim, 0.9 / dim), min_size=dim, max_size=dim))
+        cfg = ExperimentConfig(problem="ar", ar_coeffs=tuple(coeffs),
+                               noise=draw(st.sampled_from(["gaussian", "stable"])), **common)
+    else:
+        diag = draw(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim))
+        cfg = ExperimentConfig(problem="quadratic", quad_diag=tuple(diag), **common)
+    return cfg, draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+
+
+class TestOracle:
+    """Each seed of a stack runs as `reference.run_one` computes its trace
+    from the equations, with a dense Fisher block solved at every step.
+    Each column agrees within its tolerance times the column's largest
+    magnitude (at least the least normal float; subnormals round apart):
+    t and mu exactly; dzeta and d_max within 6.6e-9, as the
+    Gram's and the dense block's solves round their least eigenvalues
+    apart; alpha within 3.3e-16 plus 2 beta 6.6e-9, the error that the
+    exponent rule carries over from dzeta / d_max; and loss, delta_norm and
+    the metrics within 1.1e-12."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_configs())
+    @example(drawn=(ExperimentConfig(problem="quadratic", optimizer="sgd", iterations=5,
+                                     quad_diag=(5e-324,)), [0]))  # a subnormal loss
+    def test_runs_follow_the_equations(self, drawn):
+        cfg, seeds = drawn
+        for seed, got in zip(seeds, run(cfg, seeds=seeds)):
+            try:
+                want = reference.run_one(replace(cfg, seed=seed))
+            except (DivergenceError, GenerationError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got.rows.shape == want.shape
+            for j, name in enumerate(got.header):
+                tol = (0.0 if name in ("t", "mu") else
+                       6.6e-9 if name.startswith(("dzeta", "d_max")) else
+                       3.3e-16 + 2 * cfg.beta * 6.6e-9 if name.startswith("alpha") else 1.1e-12)
+                scale = max(np.abs(want[:, j]).max(), np.finfo(float).tiny)
+                assert np.abs(got.rows[:, j] - want[:, j]).max() <= tol * scale, name
+
+
 def wrong_values(annotation, default):
     """Values that a config field of this annotation and default refuses:
     another type, a bool for a number, a non-finite float or an int beyond
@@ -1077,11 +1133,11 @@ class TestSeedStack:
            spikes=st.dictionaries(st.integers(0, 7), st.tuples(
                st.sampled_from(["loss", "nan", "inf", "huge", "past"]), st.integers(1, 10))))
     def test_blown_check_read_off_the_clip_norms(self, optimizer, bound, spikes):
-        # the loop reads a clipped seed's blow-up off its clip norm when twice
+        # the screen reads a clipped seed's blow-up off its clip norm when twice
         # the bound's square is finite (1 and 9e153), and takes the squares of
         # its gradient otherwise (no bound, 1e154, 1e300) or when that norm is
         # not finite. Each seed ends as it does when the driver clips and the
-        # loop, with no bound, takes the squares of every gradient: spikes of
+        # screen, with no bound, takes the squares of every gradient: spikes of
         # a nan or an infinite entry, of finite entries whose squares overflow
         # ("huge") or whose norm does too ("past", which a finite bound clips
         # to zero), and of an infinite loss
@@ -1096,10 +1152,12 @@ class TestSeedStack:
                         g[k, 0] = {"nan": np.nan, "inf": -np.inf}.get(kind, g[k, 0])
                 return f, [g]
 
-        class Clipped(Spiked):
+        class Clipped(Spiked):  # the clip alone, inline: the loop screens
             def loss_grad(self, layers, t):
                 f, grads = super().loss_grad(layers, t)
-                return f, clip_gradients(grads, bound)[0]
+                if bound is None:
+                    return f, grads
+                return f, [bound / np.maximum(norm(grads), bound)[:, None] * g for g in grads]
 
         cfg = ExperimentConfig(problem="quadratic", optimizer=optimizer, iterations=10,
                                quad_diag=(1.0, 4.0, 9.0), mu0=0.05, grad_clip=bound)

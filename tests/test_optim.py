@@ -39,6 +39,15 @@ def start(*layers):
     return layers, [np.zeros_like(v) for v in layers]
 
 
+def clip(grads, loss, bound, t):
+    """`clip_gradients` on a stack of one seed, whose blow-up raises its
+    DivergenceError as a run of one seed does."""
+    out, blown = clip_gradients([g[None] for g in grads], [float(loss)], bound, t)
+    for exc in blown.values():
+        raise exc
+    return [g[0] for g in out]
+
+
 def deltas(steps):
     """Per-layer norm of the last steps, as the trace logs it."""
     return [float(norm([d])) for d in steps]
@@ -307,15 +316,15 @@ class TestBoundedIterates:
         phi, y = ar_regressors(seed=5, n=220)
         c = cfg(mu0=0.1, alpha0=0.98, beta=0.01, grad_clip=10.0)
         layers, steps = start(np.zeros(2))
-        _, g = ar_loss_grad(layers[0], phi[0], y[0])
-        layers, steps = sgd_step(layers, steps, clip_gradients([g], 10.0)[0], c.mu0)
+        loss, g = ar_loss_grad(layers[0], phi[0], y[0])
+        layers, steps = sgd_step(layers, steps, clip([g], loss, 10.0, 1), c.mu0)
         blocks = fisher_blocks(layers, 0.1)
         d_max = 0.0
         traj = [steps]
         for t in range(1, 200):
-            _, g = ar_loss_grad(layers[0], phi[t], y[t])
+            loss, g = ar_loss_grad(layers[0], phi[t], y[t])
             layers, steps, d_max, _ = adaptive_step(
-                layers, steps, clip_gradients([g], 10.0)[0], blocks, d_max, c, t + 1)
+                layers, steps, clip([g], loss, 10.0, t + 1), blocks, d_max, c, t + 1)
             traj.append(steps)
         bound = delta_radius(c, 10.0) * (1 + 1e-12)
         assert all(d <= bound for s in traj for d in deltas(s))
@@ -323,23 +332,71 @@ class TestBoundedIterates:
 
 class TestClip:
     def test_noop_below_bound(self):
-        g = [np.array([0.3, 0.4])]
-        out, norms = clip_gradients(g, 1.0)
-        assert out is g and norms == [float(np.linalg.norm(g[0]))]
-        assert clip_gradients(g, None) == (g, None)
+        g = [np.array([[0.3, 0.4]])]
+        for bound in (1.0, None):
+            out, blown = clip_gradients(g, [0.5], bound, 1)
+            assert out is g and blown == {}
 
     def test_scales_to_bound(self):
-        out, norms = clip_gradients([np.array([3.0, 4.0])], 1.0)
-        assert np.linalg.norm(out[0]) == pytest.approx(1.0, rel=1e-12)
-        assert norms == [5.0]
+        out, blown = clip_gradients([np.array([[3.0, 4.0], [0.3, 0.4]])], [1.0, 2.0], 1.0, 1)
+        assert np.linalg.norm(out[0][0]) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(out[0][1], [0.3, 0.4]) and blown == {}
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
     def test_global_norm_of_overflowing_squares(self):
         # |g|^2 overflows to inf although g is finite; bound / inf would zero it
-        g = [np.array([1e200, 1.0]), np.array([-1e200])]
-        out, _ = clip_gradients(g, 10.0)
-        assert out[0][0] == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
-        assert out[1][0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
+        g = [np.array([[1e200, 1.0]]), np.array([[-1e200]])]
+        out, blown = clip_gradients(g, [0.0], 10.0, 1)
+        assert out[0][0, 0] == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
+        assert out[1][0, 0] == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
+        assert blown == {}
+
+    @staticmethod
+    def screened(grads, losses, bound, t):
+        """The screen's zeroed seeds, each checked to name step `t`."""
+        out, blown = clip_gradients(grads, losses, bound, t)
+        for k, exc in blown.items():
+            assert isinstance(exc, DivergenceError) and exc.step_index == t
+            assert str(exc) == f"non-finite loss or gradient at step {t}"
+            assert all(not g[k].any() for g in out)
+        return out, sorted(blown)
+
+    @pytest.mark.parametrize("bound", [None, 1.0, 1e300])
+    def test_infinite_loss(self, bound):
+        g = [np.array([[0.3, 0.4], [0.1, 0.2]])]
+        out, blown = self.screened(g, [np.inf, 1.0], bound, 7)
+        assert blown == [0] and np.array_equal(out[0][1], [0.1, 0.2])
+
+    @pytest.mark.parametrize("bound", [None, 1.0, 1e300])
+    def test_nan_entry(self, bound):
+        g = [np.array([[0.3, 0.4], [0.1, 0.2]]), np.array([[0.5], [np.nan]])]
+        out, blown = self.screened(g, [1.0, 1.0], bound, 3)
+        assert blown == [1] and np.array_equal(out[1][0], [0.5])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+    def test_overflowing_squares_with_no_bound(self):
+        g = [np.array([[1e200, 1.0], [3.0, 4.0]])]
+        out, blown = self.screened(g, [1.0, 1.0], None, 12)
+        assert blown == [0] and np.array_equal(out[0][1], [3.0, 4.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+    def test_clip_to_the_largest_bound_with_a_finite_square(self):
+        # b^2 is finite but 2 b^2 is not, and the clipped entries' squares
+        # round past the float range: b's square alone is no margin
+        bound = 1.3407807929942596e154
+        g = [np.array([[3.573567354139763e154, 3.451433378752492e154], [0.3, 0.4]])]
+        out, blown = self.screened(g, [1.0, 1.0], bound, 4)
+        assert blown == [0] and np.array_equal(out[0][1], [0.3, 0.4])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in sqrt")
+    def test_infinite_norm_of_a_finite_gradient_clips_to_zero(self):
+        # the norm of these finite entries passes the float range even
+        # rescaled, so the bound scales them by bound / inf, to zeros that run on
+        g = [np.array([[1.5e308, 1.5e308, 1.5e308], [0.3, 0.4, 0.0]])]
+        out, blown = self.screened(g, [1.0, 1.0], 10.0, 2)
+        assert blown == [] and not out[0][0].any()
+        assert np.array_equal(out[0][1], [0.3, 0.4, 0.0])
 
 
 @st.composite
