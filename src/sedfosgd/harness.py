@@ -313,19 +313,18 @@ class _MlpDriver:
         n_train = len(self.labels) - self.n_hold
         start = ((t - 1) * self.batch_size) % n_train
         rows = self.orders[:, self.n_hold + (start + np.arange(self.batch_size)) % n_train]
-        self._step_batch = self.inputs[rows] / 255.0, self.labels[rows]
-        return problems_mod.mlp_loss_grad(self.widths, layers, *self._step_batch)
-
-    def _accuracies(self, layers, inputs, labels):
-        return np.mean(problems_mod.mlp_predict(self.widths, layers, inputs) == labels,
-                       axis=-1)
+        loss, grads, self._accuracy = problems_mod.mlp_loss_grad(
+            self.widths, layers, self.inputs[rows] / 255.0, self.labels[rows])
+        return loss, grads
 
     def metrics(self, layers, out):
-        out[:, 0] = self._accuracies(layers, *self._step_batch)
+        # the batch accuracy of the last gradient call: its step's, at the layers it started from
+        out[:, 0] = self._accuracy
 
     def holdout_accuracy(self, layers):
         rows = self.orders[:, :self.n_hold]
-        return self._accuracies(layers, self.inputs[rows] / 255.0, self.labels[rows])
+        predicted = problems_mod.mlp_predict(self.widths, layers, self.inputs[rows] / 255.0)
+        return np.mean(predicted == self.labels[rows], axis=-1)
 
 
 def _shuffled_indices(n, rng):
@@ -399,8 +398,8 @@ def run(config, seeds=None, *, trace=True):
     entries = (1 + ar) * sum(v.shape[1] for v in layers) + (  # per seed and step
         0 if adaptive else sum(b.step_entries for b in blocks))
     width = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (8 * max(len(stack), 1) * entries)))
-    # the MLP's traced batch accuracy reads the step's batch, so it is taken per
-    # step; AR's traced metrics are flushed, and every run's last row is taken last
+    # the MLP's traced batch accuracy is its step's gradient call's, so it is written
+    # per step; AR's traced metrics are flushed, and every run's last row is taken last
     stepwise = trace and config.problem == "mlp"
 
     # t and the step size: mu0 at the classical first step, then mu0 / sqrt(t - 1)
@@ -475,6 +474,11 @@ def run(config, seeds=None, *, trace=True):
             holdout = driver.holdout_accuracy(layers) if config.problem == "mlp" else None
         if config.problem == "quadratic":  # its gap is the next row's loss
             rows[:, :-1, metric_col] = rows[:, 1:, 2]
+        # the screen ends a seed whose last metric is not finite at step T + 1: the
+        # quadratic's is its gap, the loss at that step; AR's err_norm is finite with its others
+        for k, exc in optim_mod.clip_gradients([], rows[:, -1, -1].tolist(), None,
+                                               config.iterations + 1)[1].items():
+            outcomes.setdefault(k, exc)
         if writer:  # a run that diverged at step s keeps rows 1 .. s - 1; one whose
             # data blew up at set-up (a GenerationError, no step) keeps none
             writer.close(rows[0], config.iterations if not outcomes
@@ -485,13 +489,6 @@ def run(config, seeds=None, *, trace=True):
         raise
 
     for k in set(range(len(stack))) - set(outcomes):
-        if not np.isfinite(rows[k, -1, metric_col:]).all():
-            # the quadratic's last gap is the loss at step T + 1: one that is
-            # not finite ends the run as that step's loss check would
-            t = config.iterations + 1
-            outcomes[k] = DivergenceError(f"non-finite loss or gradient at step {t}",
-                                          step_index=t)
-            continue
         losses = rows[k, :, 2]
         # min_loss is the first of equal minima, as a running min() keeps it
         summary = {"iterations": float(config.iterations), "final_loss": float(losses[-1]),

@@ -39,18 +39,25 @@ def norm(arrays):
     scaled back, so a finite vector above about 1e154 keeps a finite norm.
     The plain sum warns of the overflow unless numpy's errstate ignores it.
     """
+    return _norms(arrays)[0]
+
+
+def _norms(arrays):
+    """`norm(arrays)` and its entries as a list of Python floats."""
     squares = np.vecdot(arrays[0], arrays[0])
     for v in arrays[1:]:
         squares = squares + np.vecdot(v, v)
     total = np.sqrt(squares)
-    if np.inf in total.reshape(-1).tolist():  # cheaper than a reduction on a few seeds
+    listed = total.reshape(-1).tolist()
+    if np.inf in listed:  # cheaper than a reduction on a few seeds
         huge = total == np.inf
         with np.errstate(all="ignore"):
             scale = np.max([np.max(np.abs(v), axis=-1) for v in arrays], axis=0)
             scaled = [v / scale[..., None] for v in arrays]
             rescaled = scale * np.sqrt(sum(np.vecdot(w, w) for w in scaled))
         total = np.where(huge & np.isfinite(scale), rescaled, total)
-    return total
+        listed = total.reshape(-1).tolist()
+    return total, listed
 
 
 def step_size(t, mu0):
@@ -63,11 +70,11 @@ def clip_gradients(grads, losses, bound, t):
     norm is at most `bound` (None: no bound), then zero the gradient of each
     seed whose loss (one Python float per seed) or clipped gradient is not
     finite, or whose |g|^2 overflows; returns the gradients (`grads` itself
-    if none changed) and {seed row: its DivergenceError at step `t`}."""
+    if none changed) and {seed row: its DivergenceError at step `t`}. With no
+    layers (`grads` empty) it screens the losses alone."""
     checked = list(losses)  # as Python floats: the losses, then any |g|^2
     if bound is not None:
-        total = norm(grads)
-        norms = total.reshape(-1).tolist()
+        total, norms = _norms(grads)
         if not all(x <= bound for x in norms):  # a nan norm clips, as with max()
             factor = bound / np.maximum(total, bound)  # exactly 1 within the bound
             grads = [factor[..., None] * g for g in grads]

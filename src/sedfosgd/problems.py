@@ -112,11 +112,13 @@ def _forward(widths, layers, inputs):
 
 
 def mlp_loss_grad(widths, layers, inputs, labels):
-    """Mean softmax cross-entropy and flat per-layer gradients, for one batch
+    """Mean softmax cross-entropy, flat per-layer gradients and the batch
+    accuracy of the same logits (the bits `mlp_predict` gives), for one batch
     or a stack of them (one per seed, along the leading axes of the layers
     and the batch)."""
     acts = _forward(widths, layers, inputs)
     logits = acts.pop()
+    accuracy = np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
     total = expz.sum(axis=-1, keepdims=True)
@@ -136,7 +138,7 @@ def mlp_loss_grad(widths, layers, inputs, labels):
         if i > 0:
             w, _ = _unpack(widths, layers[i], i)
             delta = (delta @ w.mT) * (acts[i] > 0.0)
-    return loss, grads
+    return loss, grads, accuracy
 
 
 def mlp_predict(widths, layers, inputs):

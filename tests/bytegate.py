@@ -8,10 +8,11 @@ directory) and once with the working tree's `src/`. Each tree runs in its own
 process with `PYTHONPATH=<tree>/src`, each invocation in a fresh directory.
 The gate compares the sha256 of every file an invocation leaves, its stdout,
 its stderr (warnings as `Category: message`, without the file and line they
-come from) and its exit code. An invocation that runs longer than `LIMIT`
-seconds is stopped and differs, whatever the other tree does. The gate prints
-each invocation that differs, then one `identical N/M` line, and exits 1 when
-any differs.
+come from) and its exit code. It also keeps a sha256 per header column of each
+`*.csv` file, so that for a CSV trace both trees wrote it names the columns
+that differ. An invocation that runs longer than `LIMIT` seconds is stopped
+and differs, whatever the other tree does. The gate prints each invocation
+that differs, then one `identical N/M` line, and exits 1 when any differs.
 
 Both trees run on one host, with the same Python, numpy and BLAS, because
 those can change the last bits of a trace between hosts whatever the code.
@@ -101,9 +102,18 @@ def compare(old_tree, new_tree, tiny=False):
 
 def _parts(a, b):
     """The (part, old, new) in which two results of one invocation differ; a
-    timed-out invocation differs in its code, as it wrote nothing to compare."""
-    return [(key, a[key], b[key]) for key in ("code", "stdout", "stderr", "files")
-            if a[key] != b[key] or (key == "code" and a[key] == TIMED_OUT)]
+    timed-out invocation differs in its code, as it wrote nothing to compare.
+    The `columns` part, when the CSV files differ, is a {file: [column]} of
+    the columns that differ in each CSV file both trees wrote."""
+    parts = [(key, a[key], b[key]) for key in ("code", "stdout", "stderr", "files")
+             if a[key] != b[key] or (key == "code" and a[key] == TIMED_OUT)]
+    old, new = a.get("columns", {}), b.get("columns", {})
+    moved = {name: [col for col in {**old[name], **new[name]}
+                    if old[name].get(col) != new[name].get(col)]
+             for name in old.keys() & new.keys() if old[name] != new[name]}
+    if moved:
+        parts.append(("columns", None, dict(sorted(moved.items()))))
+    return parts
 
 
 class _Overran(BaseException):
@@ -141,6 +151,15 @@ def _invoke(cli, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _columns(path):
+    """{header column: sha256 of its values, one a line} of a CSV file."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()] or [[]]
+    return {name: hashlib.sha256("\n".join(row[j] if j < len(row) else ""
+                                            for row in rows).encode()).hexdigest()
+            for j, name in enumerate(header)}
+
+
 def _work(tree, tiny):
     """Runs the matrix in the current directory with `tree`'s package and
     writes `results.json` there."""
@@ -168,14 +187,16 @@ def _work(tree, tiny):
         code, stdout, stderr = _invoke(cli, shlex.split(argv))
         # an error may name a path, which is under this worker's own directory
         stdout, stderr = (text.replace(root, "<root>") for text in (stdout, stderr))
-        files = {}
+        files, columns = {}, {}
         for dirpath, _, names in os.walk("."):
             for name in names:
                 path = os.path.join(dirpath, name)
                 with open(path, "rb") as fh:
                     files[os.path.relpath(path)] = hashlib.sha256(fh.read()).hexdigest()
+                if name.endswith(".csv"):
+                    columns[os.path.relpath(path)] = _columns(path)
         results.append({"code": code, "stdout": stdout, "stderr": stderr,
-                        "files": dict(sorted(files.items()))})
+                        "files": dict(sorted(files.items())), "columns": columns})
         os.chdir(root)
         shutil.rmtree(case)
     with open("results.json", "w", encoding="utf-8") as fh:
@@ -204,7 +225,11 @@ def main(argv=None):
     for lineno, argv_text, config, parts in differs:
         print(f"differs: line {lineno}: {argv_text} | {config!r}")
         for part, old, new in parts:
-            print(f"  {part}: {_shown(part, old)} -> {_shown(part, new)}")
+            if part == "columns":
+                print("  columns: " + "; ".join(f"{name} {' '.join(cols)}"
+                                                for name, cols in new.items()))
+            else:
+                print(f"  {part}: {_shown(part, old)} -> {_shown(part, new)}")
     total = len(matrix(args.tiny))
     print(f"identical {total - len(differs)}/{total}")
     return 1 if differs else 0

@@ -210,7 +210,7 @@ def test_criterion_08_gradient_oracles():
         for k in range(100):
             layers = mlp_init_layers(widths, RngStream(1000 + k))
             batch = (nprng.uniform(0, 1, (3, 6)), nprng.integers(0, 4, 3))
-            _, grads = mlp_loss_grad(widths, layers, *batch)
+            _, grads, _ = mlp_loss_grad(widths, layers, *batch)
             for j in range(len(layers)):
                 def f(vec, j=j):
                     trial = [v.copy() for v in layers]

@@ -45,3 +45,21 @@ def test_an_invocation_past_the_limit_is_stopped_and_differs(monkeypatch):
     result = {"code": code, "stdout": out, "stderr": err, "files": {}}
     assert bytegate._parts(result, dict(result)) == [("code", code, code)]
     assert bytegate._parts(dict(result, code=0), dict(result, code=0)) == []
+
+
+def test_differing_csv_files_name_their_columns(tmp_path):
+    texts = {"old": "t,loss,batch_accuracy\n1.0,2.0,0.5\n2.0,1.5,0.25\n",
+             "new": "t,loss,batch_accuracy\n1.0,2.0,0.5\n2.0,1.5,0.125\n",
+             "header": "t,loss,batch_accuracy\n", "empty": ""}
+    columns = {}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        columns[name] = bytegate._columns(str(tmp_path / name))
+    assert list(columns["old"]) == ["t", "loss", "batch_accuracy"] and columns["empty"] == {}
+    assert len(set(columns["header"].values())) == 1
+    old = {"code": 0, "stdout": "", "stderr": "", "files": {"t.csv": "a", "t.csv.summary": "b"},
+           "columns": {"t.csv": columns["old"]}}
+    new = dict(old, files={"t.csv": "c", "t.csv.summary": "d"}, columns={"t.csv": columns["new"]})
+    assert bytegate._parts(old, new) == [("files", old["files"], new["files"]),
+                                         ("columns", None, {"t.csv": ["batch_accuracy"]})]
+    assert bytegate._parts(old, dict(old)) == []

@@ -254,6 +254,51 @@ class TestRun:
         assert "batch_accuracy" in result.header
 
 
+class TestMlpBatchAccuracy:
+    """Row t's `batch_accuracy` is that of the layers step t started from on
+    step t's batch: the forward pass behind its `loss`, taken once."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_seeds=st.integers(1, 3), iterations=st.integers(1, 8),
+           optimizer=st.sampled_from(["sgd", "fosgd", "2sedfosgd"]), trace=st.booleans(),
+           mu0=st.sampled_from([0.05, 0.5, 2.0]))
+    def test_rows_score_the_layers_each_step_started_from(self, synthetic_idx, n_seeds,
+                                                          iterations, optimizer, trace, mu0):
+        ip, lp = synthetic_idx
+        cfg = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=iterations,
+                               mu0=mu0, mlp_images=ip, mlp_labels=lp, mlp_limit=60,
+                               mlp_hidden=4, mlp_batch=8)
+        loss_grad, calls = harness.problems_mod.mlp_loss_grad, []
+
+        def spy(widths, layers, inputs, labels):  # each step's layers and batch
+            calls.append((widths, [v.copy() for v in layers], inputs, labels))
+            return loss_grad(widths, layers, inputs, labels)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness.problems_mod, "mlp_loss_grad", spy)
+            outcomes = run(cfg, seeds=range(n_seeds), trace=trace)
+        assert len(calls) == iterations
+        wanted = np.array([np.mean(harness.problems_mod.mlp_predict(widths, layers, inputs)
+                                   == labels, axis=-1)
+                           for widths, layers, inputs, labels in calls])
+        col = outcomes[0].header.index("batch_accuracy")
+        for k, outcome in enumerate(outcomes):
+            assert isinstance(outcome, harness.RunResult)
+            got = outcome.rows[:, col] if trace else outcome.rows[-1:, col]
+            assert got.tobytes() == (wanted[:, k] if trace else wanted[-1:, k]).tobytes()
+            assert repr(outcome.summary["final_batch_accuracy"]) == repr(float(wanted[-1, k]))
+
+    def test_a_traced_step_makes_one_forward_pass(self, synthetic_idx, monkeypatch):
+        ip, lp = synthetic_idx
+        cfg = ExperimentConfig(problem="mlp", optimizer="2sedfosgd", iterations=5,
+                               mlp_images=ip, mlp_labels=lp, mlp_limit=60, mlp_hidden=4)
+        forward, calls = harness.problems_mod._forward, []
+        monkeypatch.setattr(harness.problems_mod, "_forward",
+                            lambda *args: calls.append(len(calls)) or forward(*args))
+        run(cfg, seeds=[1, 2])
+        assert len(calls) == cfg.iterations + 1  # one per step, then the holdout's
+
+
 class TestStreamConsumers:
     """Block draws in the drivers against test-local scalar loops."""
 

@@ -186,7 +186,7 @@ class TestMlp:
         widths = (4, 6, 5)
         layers = [np.zeros_like(v) for v in mlp_init_layers(widths, RngStream(0))]
         batch = (np.random.default_rng(0).uniform(0, 1, (7, 4)), np.arange(7) % 5)
-        loss, _ = mlp_loss_grad(widths, layers, *batch)
+        loss, _, _ = mlp_loss_grad(widths, layers, *batch)
         assert loss == pytest.approx(math.log(5), rel=1e-12)
 
     def test_large_margin_loss_vanishes(self):
@@ -195,7 +195,7 @@ class TestMlp:
         layers = [np.zeros_like(v) for v in mlp_init_layers(widths, RngStream(0))]
         # weights map x = (1, 0) to logits (20, 0, 0)
         layers[0][0] = 20.0
-        loss, _ = mlp_loss_grad(widths, layers, np.array([[1.0, 0.0]]), np.array([0]))
+        loss, _, _ = mlp_loss_grad(widths, layers, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss < 1e-3
 
     def test_finite_differences(self):
@@ -204,7 +204,7 @@ class TestMlp:
         nprng = np.random.default_rng(2)
         layers = mlp_init_layers(widths, rng)
         batch = (nprng.uniform(0, 1, (5, 8)), nprng.integers(0, 4, 5))
-        _, grads = mlp_loss_grad(widths, layers, *batch)
+        _, grads, _ = mlp_loss_grad(widths, layers, *batch)
         for j in range(len(layers)):
             def f(vec, j=j):
                 trial = [v.copy() for v in layers]
@@ -224,12 +224,15 @@ class TestMlp:
                     nprng.integers(0, widths[-1], 9)) for _ in range(3)]
         layers = [np.array(vs) for vs in zip(*per_seed)]
         inputs, labels = (np.array(a) for a in zip(*batches))
-        loss, grads = mlp_loss_grad(widths, layers, inputs, labels)
+        loss, grads, accuracy = mlp_loss_grad(widths, layers, inputs, labels)
         predictions = mlp_predict(widths, layers, inputs)
         assert loss.shape == (3,) and predictions.shape == (3, 9)
+        # the batch accuracy of the gradient call's logits is that of the predictions
+        assert accuracy.tobytes() == np.mean(predictions == labels, axis=-1).tobytes()
         for k, (own, batch) in enumerate(zip(per_seed, batches)):
-            own_loss, own_grads = mlp_loss_grad(widths, own, *batch)
+            own_loss, own_grads, own_accuracy = mlp_loss_grad(widths, own, *batch)
             assert loss[k].tobytes() == own_loss.tobytes()
+            assert accuracy[k].tobytes() == own_accuracy.tobytes()
             assert [g[k].tobytes() for g in grads] == [g.tobytes() for g in own_grads]
             assert (predictions[k].tobytes()
                     == mlp_predict(widths, own, batch[0]).tobytes())
@@ -266,7 +269,8 @@ class TestIdx:
         driver = harness._MlpDriver(config, [RngStream(0), RngStream(1)])
         seen = []
         monkeypatch.setattr(harness.problems_mod, "mlp_loss_grad",
-                            lambda widths, layers, inputs, labels: seen.append(inputs))
+                            lambda widths, layers, inputs, labels: seen.append(inputs)
+                            or (None, None, None))
         monkeypatch.setattr(harness.problems_mod, "mlp_predict",
                             lambda widths, layers, inputs: seen.append(inputs) or labels[:1])
         for t in (1, 2):
