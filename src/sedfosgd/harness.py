@@ -202,7 +202,7 @@ def load_config(path, overrides=None):
 
 
 def parse_overrides(pairs):
-    return dict(_typed_pair(pair, "override") for pair in pairs or ())
+    return dict(_typed_pair(pair, "override") for pair in pairs)
 
 
 # --- Problem drivers ---
@@ -581,13 +581,13 @@ def rate_fit(running_min_gaps):
         t = int(np.argmax(series <= 0))
         raise ValueError(f"the running minimum is {series[t]} at t={t + 1}; it must be > 0")
     t = np.arange(1, series.size + 1)
-    lo = max(1, series.size // 10)
+    lo = series.size // 10
     x = np.log(t[lo - 1:])
     y = np.log(series[lo - 1:])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid ** 2)) / ss_tot)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))  # a flat tail's is y.mean()'s rounding
+    r2 = 1.0 if y.min() == y.max() else max(0.0, 1.0 - float(np.sum(resid ** 2)) / ss_tot)
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=r2, window_start=lo, points=x.size)
 

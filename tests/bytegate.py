@@ -9,10 +9,11 @@ process with `PYTHONPATH=<tree>/src`, each invocation in a fresh directory.
 The gate compares the sha256 of every file an invocation leaves, its stdout,
 its stderr (warnings as `Category: message`, without the file and line they
 come from) and its exit code. It also keeps a sha256 per header column of each
-`*.csv` file, so that for a CSV trace both trees wrote it names the columns
-that differ. An invocation that runs longer than `LIMIT` seconds is stopped
-and differs, whatever the other tree does. The gate prints each invocation
-that differs, then one `identical N/M` line, and exits 1 when any differs.
+`*.csv` file and per key of each `*.summary` file, so that for a trace or
+summary both trees wrote it names the columns or keys that differ. An
+invocation that runs longer than `LIMIT` seconds is stopped and differs,
+whatever the other tree does. The gate prints each invocation that differs,
+then one `identical N/M` line, and exits 1 when any differs.
 
 Both trees run on one host, with the same Python, numpy and BLAS, because
 those can change the last bits of a trace between hosts whatever the code.
@@ -103,8 +104,9 @@ def compare(old_tree, new_tree, tiny=False):
 def _parts(a, b):
     """The (part, old, new) in which two results of one invocation differ; a
     timed-out invocation differs in its code, as it wrote nothing to compare.
-    The `columns` part, when the CSV files differ, is a {file: [column]} of
-    the columns that differ in each CSV file both trees wrote."""
+    The `columns` part, when the CSV or summary files differ, is a
+    {file: [column or key]} of those that differ in each such file both trees
+    wrote."""
     parts = [(key, a[key], b[key]) for key in ("code", "stdout", "stderr", "files")
              if a[key] != b[key] or (key == "code" and a[key] == TIMED_OUT)]
     old, new = a.get("columns", {}), b.get("columns", {})
@@ -160,6 +162,13 @@ def _columns(path):
             for j, name in enumerate(header)}
 
 
+def _keys(path):
+    """{key: sha256 of its value} of a `key = value` summary file."""
+    with open(path, encoding="utf-8") as fh:
+        pairs = [line.partition(" = ") for line in fh.read().splitlines()]
+    return {key: hashlib.sha256(value.encode()).hexdigest() for key, _, value in pairs}
+
+
 def _work(tree, tiny):
     """Runs the matrix in the current directory with `tree`'s package and
     writes `results.json` there."""
@@ -195,6 +204,8 @@ def _work(tree, tiny):
                     files[os.path.relpath(path)] = hashlib.sha256(fh.read()).hexdigest()
                 if name.endswith(".csv"):
                     columns[os.path.relpath(path)] = _columns(path)
+                elif name.endswith(".summary"):
+                    columns[os.path.relpath(path)] = _keys(path)
         results.append({"code": code, "stdout": stdout, "stderr": stderr,
                         "files": dict(sorted(files.items())), "columns": columns})
         os.chdir(root)

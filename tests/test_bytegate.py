@@ -57,9 +57,20 @@ def test_differing_csv_files_name_their_columns(tmp_path):
         columns[name] = bytegate._columns(str(tmp_path / name))
     assert list(columns["old"]) == ["t", "loss", "batch_accuracy"] and columns["empty"] == {}
     assert len(set(columns["header"].values())) == 1
+    # a summary's keys are named as a trace's columns are
+    summaries = {"old": "iterations = 2.0\nfinal_batch_accuracy = 0.25\n",
+                 "new": "iterations = 2.0\nfinal_batch_accuracy = 0.125\n"}
+    keys = {}
+    for name, text in summaries.items():
+        (tmp_path / f"{name}.summary").write_text(text)
+        keys[name] = bytegate._keys(str(tmp_path / f"{name}.summary"))
+    assert list(keys["old"]) == ["iterations", "final_batch_accuracy"]
     old = {"code": 0, "stdout": "", "stderr": "", "files": {"t.csv": "a", "t.csv.summary": "b"},
-           "columns": {"t.csv": columns["old"]}}
-    new = dict(old, files={"t.csv": "c", "t.csv.summary": "d"}, columns={"t.csv": columns["new"]})
-    assert bytegate._parts(old, new) == [("files", old["files"], new["files"]),
-                                         ("columns", None, {"t.csv": ["batch_accuracy"]})]
+           "columns": {"t.csv": columns["old"], "t.csv.summary": keys["old"]}}
+    new = dict(old, files={"t.csv": "c", "t.csv.summary": "d"},
+               columns={"t.csv": columns["new"], "t.csv.summary": keys["new"]})
+    assert bytegate._parts(old, new) == [
+        ("files", old["files"], new["files"]),
+        ("columns", None, {"t.csv": ["batch_accuracy"],
+                           "t.csv.summary": ["final_batch_accuracy"]})]
     assert bytegate._parts(old, dict(old)) == []

@@ -78,6 +78,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ar_coeffs must be non-empty"):
             ExperimentConfig(problem="ar", optimizer="sgd", iterations=10,
                              ar_coeffs=())
+        with pytest.raises(ConfigError, match="^quad_diag must be "):
+            ExperimentConfig(problem="quadratic", optimizer="sgd", iterations=10,
+                             quad_diag=())
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)
@@ -120,10 +123,19 @@ class TestConfigParsing:
         # ConfigError naming its key where it is refused, and is taken where it
         # is in range, also beside another key's refused value
         base, huge = dict(problem="ar", optimizer="sgd", iterations=3), 10**5000
-        for name, value in (("mu0", huge), ("iterations", -huge), ("ar_coeffs", (huge,)),
-                            ("ar_coeffs", [huge]), ("mlp_batch", -huge), ("problem", huge)):
-            with pytest.raises(ConfigError, match=f"^{name} must be "):
+        int_text = "<int of 16610 bits>"  # 10**5000's size
+        for name, value, message in (
+                ("mu0", huge, f"mu0 must be a finite number, got {int_text}"),
+                ("iterations", -huge, f"iterations must be >= 1, got -{int_text}"),
+                ("ar_coeffs", (huge,), "ar_coeffs must be a tuple of finite numbers, "
+                                       "got <tuple holding an int of over 4300 digits>"),
+                ("ar_coeffs", [huge], "ar_coeffs must be a tuple of finite numbers, "
+                                      "got <list holding an int of over 4300 digits>"),
+                ("mlp_batch", -huge, f"mlp_batch must be >= 1, got -{int_text}"),
+                ("problem", huge, f"problem must be a string, got {int_text}")):
+            with pytest.raises(ConfigError) as exc:
                 ExperimentConfig(**dict(base, **{name: value}))
+            assert str(exc.value) == message
         for key in ("iterations", "seed", "mlp_limit"):
             assert getattr(ExperimentConfig(**dict(base, **{key: huge})), key) == huge
         with pytest.raises(ConfigError, match="^iterations must be >= 1, got 0$"):
@@ -379,8 +391,11 @@ class TestRateFit:
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_series(self):
-        fit = rate_fit(np.full(100, 2.5))
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        # a flat tail fits exactly, although the mean of its equal logs rounds
+        for n, value in ((100, 2.5), (64, 2.5), (1000, 2.5), (64, 0.1)):
+            fit = rate_fit(np.full(n, value))
+            assert fit.slope == pytest.approx(0.0, abs=1e-12)
+            assert fit.r_squared == 1.0, (n, value)
 
     def test_rejects_short_or_nonpositive(self):
         with pytest.raises(ValueError):
@@ -404,6 +419,11 @@ class TestSeedSweep:
         s1 = seed_sweep(AR_CFG, 4)
         s2 = seed_sweep(AR_CFG, 4)
         assert s1.aggregate == s2.aggregate
+        # a finite mean is np.mean's, not the sum of shares that an overflowing
+        # sum falls back to: over 3 seeds, the two round apart on 3 of 6 keys
+        s3 = seed_sweep(AR_CFG, 3)
+        for key, stats in s3.aggregate.items():
+            assert stats["mean"] == float(np.mean([s[key] for s in s3.summaries])), key
 
     def test_failures_counted_and_survivors_kept(self):
         cfg = ExperimentConfig(problem="quadratic", optimizer="sgd",
@@ -455,18 +475,37 @@ class TestCli:
         return str(path)
 
     def test_run_subcommand(self, tmp_path, capsys):
+        # a run prints the summary it writes next to its trace
         cfg = self._write_cfg(tmp_path,
-                              "problem = ar\noptimizer = sgd\niterations = 30\n")
+                              "problem = ar\noptimizer = sgd\niterations = 60\n")
         out = str(tmp_path / "trace.csv")
         code = cli.main(["run", "--config", cfg, "--seed", "5", "--out", out])
         assert code == 0
-        assert os.path.exists(out)
-        assert "final_loss" in capsys.readouterr().out
+        assert os.path.getsize(out) > 0
+        printed = capsys.readouterr().out
+        assert "final_loss" in printed
+        with open(out + ".summary", encoding="utf-8") as fh:
+            assert printed == fh.read()
+        # this seed draws an angle uniform at the end of its range, where the
+        # stable sampler's cosine rounds just below 0 at tail 1.1, skew 1
+        argv = ["run", "--config", cfg, "--seed", "9922358999364503027"]
+        for pair in ("noise=stable", "stable_tail=1.1", "stable_skew=1"):
+            argv += ["--override", pair]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_override_changes_result(self, tmp_path, capsys):
+        # 2sedfosgd's exponents are taken on Python floats: with unnormalized
+        # blocks and beta = 100, alpha_l0 is clamped at alpha_min = 0.05 in
+        # every row after the classical first
         cfg = self._write_cfg(tmp_path,
-                              "problem = ar\noptimizer = sgd\niterations = 30\n")
-        assert cli.main(["run", "--config", cfg, "--override", "mu0=0.2"]) == 0
+                              "problem = ar\noptimizer = 2sedfosgd\niterations = 60\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli.main(["run", "--config", cfg, "--out", out, "--override", "beta=100",
+                         "--override", "normalize_fisher=false"]) == 0
+        with open(out, encoding="utf-8") as fh:
+            alphas = [row["alpha_l0"] for row in csv.DictReader(fh)]
+        assert alphas == ["1.0"] + ["0.05"] * 59
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = self._write_cfg(tmp_path, "problem = ar\n")
@@ -668,20 +707,25 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and "iterations" not in err
 
     @pytest.mark.parametrize("case", ["missing_config", "out_is_a_directory",
-                                      "missing_mlp_images"])
+                                      "missing_mlp_images", "unnamed_mlp_images",
+                                      "unnamed_mlp_labels"])
     def test_file_error_exits_one(self, tmp_path, capsys, synthetic_idx, case):
-        _, labels = synthetic_idx
+        # an MLP config that names one of its two files opens neither
+        images, labels = synthetic_idx
         cfg = self._write_cfg(
             tmp_path, "problem = ar\noptimizer = sgd\niterations = 5\n")
         out = str(tmp_path / "trace.csv")
+        paths = {"missing_mlp_images": f"mlp_images = {tmp_path / 'missing.idx'}\n"
+                                       f"mlp_labels = {labels}\n",
+                 "unnamed_mlp_images": f"mlp_labels = {labels}\n",
+                 "unnamed_mlp_labels": f"mlp_images = {images}\n"}
         if case == "missing_config":
             cfg = str(tmp_path / "missing.cfg")
         elif case == "out_is_a_directory":
             os.mkdir(out)
         else:
             cfg = self._write_cfg(
-                tmp_path, "problem = mlp\noptimizer = sgd\niterations = 5\n"
-                f"mlp_images = {tmp_path / 'missing.idx'}\nmlp_labels = {labels}\n")
+                tmp_path, "problem = mlp\noptimizer = sgd\niterations = 5\n" + paths[case])
         assert cli.main(["run", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -700,6 +744,18 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["delta_norm_l0"]) == pytest.approx(0.1, rel=1e-12)
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
+        # a gradient within an unused clip bound above 1e154 whose squares
+        # overflow: step 9 diverges, as it does unclipped
+        cfg = self._write_cfg(
+            tmp_path, "problem = ar\noptimizer = fosgd\niterations = 9\nmu0 = 62.8914\n"
+            "alpha0 = 0.5\nalpha_min = 0.01\ndelta = 0.118\ngrad_clip = 1.73e187\n"
+            "noise = stable\nstable_tail = 0.5\nar_coeffs = 1.2\nseed = 480\n")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "diverged: non-finite loss or gradient at step 9\n"
+        with open(out, encoding="utf-8") as fh:
+            assert len(fh.read().splitlines()) == 9
+        assert not os.path.exists(out + ".summary")
 
     def test_huge_finite_step_has_a_finite_delta_norm(self, tmp_path, capsys):
         # the steps grow past 1e154 before the run diverges at step 11
@@ -849,14 +905,16 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, "problem = ar\niterations = 5\n")
         out = str(tmp_path / "trace.csv")
         for optimizer in ("sgd", "fosgd", "2sedfosgd"):
-            argv = ["run", "--config", cfg, "--out", out, "--override", f"optimizer={optimizer}"]
+            no_file = ["run", "--config", cfg, "--override", f"optimizer={optimizer}"]
+            argv = no_file + ["--out", out]
             assert cli.main(argv) == 0
             capsys.readouterr()
             with monkeypatch.context() as mp:
                 _break_eigensolvers(mp)
                 assert cli.main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+                assert cli.main(no_file) == 1  # with no trace file to remove
+            errs = capsys.readouterr().err.splitlines()
+            assert len(errs) == 2 and all(e.startswith("error: ") for e in errs)
             assert not os.path.exists(out) and not os.path.exists(out + ".summary")
 
     def test_allocation_failure_leaves_no_trace(self, tmp_path, capsys, monkeypatch):
@@ -1257,15 +1315,21 @@ class TestSeedStack:
                 last, _ = quadratic_loss_grad(r.final_layers[0], np.array(cfg.quad_diag))
                 assert gap[-1] == last
         # the trace of a run that diverges at step 10 keeps its 9 rows, each
-        # but the last with the next one's loss as its gap (cells are reprs)
+        # but the last with the next one's loss as its gap (cells are reprs);
+        # at 9 iterations the last gap is step 10's loss, so the run diverges
+        # there as well, and so does the one seed of a sweep
         path = str(tmp_path / "d.csv")
-        with pytest.raises(DivergenceError, match="at step 10$"):
-            run(ExperimentConfig(problem="quadratic", optimizer="fosgd", iterations=400,
-                                 seed=1, quad_diag=(1.0,), mu0=11.0, alpha0=0.25, out=path))
-        with open(path, encoding="utf-8") as fh:
-            kept = list(csv.DictReader(fh))
-        assert len(kept) == 9
-        assert [r["gap"] for r in kept[:-1]] == [r["loss"] for r in kept[1:]]
+        for iterations in (400, 9):
+            cfg = ExperimentConfig(problem="quadratic", optimizer="fosgd",
+                                   iterations=iterations, seed=1, quad_diag=(1.0,), mu0=11.0,
+                                   alpha0=0.25)
+            with pytest.raises(DivergenceError, match="at step 10$"):
+                run(replace(cfg, out=path))
+            with open(path, encoding="utf-8") as fh:
+                kept = list(csv.DictReader(fh))
+            assert len(kept) == 9
+            assert [r["gap"] for r in kept[:-1]] == [r["loss"] for r in kept[1:]]
+        assert [f.index for f in seed_sweep(cfg, 1).failed] == [10]
 
     def test_trace_file_needs_one_seed(self, tmp_path):
         with pytest.raises(ValueError, match="one seed"):
@@ -1358,18 +1422,21 @@ class TestSeedStack:
     @pytest.mark.parametrize("optimizer", ["sgd", "fosgd", "2sedfosgd"])
     def test_seeds_leave_mid_chunk(self, synthetic_idx, optimizer):
         # the AR seeds diverge at steps 245, 218, 68 and 231 under sgd, and the
-        # MLP seeds 0, 4 and 5 at step 3; chunks of 5 and 2 steps split there
+        # MLP seeds 0, 4 and 5 at step 3; chunks of 5 and 2 steps split there,
+        # and AR's default chunk of 256 steps splits at each (seed 0's trace
+        # keeps rows 1 .. 244, the last with its step and error norms)
         ip, lp = synthetic_idx
         ar = ExperimentConfig(problem="ar", optimizer=optimizer, noise="stable",
                               stable_tail=0.8, mu0=0.05, iterations=300)
         mlp = ExperimentConfig(problem="mlp", optimizer=optimizer, iterations=8, mu0=1e150,
                                mlp_images=ip, mlp_labels=lp, mlp_limit=200, mlp_hidden=8,
                                mlp_batch=8)
-        for cfg, seeds, width in ((ar, [derive_seed(0, i) for i in range(8)], 5),
-                                  (mlp, list(range(6)), 2)):
-            chunked = _chunked(cfg, seeds, width)
-            assert any(o[0] is DivergenceError for o in chunked[0])
-            assert chunked == _chunked(cfg, seeds, 1)
+        for cfg, seeds, widths in ((ar, [derive_seed(0, i) for i in range(8)], (5, 256)),
+                                   (mlp, list(range(6)), (2,))):
+            stepwise = _chunked(cfg, seeds, 1)
+            assert any(o[0] is DivergenceError for o in stepwise[0])
+            for width in widths:
+                assert _chunked(cfg, seeds, width) == stepwise, width
 
 
 def _chunked(cfg, seeds, width, broken=None):
@@ -1596,6 +1663,11 @@ _CONTRACT_EXAMPLES = [
     ["problem=ar", "optimizer=fosgd", "iterations=9", "mu0=62.8914", "alpha0=0.5",
      "alpha_min=0.01", "delta=0.118", "grad_clip=1.73e187", "noise=stable",
      "stable_tail=0.5", "ar_coeffs=1.2", "seed=480"],
+    # a quadratic of more dimensions than a noise block of 4096 draws holds:
+    # each block still takes one row
+    ["problem=quadratic", "quad_diag=" + ",".join(["1.0"] * 4097)],
+    # a limit past the file's 1250 images takes them all
+    ["problem=mlp", "mlp_limit=100000", "mlp_hidden=4"],
 ]
 
 
